@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .datalog import emit_text, parse_ground_atoms
-from .engine import certain_answers, ground_guess_layer, verify_model
+from .engine import _tuples, certain_answers, ground_guess_layer, verify_model
 from .normalize import normalize
 from .oracle import NormalKB, bounded_model_search, core_enumeration_decide
 from .parser import parse_kb, parse_query
@@ -176,10 +176,8 @@ def cmd_oracle(args) -> int:
     inds = individuals_of(omq_obj, kb.abox)
     arity = len(omq_obj.query.answer_vars)
 
-    tuples = [()] if arity == 0 else \
-        [t for t in _all_tuples(inds, arity)]
     agree = True
-    for tup in tuples:
+    for tup in _tuples(inds, arity):
         engine_says = tup in report.answers
         oracle_says = core_enumeration_decide(safe, kb.abox, tup)
         line = f"{' '.join(tup) or '()'}: engine={engine_says} core-enum={oracle_says}"
@@ -206,15 +204,6 @@ def _ground_goal(omq_obj, tup):
     if isinstance(atom, ConceptAtom):
         return ConceptAssert(atom.concept, binding[atom.var])
     return RoleAssert(atom.role, binding[atom.subject], binding[atom.object])
-
-
-def _all_tuples(inds: Sequence[str], arity: int):
-    if arity == 0:
-        return [()]
-    out = [()]
-    for _ in range(arity):
-        out = [t + (i,) for t in out for i in inds]
-    return out
 
 
 def _print_interp(interp) -> None:
@@ -249,8 +238,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="treat ABox names unknown to the TBox as vacuously declared")
         p.add_argument("--branch-limit", type=int, default=500_000,
                        help="search-node budget before giving up as undecided")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="reserved; evaluation currently runs single-threaded")
 
     p = sub.add_parser("rewrite", help="emit the compiled Datalog program")
     common(p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .syntax import OmqError
 from .typespace import ResourceRefused
@@ -170,6 +170,10 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
     the atoms derivable when negated literals are ignored; the result has
     the same stable models as the textbook full grounding (together with
     the facts).  Inequality literals are evaluated away.
+
+    Atoms are only ever appended to ``by_pred``, so a rule whose body
+    predicates have the same atom counts as when it last started can
+    derive nothing new and is not run again.
     """
     by_pred: dict[str, list[DAtom]] = {}
     derivable: set[DAtom] = set()
@@ -185,10 +189,15 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
         add_atom(f)
 
     instances: dict[DRule, None] = {}
+    seen: list[tuple[int, ...] | None] = [None] * len(p.rules)
     changed = True
     while changed:
         changed = False
-        for rule in p.rules:
+        for n, rule in enumerate(p.rules):
+            sizes = tuple(len(by_pred.get(a.pred, ())) for a in rule.body_pos)
+            if sizes == seen[n]:
+                continue
+            seen[n] = sizes
             for subst in _matches(rule.body_pos, by_pred, derivable, {}):
                 ok = True
                 for (x, y) in rule.body_neq:
@@ -204,9 +213,7 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
                     body_pos=tuple(_substitute(a, subst) for a in rule.body_pos),
                     body_neg=tuple(_substitute(a, subst) for a in rule.body_neg),
                 )
-                if g not in instances:
-                    instances[g] = None
-                    changed = True
+                instances.setdefault(g, None)
                 for h in g.head:
                     if add_atom(h):
                         changed = True
@@ -282,21 +289,28 @@ def gl_reduct(p: DProgram, interp: Iterable[DAtom]) -> DProgram:
     return DProgram(tuple(out), dict(p.arities))
 
 
+def closure(rules: Sequence[tuple[Hashable, Sequence[Hashable]]],
+            seed: Iterable[Hashable] = ()) -> set:
+    """Least superset of ``seed`` closed under the definite ground rules
+    ``(head, body)``: ``head`` holds once every atom of ``body`` holds.
+    Atoms may be anything hashable (``DAtom``s or interned ids)."""
+    true = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for (head, body) in rules:
+            if head not in true and all(b in true for b in body):
+                true.add(head)
+                changed = True
+    return true
+
+
 def least_model(p: DProgram) -> frozenset[DAtom]:
     """Least model of the definite part of a positive non-disjunctive ground
     program (constraints are ignored here; check them separately)."""
     _require_ground(p)
-    true: set[DAtom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in p.rules:
-            if len(r.head) != 1:
-                continue
-            if r.head[0] not in true and all(b in true for b in r.body_pos):
-                true.add(r.head[0])
-                changed = True
-    return frozenset(true)
+    return frozenset(closure([(r.head[0], r.body_pos)
+                              for r in p.rules if len(r.head) == 1]))
 
 
 def models_program(p: DProgram, interp: frozenset[DAtom]) -> bool:

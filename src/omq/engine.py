@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .datalog import (Const, DAtom, DProgram, DRule, ground, gl_reduct,
+from .datalog import (Const, DAtom, DProgram, DRule, closure, ground, gl_reduct,
                       is_stable_model)
 from .query import individuals_of, OMQ
 from .rewrite import RewriteOutput, abox_facts, db_constant_facts
@@ -78,6 +78,15 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
         tuple(out.ctx.table.families))
 
 
+def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
+    """The ABox facts, plus the two bit-constant facts under --db-constants."""
+    facts = abox_facts(out.ctx, abox)
+    if out.ctx.db_constants:
+        inds = individuals_of(OMQ(out.ctx.ntbox, out.ctx.sigma, out.query), abox)
+        facts += db_constant_facts(out.ctx, inds)
+    return facts
+
+
 # ---------------------------------------------------------------------------
 # Ground search over the guess layer
 
@@ -103,11 +112,7 @@ class _Searcher:
         self.leaves = 0
         self.nodes = 0
 
-        facts = abox_facts(self.ctx, abox)
-        if self.ctx.db_constants:
-            inds = individuals_of(OMQ(self.ctx.ntbox, self.ctx.sigma, out.query), abox)
-            facts += db_constant_facts(self.ctx, inds)
-        self.input_facts = facts
+        facts = _input_facts(out, abox)
         self.p1g = ground(layered.p1, facts)
 
         # Intern every ground atom in sight.
@@ -173,6 +178,8 @@ class _Searcher:
             self.derived_rules.setdefault(head_ids[0], []).append(pos_ids)
 
         self.derived_ids = set(self.derived_rules)
+        self.supports = [(d, body) for d, bodies in self.derived_rules.items()
+                         for body in bodies]
         self._mark_memo: dict[frozenset[DAtom], tuple[frozenset[DAtom], bool]] = {}
         self._p3_mark, self._p3_fringe = self._split_p3()
 
@@ -388,22 +395,27 @@ class _Searcher:
         return None
 
     def _dfs(self, val: bytearray, extra, with_marking: bool) -> Iterator[frozenset[DAtom]]:
-        self.nodes += 1
-        if self.nodes > self.branch_limit:
-            raise ResourceRefused(
-                f"branch limit of {self.branch_limit} nodes exceeded; result undecided")
-        if not self._propagate(val, extra):
-            return
-        fam = self._pick(val)
-        if fam is None:
-            model = self._finalize(val, extra, with_marking)
-            if model is not None:
-                yield model
-            return
-        for v in (FALSE, TRUE):
-            child = bytearray(val)
-            child[fam.pos] = v
-            yield from self._dfs(child, extra, with_marking)
+        """Depth-first over the open families, FALSE before TRUE, on an
+        explicit stack of value arrays (the depth grows with the data)."""
+        stack = [val]
+        while stack:
+            val = stack.pop()
+            self.nodes += 1
+            if self.nodes > self.branch_limit:
+                raise ResourceRefused(
+                    f"branch limit of {self.branch_limit} nodes exceeded; result undecided")
+            if not self._propagate(val, extra):
+                continue
+            fam = self._pick(val)
+            if fam is None:
+                model = self._finalize(val, extra, with_marking)
+                if model is not None:
+                    yield model
+                continue
+            for v in (TRUE, FALSE):  # FALSE is pushed last, so explored first
+                child = bytearray(val)
+                child[fam.pos] = v
+                stack.append(child)
 
     def _pick(self, val: bytearray) -> _Family | None:
         for f in self.families:
@@ -416,17 +428,8 @@ class _Searcher:
 
     def _finalize(self, val: bytearray, extra, with_marking: bool) -> frozenset[DAtom] | None:
         self.leaves += 1
-        true: set[int] = {i for i in range(len(self.atoms))
-                          if val[i] == TRUE and i not in self.derived_ids}
-        changed = True
-        while changed:
-            changed = False
-            for d, bodies in self.derived_rules.items():
-                if d in true:
-                    continue
-                if any(all(b in true for b in body) for body in bodies):
-                    true.add(d)
-                    changed = True
+        true = closure(self.supports, (i for i in range(len(self.atoms))
+                                       if val[i] == TRUE and i not in self.derived_ids))
         for (pos, neg) in list(self.constraints) + list(extra):
             if all(p in true for p in pos) and not any(n in true for n in neg):
                 return None
@@ -467,21 +470,11 @@ def _layer_model(p: DProgram, base: frozenset[DAtom]) -> tuple[frozenset[DAtom],
     together with whether its constraints hold."""
     if not p.rules:
         return base, True
-    gp = ground(p, base)
-    red = gl_reduct(gp, base)
-    model = set(base)
-    changed = True
-    while changed:
-        changed = False
-        for r in red.rules:
-            if r.head and r.head[0] not in model and \
-                    all(b in model for b in r.body_pos):
-                model.add(r.head[0])
-                changed = True
-    for r in red.rules:
-        if not r.head and all(b in model for b in r.body_pos):
-            return frozenset(model), False
-    return frozenset(model), True
+    red = gl_reduct(ground(p, base), base)
+    model = frozenset(closure([(r.head[0], r.body_pos) for r in red.rules if r.head],
+                              base))
+    ok = not any(not r.head and all(b in model for b in r.body_pos) for r in red.rules)
+    return model, ok
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +582,7 @@ def verify_model(out: RewriteOutput, abox: Iterable[Assertion],
         raise OmqError(
             "model uses predicate(s) unknown to this rewriting: "
             + ", ".join(sorted(unknown)))
-    facts = abox_facts(out.ctx, tuple(abox))
-    if out.ctx.db_constants:
-        inds = individuals_of(OMQ(out.ctx.ntbox, out.ctx.sigma, out.query), tuple(abox))
-        facts += db_constant_facts(out.ctx, inds)
+    facts = _input_facts(out, tuple(abox))
     gp = ground(out.program, list(facts) + sorted(model))
     rules = list(gp.rules) + [DRule((a,)) for a in facts]
     return is_stable_model(DProgram.of(rules), model)
@@ -600,9 +590,4 @@ def verify_model(out: RewriteOutput, abox: Iterable[Assertion],
 
 def ground_guess_layer(out: RewriteOutput, abox: Iterable[Assertion]) -> DProgram:
     """The grounding of the guess layer over the given data (for --emit-ground)."""
-    layered = stratify(out)
-    facts = abox_facts(out.ctx, tuple(abox))
-    if out.ctx.db_constants:
-        inds = individuals_of(OMQ(out.ctx.ntbox, out.ctx.sigma, out.query), tuple(abox))
-        facts += db_constant_facts(out.ctx, inds)
-    return ground(layered.p1, facts)
+    return ground(stratify(out).p1, _input_facts(out, tuple(abox)))

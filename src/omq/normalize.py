@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .syntax import (And, Axiom, Basic, Bot, Concept, ConceptIncl, Exists,
-                     Forall, KnowledgeBase, Name, Nominal, Not, OmqError, Or,
-                     RoleExpr, RoleHierarchy, RoleIncl, Top, make_basis,
-                     role_closure, tbox_names)
+                     Forall, Name, Nominal, Not, Or, RoleExpr, RoleHierarchy,
+                     RoleIncl, Top, make_basis, role_closure, tbox_names)
 
 FRESH_PREFIX = "_X"
 _FRESH_RE = re.compile(r"_X(\d+)$")
@@ -370,13 +369,3 @@ def is_normal(axiom: Axiom) -> bool:
             return False
     return True
 
-
-def normalize_kb(kb: KnowledgeBase, extra_concept_names: Iterable[str] = (),
-                 extra_role_names: Iterable[str] = ()) -> NormalTBox:
-    ntbox = normalize(kb.tbox, extra_concept_names, extra_role_names)
-    unknown_sigma = [s for s in sorted(kb.sigma)
-                     if s not in ntbox.concept_names and s not in ntbox.role_names]
-    if unknown_sigma:
-        raise OmqError(
-            "closed predicate(s) not occurring in the TBox: " + ", ".join(unknown_sigma))
-    return ntbox

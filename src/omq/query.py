@@ -23,7 +23,7 @@ from .normalize import NormalTBox, normalize
 from .parser import ConceptAtom, ConjunctiveQuery, QueryAtom, RoleAtom
 from .syntax import (Assertion, Concept, ConceptAssert, ConceptIncl, Exists,
                      KnowledgeBase, Name, OmqError, RoleAssert, RoleExpr,
-                     conjoin, subsumed_by_closed)
+                     conjoin, subsumed_by_closed, tbox_names)
 
 ROLLUP_PREFIX = "_QT"
 
@@ -70,8 +70,8 @@ def build_omq(kb: KnowledgeBase, query: ConjunctiveQuery,
     q_roles = {a.role for a in query.atoms if isinstance(a, RoleAtom)}
     extra_c, extra_r = set(q_concepts), set(q_roles)
 
-    probe = normalize(kb.tbox)
-    known_c, known_r = set(probe.concept_names), set(probe.role_names)
+    # normalize adds only fresh _X<n> names, which no parsed name can be
+    known_c, known_r, _ = tbox_names(kb.tbox)
     bad: list[str] = []
     for a in kb.abox:
         if isinstance(a, ConceptAssert):

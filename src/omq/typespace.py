@@ -155,10 +155,6 @@ class TypeContext:
         return tuple(str(b) for i, b in enumerate(self.basis) if t >> i & 1)
 
 
-def type_context(ntbox: NormalTBox, sigma: Iterable[str]) -> TypeContext:
-    return TypeContext(ntbox, frozenset(sigma))
-
-
 # ---------------------------------------------------------------------------
 # Types of core elements
 
@@ -222,10 +218,6 @@ class CoreReport:
         return not self.violations
 
 
-def _basic_holds(core: Core, b: Basic, e: Element) -> bool:
-    return core.satisfies_basic(b, e)
-
-
 def validate_core(core: Core, ctx: TypeContext, abox: Iterable[Assertion]) -> CoreReport:
     out: list[CoreViolation] = []
     ntbox = ctx.ntbox
@@ -277,14 +269,14 @@ def validate_core(core: Core, ctx: TypeContext, abox: Iterable[Assertion]) -> Co
     # (c3.1) clause axioms hold everywhere.
     for ax in ntbox.clauses:
         for e in domain:
-            if all(_basic_holds(core, b, e) for b in ax.lhs) and \
-                    not any(_basic_holds(core, b, e) for b in ax.rhs):
+            if all(core.satisfies_basic(b, e) for b in ax.lhs) and \
+                    not any(core.satisfies_basic(b, e) for b in ax.rhs):
                 bad("c3.1", f"{ax} violated at {e}")
 
     # (c3.2) universal axioms hold everywhere.
     for ax in ntbox.universals:
         for (d, e) in core.pairs(ax.role):
-            if _basic_holds(core, ax.lhs, d) and not _basic_holds(core, ax.filler, e):
+            if core.satisfies_basic(ax.lhs, d) and not core.satisfies_basic(ax.filler, e):
                 bad("c3.2", f"{ax} violated at {d},{e}")
 
     # (c3.3) role inclusions hold.
@@ -299,8 +291,8 @@ def validate_core(core: Core, ctx: TypeContext, abox: Iterable[Assertion]) -> Co
             continue
         succ = core.pairs(ax.role)
         for e in domain:
-            if _basic_holds(core, ax.lhs, e) and \
-                    not any(_basic_holds(core, ax.filler, y) for (x, y) in succ if x == e):
+            if core.satisfies_basic(ax.lhs, e) and \
+                    not any(core.satisfies_basic(ax.filler, y) for (x, y) in succ if x == e):
                 bad("c3.4", f"{ax} unsatisfied at {e}")
 
     # (c4) role edges stay between individuals or an individual and its own fringe.
@@ -317,8 +309,8 @@ def validate_core(core: Core, ctx: TypeContext, abox: Iterable[Assertion]) -> Co
     for ax in ntbox.existentials:
         succ = core.pairs(ax.role)
         for e in core.individuals:
-            if _basic_holds(core, ax.lhs, e) and \
-                    not any(_basic_holds(core, ax.filler, y) for (x, y) in succ if x == e):
+            if core.satisfies_basic(ax.lhs, e) and \
+                    not any(core.satisfies_basic(ax.filler, y) for (x, y) in succ if x == e):
                 bad("c5", f"{ax} unsatisfied at individual {e}")
 
     return CoreReport(tuple(out))

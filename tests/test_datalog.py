@@ -6,6 +6,7 @@ import omq
 from omq import (Const, DAtom, DProgram, DRule, Var, emit_text, gl_reduct,
                  ground, ground_full, is_stable_model, parse_ground_atoms,
                  stable_models_bruteforce)
+from omq.datalog import closure
 from omq.syntax import OmqError
 from omq.typespace import ResourceRefused
 
@@ -49,6 +50,30 @@ def test_ground_successor_chain_counts(example1):
     assert len(next5) == 31
     types = {r.head[0] for r in g.rules if r.head and r.head[0].pred == "type"}
     assert len(types) == 32
+
+
+def test_ground_reruns_rules_listed_before_their_inputs():
+    """Rules in reverse dependency order, one recursive: the grounder must
+    come back to a rule once a later one derives atoms for its body."""
+    reach = rule([A("reach", "X")], [A("path", "a", "X")])
+    step = rule([A("path", "X", "Z")], [A("path", "X", "Y"), A("edge", "Y", "Z")])
+    base = rule([A("path", "X", "Y")], [A("edge", "X", "Y")])
+    edges = [A("edge", "a", "b"), A("edge", "b", "c"), A("edge", "c", "d")]
+    backward = ground(DProgram.of([reach, step, base]), edges)
+    forward = ground(DProgram.of([base, step, reach]), edges)
+    assert set(backward.rules) == set(forward.rules)
+    heads = {r.head[0] for r in backward.rules}
+    assert {h for h in heads if h.pred == "path"} == {
+        A("path", x, y) for (x, y) in
+        [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]}
+    assert {h for h in heads if h.pred == "reach"} == {
+        A("reach", "b"), A("reach", "c"), A("reach", "d")}
+
+
+def test_closure_fires_a_rule_whose_support_comes_later():
+    rules = [(3, (1, 2)), (4, (5,)), (2, (1,))]
+    assert closure(rules, {1}) == {1, 2, 3}
+    assert closure(rules, ()) == set()
 
 
 def test_ground_unsafe_rule_rejected():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import omq
@@ -169,3 +171,29 @@ def test_branch_limit_refusal(example1):
     kb, o = example1
     with pytest.raises(omq.ResourceRefused, match="undecided"):
         certain_answers(rewrite(o), kb.abox, branch_limit=5)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_the_python_stack():
+    """Six students and six closed courses put the search dozens of choice
+    families deep; with 60 frames of headroom a search that recursed once
+    per node would raise RecursionError."""
+    abox = [f"Student(s{i});" for i in range(1, 7)] + \
+        [f"Course(c{i});" for i in range(1, 7)]
+    kb = parse_kb("tbox { BScStud <= Student; Student <= exists attends . Course;"
+                  " BScStud <= forall attends . not GradCourse; }"
+                  f" abox {{ {' '.join(abox)} }} closed {{ Course; }}")
+    out = rewrite(build_omq(kb, parse_query("q(x) :- Student(x).")))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        report = certain_answers(out, kb.abox)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.answers == {(f"s{i}",) for i in range(1, 7)}

@@ -23,6 +23,29 @@ def _omq(kb_text, query_text, closed=""):
     return build_omq(kb, parse_query(query_text))
 
 
+def test_build_omq_normalizes_once(monkeypatch):
+    calls = []
+    real = omq.query.normalize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(omq.query, "normalize", counting)
+    _omq(INTRO_TBOX, "q(x) :- Student(x).")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kb_text, message", [
+    ("tbox { A <= B; } abox { C(a); }", "ABox uses name.*C"),
+    ("tbox { A <= B; } abox { r(a, b); }", "ABox uses name.*r"),
+    ("tbox { A <= B; } abox { A(a); } closed { D; }", "closed predicate.*D"),
+])
+def test_build_omq_rejects_names_unknown_to_the_tbox(kb_text, message):
+    with pytest.raises(OmqError, match=message):
+        build_omq(parse_kb(kb_text), parse_query("q(x) :- A(x)."))
+
+
 def test_c_variables_answer_vars():
     o = _omq(INTRO_TBOX, "q(x, y) :- attends(x, y).", closed="Course;")
     assert c_variables(o) == {"x", "y"}
