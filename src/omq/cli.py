@@ -14,10 +14,11 @@ import logging
 import os
 import re
 import sys
+from itertools import product
 from typing import Sequence
 
 from .datalog import emit_text, parse_ground_atoms
-from .engine import _tuples, certain_answers, ground_guess_layer, verify_model
+from .engine import certain_answers, ground_guess_layer, verify_model
 from .normalize import normalize
 from .oracle import NormalKB, bounded_model_search, core_enumeration_decide
 from .parser import parse_kb, parse_query
@@ -177,7 +178,7 @@ def cmd_oracle(args) -> int:
     arity = len(omq_obj.query.answer_vars)
 
     agree = True
-    for tup in _tuples(inds, arity):
+    for tup in product(inds, repeat=arity):
         engine_says = tup in report.answers
         oracle_says = core_enumeration_decide(safe, kb.abox, tup)
         line = f"{' '.join(tup) or '()'}: engine={engine_says} core-enum={oracle_says}"

@@ -60,10 +60,6 @@ class DRule:
     def is_fact(self) -> bool:
         return len(self.head) == 1 and not (self.body_pos or self.body_neg or self.body_neq)
 
-    @property
-    def is_constraint(self) -> bool:
-        return not self.head
-
     def variables(self) -> set[str]:
         out: set[str] = set()
         for a in self.head + self.body_pos + self.body_neg:
@@ -325,35 +321,32 @@ def models_program(p: DProgram, interp: frozenset[DAtom]) -> bool:
 def is_stable_model(p: DProgram, interp: Iterable[DAtom],
                     max_minimality_atoms: int = 22) -> bool:
     """Stability check: the interpretation must be a minimal model of its
-    GL-reduct.  Non-disjunctive reducts use the least-model comparison;
-    disjunctive ones search proper subsets, which is refused beyond a
-    desk-scale atom budget."""
+    GL-reduct.  Within subsets of the interpretation only the reduct rules
+    whose body lies inside it can fire, with their heads cut to it; when
+    each keeps at most one head they are definite and minimality is the
+    least-model comparison.  Otherwise proper subsets are searched, which
+    is refused beyond a desk-scale atom budget."""
     _require_ground(p)
     i = frozenset(interp)
     reduct = gl_reduct(p, i)
     if not models_program(reduct, i):
         return False
-    if not reduct.is_disjunctive():
-        return i == least_model(reduct)
+    rules = [([h for h in r.head if h in i], r.body_pos) for r in reduct.rules
+             if all(b in i for b in r.body_pos)]
+    if all(len(heads) <= 1 for heads, _ in rules):
+        return i == closure([(heads[0], body) for heads, body in rules if heads])
     atoms = sorted(i)
     if len(atoms) > max_minimality_atoms:
         raise ResourceRefused(
             f"minimality search over {len(atoms)} atoms exceeds the budget "
             f"of {max_minimality_atoms}")
     index = {a: n for n, a in enumerate(atoms)}
-    rules = []
-    for r in reduct.rules:
-        if any(b not in i for b in r.body_pos):
-            continue  # body needs an atom outside i: vacuous within subsets
-        head = _or_mask(1 << index[h] for h in r.head if h in i)
-        body = _or_mask(1 << index[b] for b in r.body_pos)
-        rules.append((body, head))
+    masks = [(_or_mask(1 << index[b] for b in body), _or_mask(1 << index[h] for h in heads))
+             for heads, body in rules]
     full = (1 << len(atoms)) - 1
-    if full == 0:
-        return True  # the empty interpretation has no proper subsets
     sub = (full - 1) & full
     while True:
-        if all((sub & body) != body or (sub & head) for (body, head) in rules):
+        if all((sub & body) != body or (sub & head) for (body, head) in masks):
             return False  # proper submodel found
         if sub == 0:
             return True

@@ -3,18 +3,22 @@
 The rewriting splits into three layers: a guess layer over the named
 individuals (at most two variables per rule), the realized-type layer,
 and the marking/filter layer.  Lower layers never depend on higher ones,
-and negation in a layer only mentions predicates settled below it, so
-evaluation proceeds by backtracking over the guess layer's choice atoms
-with constraint propagation, then computing the least models of the
-reducts of the two upper layers and discarding branches that violate a
-constraint.  Certain answers are the tuples reported by every surviving
-branch; per-tuple goal constraints prune the search to branches that
-falsify the tuple, so one surviving branch refutes certainty.
+and negation in a layer only mentions predicates settled below it.  The
+ground guess layer is compiled once into clauses: one group per choice
+family, the constraints, and the completion of its derived atoms (the
+answer atoms ``q`` among them).  Evaluation backtracks over the choice
+atoms with unit propagation over those clauses, reads each leaf's model
+off the value array, then computes the least models of the reducts of
+the two upper layers and discards branches that violate a constraint.
+Certain answers are the tuples reported by every surviving branch; per
+tuple the goal is the unit clause ``not q(tuple)``, so one surviving
+branch refutes certainty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .datalog import (Const, DAtom, DProgram, DRule, closure, ground, gl_reduct,
@@ -91,20 +95,17 @@ def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
 # Ground search over the guess layer
 
 
-@dataclass
-class _Family:
-    pos: int
-    neg: int
-    guard: int | None  # atom id of the fringe-presence guard, if any
-
-
 class _Searcher:
     """Backtracking enumeration of the guess layer's stable models, each
-    checked against the realized-type and marking layers."""
+    checked against the realized-type and marking layers.
+
+    The ground guess layer is compiled once into clauses over int literals
+    ``2 * atom + negated``; the value array ``val`` holds one of UNKNOWN,
+    TRUE and FALSE per atom, so literal ``l`` is true when
+    ``val[l >> 1] == TRUE + (l & 1)``."""
 
     def __init__(self, out: RewriteOutput, abox: Sequence[Assertion],
                  branch_limit: int = 500_000):
-        self.out = out
         self.ctx = out.ctx
         layered = stratify(out)
         self.layered = layered
@@ -113,73 +114,90 @@ class _Searcher:
         self.nodes = 0
 
         facts = _input_facts(out, abox)
-        self.p1g = ground(layered.p1, facts)
+        p1g = ground(layered.p1, facts)
 
         # Intern every ground atom in sight.
         self.atoms: list[DAtom] = []
         self.aid: dict[DAtom, int] = {}
         for a in facts:
             self._intern(a)
-        for r in self.p1g.rules:
+        for r in p1g.rules:
             for a in r.head + r.body_pos + r.body_neg:
                 self._intern(a)
 
-        self.fact_ids: set[int] = {self.aid[a] for a in facts}
         spec_by_pos = {pos: (neg, guard) for (pos, neg, guard) in layered.choice_specs}
         spec_preds = set(spec_by_pos) | {n for (_, n, _) in layered.choice_specs}
 
-        # Choice families present in the grounding.
-        fams: dict[int, _Family] = {}
-        self.family_of_atom: dict[int, tuple[int, bool]] = {}
+        # Choice families (pos, neg, guard) present in the grounding; a
+        # guard is the fringe-presence atom the pair depends on.
+        families = []
         for a in list(self.atoms):
             if a.pred in spec_by_pos:
                 neg_pred, guard_pred = spec_by_pos[a.pred]
-                pos_id = self.aid[a]
-                neg_id = self._intern(DAtom(neg_pred, a.args))
-                guard_id = self._intern(DAtom(guard_pred, a.args)) \
-                    if guard_pred is not None else None
-                fams[pos_id] = _Family(pos_id, neg_id, guard_id)
-        self.families = [fams[p] for p in sorted(fams, key=lambda p: self.atoms[p])]
-        for idx, f in enumerate(self.families):
-            self.family_of_atom[f.pos] = (idx, True)
-            self.family_of_atom[f.neg] = (idx, False)
+                families.append((self.aid[a], self._intern(DAtom(neg_pred, a.args)),
+                                 None if guard_pred is None
+                                 else self._intern(DAtom(guard_pred, a.args))))
+        families.sort(key=lambda f: self.atoms[f[0]])
+        self.families = [(p, g) for (p, _, g) in families]
 
-        # Classify ground rules: guesses are absorbed into the families;
-        # rules deriving ordinary atoms become definite support rules;
-        # rules with choice heads act as constraints requiring their head;
-        # headless rules are constraints.
-        self.derived_rules: dict[int, list[tuple[int, ...]]] = {}
-        self.constraints: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self.q_instances: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
-        answer = self.ctx.table.answer
-        for r in self.p1g.rules:
-            head_ids = tuple(self.aid[a] for a in r.head)
-            pos_ids = tuple(self.aid[a] for a in r.body_pos)
-            neg_ids = tuple(self.aid[a] for a in r.body_neg)
+        # Clauses.  A family is exactly one of its pair when its guard holds
+        # and neither otherwise; guess rules are absorbed into the families.
+        clauses: list[tuple[int, ...]] = []
+        for (p, n, g) in families:
+            clauses.append((2 * p + 1, 2 * n + 1))
+            if g is None:
+                clauses.append((2 * p, 2 * n))
+            else:
+                clauses += [(2 * g + 1, 2 * p, 2 * n), (2 * p + 1, 2 * g), (2 * n + 1, 2 * g)]
+        # Headless rules and rules forcing a choice atom are plain clauses;
+        # every other rule is a support of a derived atom.
+        supports: dict[int, list[tuple[int, ...]]] = {}
+        for r in p1g.rules:
             if len(r.head) == 1 and r.head[0].pred in spec_preds and \
-                    any(self.atoms[n].pred in spec_preds for n in neg_ids):
+                    any(a.pred in spec_preds for a in r.body_neg):
                 continue  # even-loop guess rule
             if len(r.head) == 2 and r.head[0].pred in spec_preds:
                 continue  # disjunctive guess rule (positive mode)
+            body = tuple(2 * self.aid[a] + 1 for a in r.body_pos) + \
+                tuple(2 * self.aid[a] for a in r.body_neg)
             if not r.head:
-                self.constraints.append((pos_ids, neg_ids))
-                continue
-            if r.head[0].pred == answer:
-                args = tuple(t.symbol for t in r.head[0].args
-                             if isinstance(t, Const))
-                self.q_instances.append((args, pos_ids))
-                continue
-            if r.head[0].pred in spec_preds:
-                # definite rule forcing a choice atom: body implies head
-                self.constraints.append((pos_ids, head_ids))
-                continue
-            if neg_ids:
+                clauses.append(body)
+            elif r.head[0].pred in spec_preds:
+                clauses.append(body + (2 * self.aid[r.head[0]],))
+            elif r.body_neg:
                 raise StratifyError(f"unexpected negation in support rule {r}")
-            self.derived_rules.setdefault(head_ids[0], []).append(pos_ids)
+            else:
+                supports.setdefault(self.aid[r.head[0]], []).append(
+                    tuple(self.aid[a] for a in r.body_pos))
+        # Completion of a derived atom d: each support implies d, and d
+        # implies some support, through an auxiliary atom per support of
+        # two or more atoms.  The derived predicates are not recursive, so
+        # once the choices are settled every derived atom is settled too.
+        n_vars = len(self.atoms)
+        for d, bodies in supports.items():
+            some_support = [2 * d + 1]
+            for body in bodies:
+                clauses.append(tuple(2 * b + 1 for b in body) + (2 * d,))
+                if len(body) == 1:
+                    some_support.append(2 * body[0])
+                else:
+                    clauses += [(2 * n_vars + 1, 2 * b) for b in body]
+                    some_support.append(2 * n_vars)
+                    n_vars += 1
+            clauses.append(tuple(some_support))
+        # Facts hold; atoms with no fact, no family and no support never
+        # do (for instance closed predicates beyond their ABox facts).
+        fact_ids = {self.aid[a] for a in facts}
+        clauses += [(2 * i,) for i in sorted(fact_ids)]
+        live = fact_ids | set(supports) | {a for f in families for a in f[:2]}
+        clauses += [(2 * i + 1,) for i in range(len(self.atoms)) if i not in live]
 
-        self.derived_ids = set(self.derived_rules)
-        self.supports = [(d, body) for d, bodies in self.derived_rules.items()
-                         for body in bodies]
+        self.n_vars = n_vars
+        self.clauses = clauses
+        self.occurs: list[list[int]] = [[] for _ in range(2 * n_vars)]
+        for c, clause in enumerate(clauses):
+            for lit in clause:
+                self.occurs[lit].append(c)
         self._mark_memo: dict[frozenset[DAtom], tuple[frozenset[DAtom], bool]] = {}
         self._p3_mark, self._p3_fringe = self._split_p3()
 
@@ -206,163 +224,27 @@ class _Searcher:
                 mark_rules.append(r)
         return DProgram.of(mark_rules), DProgram.of(fringe_rules)
 
-    # -- three-valued propagation over a value array -----------------------
+    # -- unit propagation --------------------------------------------------
 
-    def _propagate(self, val: bytearray,
-                   extra: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
-        """Unit propagation; returns False on conflict."""
-        all_constraints = self.constraints + list(extra)
-
-        def set_val(i: int, v: int) -> bool:
-            if val[i] == v:
-                return True
-            if val[i] != UNKNOWN:
-                return False
-            val[i] = v
-            return True
-
-        changed = True
-        while changed:
-            changed = False
-            snapshot = bytes(val)
-
-            for f in self.families:
-                g = TRUE if f.guard is None else val[f.guard]
-                p, n = val[f.pos], val[f.neg]
-                if p == TRUE and n == TRUE:
+    def _propagate(self, val: bytearray, todo: list[int]) -> bool:
+        """Unit propagation of the clauses in ``todo`` and of every clause
+        a propagated literal falsifies; returns False on conflict."""
+        clauses, occurs = self.clauses, self.occurs
+        while todo:
+            unit = -1
+            for lit in clauses[todo.pop()]:
+                v = val[lit >> 1]
+                if v == UNKNOWN:
+                    if unit >= 0:
+                        break  # two open literals
+                    unit = lit
+                elif v == TRUE + (lit & 1):
+                    break  # satisfied
+            else:
+                if unit < 0:
                     return False
-                if g == FALSE:
-                    if not set_val(f.pos, FALSE) or not set_val(f.neg, FALSE):
-                        return False
-                elif g == TRUE:
-                    if p == TRUE and not set_val(f.neg, FALSE):
-                        return False
-                    if n == TRUE and not set_val(f.pos, FALSE):
-                        return False
-                    if p == FALSE and not set_val(f.neg, TRUE):
-                        return False
-                    if n == FALSE and not set_val(f.pos, TRUE):
-                        return False
-                else:
-                    if (p == TRUE or n == TRUE) and not set_val(f.guard, TRUE):
-                        return False
-                    if p == FALSE and n == FALSE and not set_val(f.guard, FALSE):
-                        return False
-
-            if not self._eval_derived(val):
-                return False
-
-            for (pos, neg) in all_constraints:
-                status = self._constraint_status(val, pos, neg)
-                if status == "violated":
-                    return False
-                if type(status) is tuple:
-                    lit_sign, lit_atom = status
-                    if not self._require(val, lit_atom, FALSE if lit_sign else TRUE):
-                        return False
-
-            if bytes(val) != snapshot:
-                changed = True
-        return True
-
-    def _constraint_status(self, val, pos, neg):
-        """'ok', 'violated', or the single undecided literal (sign, atom)."""
-        unknown: tuple[bool, int] | None = None
-        for a in pos:
-            v = val[a]
-            if v == FALSE:
-                return "ok"
-            if v == UNKNOWN:
-                if unknown is not None:
-                    return "open"
-                unknown = (True, a)
-        for a in neg:
-            v = val[a]
-            if v == TRUE:
-                return "ok"
-            if v == UNKNOWN:
-                if unknown is not None:
-                    return "open"
-                unknown = (False, a)
-        if unknown is None:
-            return "violated"
-        return unknown
-
-    def _eval_derived(self, val: bytearray) -> bool:
-        """Three-valued view of the definite atoms: derivable from true
-        atoms, impossible when every support contains a false atom.
-        Settled atoms keep their value (both bounds are monotone)."""
-        unknowns = [d for d in self.derived_ids if val[d] == UNKNOWN]
-        if not unknowns:
-            return True
-        derived_ids = self.derived_ids
-
-        possible: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for d in unknowns:
-                if d in possible:
-                    continue
-                for body in self.derived_rules[d]:
-                    ok = True
-                    for b in body:
-                        v = val[b]
-                        if v == FALSE or (v == UNKNOWN and b in derived_ids
-                                          and b not in possible):
-                            ok = False
-                            break
-                    if ok:
-                        possible.add(d)
-                        changed = True
-                        break
-
-        true: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for d in unknowns:
-                if d in true:
-                    continue
-                for body in self.derived_rules[d]:
-                    if all(val[b] == TRUE or b in true for b in body):
-                        true.add(d)
-                        changed = True
-                        break
-
-        for d in unknowns:
-            if d in true:
-                val[d] = TRUE
-            elif d not in possible:
-                val[d] = FALSE
-        return True
-
-    def _require(self, val: bytearray, atom: int, v: int) -> bool:
-        """Force an atom's value where unambiguous; derived atoms propagate
-        through a unique viable support."""
-        if val[atom] == v:
-            return True
-        if val[atom] != UNKNOWN:
-            return False
-        if atom in self.derived_ids:
-            bodies = self.derived_rules[atom]
-            viable = [b for b in bodies if all(val[x] != FALSE for x in b)]
-            if v == TRUE:
-                if not viable:
-                    return False
-                if len(viable) == 1:
-                    return all(self._require(val, x, TRUE) for x in viable[0])
-                return True  # defer
-            for b in viable:
-                unknowns = [x for x in b if val[x] == UNKNOWN]
-                if not unknowns:
-                    return False  # body already true: atom cannot be false
-                if len(unknowns) == 1 and not self._require(val, unknowns[0], FALSE):
-                    return False
-            return True
-        if atom in self.fact_ids and v == FALSE:
-            return False
-        val[atom] = v
+                val[unit >> 1] = TRUE + (unit & 1)
+                todo.extend(occurs[unit ^ 1])
         return True
 
     # -- search ------------------------------------------------------------
@@ -370,23 +252,14 @@ class _Searcher:
     def models(self, goal: tuple[str, ...] | None = None,
                with_marking: bool = True) -> Iterator[frozenset[DAtom]]:
         """Enumerate surviving branches; with a goal, only branches whose
-        answer atoms omit the goal tuple."""
-        extra: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        answer atoms omit the goal tuple: the unit clause ``not q(goal)``,
+        asserted at the root when that atom was ground at all."""
+        val = bytearray(self.n_vars)
         if goal is not None:
-            for (args, body) in self.q_instances:
-                if args == goal:
-                    extra.append((body, ()))
-
-        # Atoms with no fact, no guess and no support rule can never hold
-        # (for instance closed predicates beyond their ABox facts).
-        live = self.fact_ids | set(self.family_of_atom) | self.derived_ids
-        val = bytearray(len(self.atoms))
-        for i in range(len(self.atoms)):
-            if i not in live:
-                val[i] = FALSE
-        for i in self.fact_ids:
-            val[i] = TRUE
-        yield from self._dfs(val, tuple(extra), with_marking)
+            q = self.aid.get(DAtom(self.ctx.table.answer, tuple(Const(s) for s in goal)))
+            if q is not None:
+                val[q] = FALSE
+        yield from self._dfs(val, list(range(len(self.clauses))), with_marking)
 
     def find_model(self, goal: tuple[str, ...] | None = None,
                    with_marking: bool = True) -> frozenset[DAtom] | None:
@@ -394,51 +267,44 @@ class _Searcher:
             return m
         return None
 
-    def _dfs(self, val: bytearray, extra, with_marking: bool) -> Iterator[frozenset[DAtom]]:
+    def _dfs(self, val: bytearray, todo: list[int],
+             with_marking: bool) -> Iterator[frozenset[DAtom]]:
         """Depth-first over the open families, FALSE before TRUE, on an
-        explicit stack of value arrays (the depth grows with the data)."""
-        stack = [val]
+        explicit stack of (value array, clauses to propagate) pairs."""
+        stack = [(val, todo)]
         while stack:
-            val = stack.pop()
+            val, todo = stack.pop()
             self.nodes += 1
             if self.nodes > self.branch_limit:
                 raise ResourceRefused(
                     f"branch limit of {self.branch_limit} nodes exceeded; result undecided")
-            if not self._propagate(val, extra):
+            if not self._propagate(val, todo):
                 continue
-            fam = self._pick(val)
-            if fam is None:
-                model = self._finalize(val, extra, with_marking)
+            pos = self._pick(val)
+            if pos is None:
+                model = self._finalize(val, with_marking)
                 if model is not None:
                     yield model
                 continue
-            for v in (TRUE, FALSE):  # FALSE is pushed last, so explored first
+            for lit in (2 * pos, 2 * pos + 1):  # FALSE is pushed last, so explored first
                 child = bytearray(val)
-                child[fam.pos] = v
-                stack.append(child)
+                child[pos] = TRUE + (lit & 1)
+                stack.append((child, list(self.occurs[lit ^ 1])))
 
-    def _pick(self, val: bytearray) -> _Family | None:
-        for f in self.families:
-            if val[f.pos] != UNKNOWN:
+    def _pick(self, val: bytearray) -> int | None:
+        for (pos, guard) in self.families:
+            if val[pos] != UNKNOWN:
                 continue
-            if f.guard is not None and val[f.guard] == UNKNOWN:
+            if guard is not None and val[guard] == UNKNOWN:
                 continue  # its guard family comes up on its own
-            return f
+            return pos
         return None
 
-    def _finalize(self, val: bytearray, extra, with_marking: bool) -> frozenset[DAtom] | None:
+    def _finalize(self, val: bytearray, with_marking: bool) -> frozenset[DAtom] | None:
+        """At a leaf every atom is settled, and the TRUE ones are the least
+        model of the guess layer over the chosen atoms."""
         self.leaves += 1
-        true = closure(self.supports, (i for i in range(len(self.atoms))
-                                       if val[i] == TRUE and i not in self.derived_ids))
-        for (pos, neg) in list(self.constraints) + list(extra):
-            if all(p in true for p in pos) and not any(n in true for n in neg):
-                return None
-        model = frozenset(self.atoms[i] for i in true)
-        q_atoms = frozenset(DAtom(self.ctx.table.answer,
-                                  tuple(Const(s) for s in args))
-                            for (args, body) in self.q_instances
-                            if all(b in true for b in body))
-        model |= q_atoms
+        model = frozenset(a for a, v in zip(self.atoms, val) if v == TRUE)
         if not with_marking:
             return model
         return model if self._upper_layers_ok(model) else None
@@ -485,34 +351,21 @@ def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
                     branch_limit: int = 500_000) -> AnswerReport:
     """Intersection of the answer atoms over all surviving branches.
 
-    Per candidate tuple, the search looks for one surviving branch that
-    falsifies the tuple; the tuple is a certain answer exactly when none
-    exists.  An inconsistent knowledge base (no surviving branch at all)
+    Per candidate tuple, the search adds the unit clause ``not q(tuple)``
+    and looks for one surviving branch under unit propagation; the tuple
+    is a certain answer exactly when none exists.  An inconsistent knowledge base (no surviving branch at all)
     reports every tuple over the named individuals as an answer."""
     abox = tuple(abox)
     searcher = _Searcher(out, abox, branch_limit)
     inds = individuals_of(OMQ(out.ctx.ntbox, out.ctx.sigma, out.query), abox)
     arity = len(out.query.answer_vars)
-    candidates = list(_tuples(inds, arity))
+    candidates = list(product(inds, repeat=arity))
 
     if searcher.find_model() is None:
         return AnswerReport(frozenset(candidates), True, searcher.leaves)
 
     answers = [t for t in candidates if searcher.find_model(goal=t) is None]
     return AnswerReport(frozenset(answers), False, searcher.leaves)
-
-
-def _tuples(inds: Sequence[str], arity: int) -> Iterator[tuple[str, ...]]:
-    if arity == 0:
-        yield ()
-        return
-    def rec(prefix: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        if len(prefix) == arity:
-            yield prefix
-            return
-        for i in inds:
-            yield from rec(prefix + (i,))
-    yield from rec(())
 
 
 def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],

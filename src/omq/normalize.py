@@ -114,9 +114,6 @@ class NormalTBox:
                 out.append(ax)
         return out
 
-    def basis_index(self, b: Basic) -> int:
-        return self.basis.index(b)
-
 
 def nnf(c: Concept) -> Concept:
     if isinstance(c, (Name, Top, Bot, Nominal)):

@@ -786,14 +786,7 @@ def _prepare(omq: OMQ) -> OMQ:
 def rewrite(omq: OMQ, db_constants: bool = False) -> RewriteOutput:
     """Compile an OMQ into a Datalog program with stable negation whose
     certain answers over any ABox coincide with the OMQ's."""
-    omq = _prepare(omq)
-    table = build_pred_table(omq.tbox, omq.sigma, MODE_STABLE)
-    ctx = RewriteContext(omq.tbox, omq.sigma, table, MODE_STABLE, db_constants)
-    rules = list(build_core_program(ctx).rules)
-    rules += build_marking_program(ctx).rules
-    rules += build_filter_program(ctx).rules
-    rules.append(_query_rule(ctx, omq.query))
-    return RewriteOutput(DProgram.of(rules), table.answer, MODE_STABLE, ctx, omq.query)
+    return _rewrite(omq, MODE_STABLE, db_constants)
 
 
 def rewrite_positive(omq: OMQ, db_constants: bool = False) -> RewriteOutput:
@@ -801,14 +794,18 @@ def rewrite_positive(omq: OMQ, db_constants: bool = False) -> RewriteOutput:
     program; nominal-free TBoxes additionally avoid the inequality built-in."""
     if omq.sigma:
         raise OmqError("the positive rewriting requires an empty closed-predicate set")
+    return _rewrite(omq, MODE_POSITIVE, db_constants)
+
+
+def _rewrite(omq: OMQ, mode: str, db_constants: bool) -> RewriteOutput:
     omq = _prepare(omq)
-    table = build_pred_table(omq.tbox, omq.sigma, MODE_POSITIVE)
-    ctx = RewriteContext(omq.tbox, omq.sigma, table, MODE_POSITIVE, db_constants)
+    table = build_pred_table(omq.tbox, omq.sigma, mode)
+    ctx = RewriteContext(omq.tbox, omq.sigma, table, mode, db_constants)
     rules = list(build_core_program(ctx).rules)
     rules += build_marking_program(ctx).rules
     rules += build_filter_program(ctx).rules
     rules.append(_query_rule(ctx, omq.query))
-    return RewriteOutput(DProgram.of(rules), table.answer, MODE_POSITIVE, ctx, omq.query)
+    return RewriteOutput(DProgram.of(rules), table.answer, mode, ctx, omq.query)
 
 
 # ---------------------------------------------------------------------------

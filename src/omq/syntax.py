@@ -122,10 +122,6 @@ def _paren(c: Concept) -> str:
     return f"({c})"
 
 
-def is_basic(c: Concept) -> bool:
-    return isinstance(c, _ATOMIC)
-
-
 def conjoin(parts: Iterable[Concept]) -> Concept:
     """Right-fold a conjunction; the empty conjunction is top."""
     items = list(parts)

@@ -3,7 +3,8 @@ import pathlib
 import pytest
 
 import omq
-from omq import Core, FringeId, TypeContext
+from omq import Core, FringeId, TypeContext, enumerate_guess_models, stratify
+from omq.engine import _layer_model
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -68,3 +69,17 @@ def intro():
     kb = omq.parse_kb(INTRO_KB)
     o = omq.build_omq(kb, omq.parse_query("q(x, y) :- attends(x, y)."))
     return kb, o
+
+
+@pytest.fixture(scope="session")
+def completed_branches():
+    """The first ``n`` surviving guess-layer branches, each completed with
+    the realized-type and marking layers into a full answer set."""
+    def complete(out, abox, n):
+        layered = stratify(out)
+        models = []
+        for m in enumerate_guess_models(out, abox, limit=n):
+            i2, _ = _layer_model(layered.p2, m)
+            models.append(_layer_model(layered.p3, i2)[0])
+        return models
+    return complete

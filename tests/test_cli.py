@@ -1,6 +1,8 @@
 import pathlib
 
+import omq
 from omq.cli import main
+from omq.rewrite import abox_facts
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -117,6 +119,25 @@ def test_external_models_verification(capsys, tmp_path):
     code, out, _ = run(capsys, "answer", "--external-models", models, kb, q)
     assert code == 1
     assert out.splitlines() == ["model 1: stable", "model 2: not stable"]
+
+
+def test_external_models_accepts_a_completed_positive_model(capsys, tmp_path,
+                                                           completed_branches):
+    kb_file, q_file = FIXTURES / "nominalfree.kb", FIXTURES / "q_c.cq"
+    kb = omq.parse_kb(kb_file.read_text())
+    out = omq.rewrite_positive(omq.build_omq(kb, omq.parse_query(q_file.read_text())))
+    [model] = completed_branches(out, kb.abox, 1)
+    facts = set(abox_facts(out.ctx, kb.abox))
+    guessed = next(a for a in sorted(model) if a.pred.startswith("c_") and a not in facts)
+    models = tmp_path / "models.txt"
+    models.write_text(" ".join(map(str, sorted(model))) + "\n")
+    code, text, _ = run(capsys, "answer", "--positive", "--external-models", models,
+                        kb_file, q_file)
+    assert (code, text.splitlines()) == (0, ["model 1: stable"])
+    models.write_text(" ".join(str(a) for a in sorted(model) if a != guessed) + "\n")
+    code, text, _ = run(capsys, "answer", "--positive", "--external-models", models,
+                        kb_file, q_file)
+    assert (code, text.splitlines()) == (1, ["model 1: not stable"])
 
 
 def test_oracle_subcommand_agrees(capsys, tmp_path):

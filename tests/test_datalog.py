@@ -195,6 +195,27 @@ def test_positive_programs_stable_equals_minimal():
         assert stable == minimal
 
 
+def test_is_stable_model_matches_bruteforce_on_random_disjunctive_programs():
+    """Every subset of the head atoms is judged stable exactly when the
+    brute-force solver lists it, whether the reduct is definite inside the
+    subset (least-model test) or keeps two heads there (subset search)."""
+    rng = random.Random(4)
+    atoms = [A("a"), A("b"), A("c"), A("d"), A("e")]
+    for trial in range(150):
+        rules = [rule(rng.sample(atoms, 2), rng.sample(atoms, rng.randrange(0, 2)))]
+        for _ in range(rng.randrange(1, 5)):
+            head = rng.sample(atoms, rng.randrange(0, 3))
+            body = rng.sample(atoms, rng.randrange(0, 3))
+            neg = rng.sample(atoms, rng.randrange(0, 2))
+            rules.append(rule(head, body, neg))
+        p = DProgram.of(rules)
+        stable = set(stable_models_bruteforce(p))
+        base = sorted({h for r in p.rules for h in r.head})
+        for s in _subsets(base):
+            assert is_stable_model(p, s) == (frozenset(s) in stable), \
+                f"trial {trial}, {sorted(map(str, s))}"
+
+
 def _subsets(items):
     for mask in range(1 << len(items)):
         yield [items[j] for j in range(len(items)) if mask >> j & 1]

@@ -1,3 +1,4 @@
+import pathlib
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from omq import (Const, DAtom, DProgram, DRule, TypeContext, build_omq,
 from omq.engine import StratifyError
 from omq.rewrite import abox_facts
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 MICRO_KB = "tbox { top <= A or B; } abox { }"
 
 
@@ -158,6 +160,24 @@ def test_verify_model_against_bruteforce():
         assert verify_model(out, kb.abox, m)
     broken = models[0] | {DAtom("q", (Const("a"), Const("a")))}
     assert not verify_model(out, kb.abox, broken)
+
+
+@pytest.mark.parametrize("kb_file, query_file, positive", [
+    ("intro.kb", "q_attends.cq", False),
+    ("nominalfree.kb", "q_c.cq", False),
+    ("nominalfree.kb", "q_c.cq", True),
+])
+def test_completed_branches_are_stable_models(completed_branches, kb_file,
+                                              query_file, positive):
+    """The leaf model the search reads off its value array, completed with
+    layers 2 and 3, is a stable model of the whole emitted program."""
+    kb = parse_kb((FIXTURES / kb_file).read_text())
+    o = build_omq(kb, parse_query((FIXTURES / query_file).read_text()))
+    out = (rewrite_positive if positive else rewrite)(o)
+    models = completed_branches(out, kb.abox, 3)
+    assert len(models) == 3
+    for m in models:
+        assert verify_model(out, kb.abox, m)
 
 
 def test_verify_model_unknown_predicate(example1):
