@@ -36,7 +36,11 @@ _FRINGE_RE = re.compile(r"(.+)__e(\d+)$")
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise OmqError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                           f"{exc.start})") from None
 
 
 def _load(args) -> tuple[KnowledgeBase, "OMQ"]:

@@ -1,19 +1,30 @@
 """Datalog with disjunction, stable negation and built-in inequality.
 
-The rewriting targets this IR.  Grounding is relevance-driven: rule
-instances are produced by joining positive body atoms over the atoms
-derivable when negation is ignored, which keeps the ground program
-proportional to the derivable atoms instead of the full substitution
-space.  Inequality literals are decided during instantiation; because
-rule safety bounds both sides by positive atoms, the built-in's
-occurrence semantics coincides with plain constant distinctness.
+The rewriting targets this IR.  One join core matches rule bodies: each
+rule is compiled once into a plan of nested loops over relations of rows
+(tuples of constant symbols), each step probing a hash index on the
+positions already bound.  Two evaluators run on it:
+
+* ``ground`` is relevance-driven: rule instances are produced by joining
+  positive body atoms over the atoms derivable when negation is ignored,
+  which keeps the ground program proportional to the derivable atoms
+  instead of the full substitution space;
+* ``Layer`` evaluates a layer of definite rules whose negation reads only
+  the base below it, by semi-naive rounds that join each rule once per
+  body position against the previous round's new rows, without building
+  any rule instance.
+
+Inequality literals are decided during matching; because rule safety
+bounds both sides by positive atoms, the built-in's occurrence semantics
+coincides with plain constant distinctness.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .syntax import OmqError
 from .typespace import ResourceRefused
@@ -112,51 +123,196 @@ class DProgram:
 
 
 # ---------------------------------------------------------------------------
-# Grounding
+# Joins
+#
+# Rule bodies are matched over relations of rows, tuples of constant
+# symbols.  A partial match is one flat tuple: the rule's constants followed
+# by the rows matched so far, so every term of the rule is an index into it.
+
+Row = tuple[str, ...]
+Fact = tuple[str, Row]
 
 
-def _unify(atom: DAtom, fact: DAtom, subst: dict[str, Const]) -> dict[str, Const] | None:
-    if atom.pred != fact.pred or len(atom.args) != len(fact.args):
-        return None
-    out = dict(subst)
-    for (t, c) in zip(atom.args, fact.args):
-        assert isinstance(c, Const)
+def fact_of(a: DAtom) -> Fact:
+    """The ``(predicate, row)`` form of a ground atom."""
+    return a.pred, tuple(t.symbol for t in a.args)
+
+
+def atom_of(f: Fact) -> DAtom:
+    return DAtom(f[0], tuple(map(Const, f[1])))
+
+
+class _Relation:
+    """The rows of one predicate in insertion order, with a member set and
+    hash indexes on argument positions.  An index is built on first use and
+    extended on every insert, each bucket in insertion order, so a loop over
+    a bucket sees rows added while it runs, as a loop over ``rows`` does."""
+
+    __slots__ = ("rows", "members", "indexes")
+
+    def __init__(self, rows: Sequence[Row] = ()) -> None:
+        self.rows: list[Row] = list(rows)
+        self.members: set[Row] = set(rows)
+        self.indexes: dict[tuple[int, ...], tuple[itemgetter, dict]] = {}
+
+    def add(self, row: Row) -> bool:
+        if row in self.members:
+            return False
+        self.extend((row,))
+        return True
+
+    def extend(self, rows: Sequence[Row]) -> None:
+        """Add rows that are not in the relation yet."""
+        self.members.update(rows)
+        self.rows += rows
+        for key, index in self.indexes.values():
+            for row in rows:
+                index.setdefault(key(row), []).append(row)
+
+    def index(self, positions: tuple[int, ...]) -> dict:
+        got = self.indexes.get(positions)
+        if got is None:
+            key, index = itemgetter(*positions), {}
+            for row in self.rows:
+                index.setdefault(key(row), []).append(row)
+            self.indexes[positions] = got = (key, index)
+        return got[1]
+
+
+def _row_getter(refs: tuple[int, ...]) -> Callable[[tuple], Row]:
+    """The tuple of the flat match's entries at ``refs``."""
+    if len(refs) == 1:
+        i = refs[0]
+        return lambda flat: (flat[i],)
+    if not refs:
+        return lambda flat: ()
+    return itemgetter(*refs)
+
+
+def _checks_hold(flat: tuple, same: Sequence[tuple[int, int]],
+                 differ: Sequence[tuple[int, int]]) -> bool:
+    return all(flat[i] == flat[j] for (i, j) in same) and \
+        all(flat[i] != flat[j] for (i, j) in differ)
+
+
+def _loop(source, positions, key, same, differ, nxt):
+    """Extend the match by each row of ``source`` that agrees with it on
+    ``positions`` (all rows when there are none) and passes the checks."""
+    checked = bool(same or differ)
+
+    def run(db, flat, out):
+        rel = db[source]
+        for row in rel.index(positions).get(key(flat), ()) if positions else rel.rows:
+            f = flat + row
+            if not checked or _checks_hold(f, same, differ):
+                nxt(db, f, out)
+    return run
+
+
+def _test(source, row, present, nxt):
+    """Go on when the fully bound ``row`` is (or, negated, is not) in ``source``."""
+    def run(db, flat, out):
+        if (row(flat) in db[source].members) == present:
+            nxt(db, flat, out)
+    return run
+
+
+def _emit(db, flat, out):
+    out(flat)
+
+
+def _never(db, flat, out):
+    pass
+
+
+DELTA = "+"
+
+
+class _Plan:
+    """A rule body compiled to nested loops.  The positive atoms are matched
+    in a fixed order: ``first`` if given, then repeatedly the atom with the
+    fewest unbound variable occurrences, ties to the earliest.  An atom with
+    bound positions loops over the index bucket of their values, a fully
+    bound one is a membership test, and ``!=`` is tested as soon as both
+    sides are bound; with ``negation`` the negated atoms are tested last.
+    ``run(db, consts, out)`` calls ``out`` with every flat match over
+    ``db``, which maps a source to its ``_Relation``: a predicate, or
+    ``(DELTA, predicate)`` for the atom at ``first``."""
+
+    def __init__(self, rule: DRule, first: int | None = None, negation: bool = False):
+        terms = [t for a in rule.head + rule.body_pos + rule.body_neg for t in a.args]
+        terms += [t for pair in rule.body_neq for t in pair]
+        self._consts: dict[str, int] = {}
+        for t in terms:
+            if isinstance(t, Const):
+                self._consts.setdefault(t.symbol, len(self._consts))
+        self.consts: Row = tuple(self._consts)
+        self._slot: dict[str, int] = {}
+        self.run = _never
+        if any(isinstance(x, Const) and x == y for (x, y) in rule.body_neq):
+            return
+        differ = [(x, y) for (x, y) in rule.body_neq if not
+                  (isinstance(x, Const) and isinstance(y, Const))]
+        width = len(self.consts)
+        steps = []
+        todo = list(range(len(rule.body_pos)))
+        while todo:
+            j = first if not steps and first is not None else min(
+                todo, key=lambda j: sum(1 for t in rule.body_pos[j].args
+                                        if isinstance(t, Var) and t.name not in self._slot))
+            todo.remove(j)
+            atom = rule.body_pos[j]
+            bound, same, new = [], [], {}
+            for pos, t in enumerate(atom.args):
+                ref = self._ref(t)
+                if ref is not None:
+                    bound.append((pos, ref))
+                elif t.name in new:
+                    same.append((width + new[t.name], width + pos))
+                else:
+                    new[t.name] = pos
+            if j == first:  # the delta rows are scanned, not indexed
+                same += [(width + pos, ref) for (pos, ref) in bound]
+                bound = []
+            elif not new:
+                steps.append((_test, atom.pred, self.row(atom), True))
+                continue
+            self._slot.update((name, width + pos) for (name, pos) in new.items())
+            width += len(atom.args)
+            now = [(self._ref(x), self._ref(y)) for (x, y) in differ]
+            differ = [d for (d, refs) in zip(differ, now) if None in refs]
+            steps.append((_loop, (DELTA, atom.pred) if j == first else atom.pred,
+                          tuple(pos for (pos, _) in bound),
+                          bound and itemgetter(*(ref for (_, ref) in bound)),
+                          same, [refs for refs in now if None not in refs]))
+        if negation:
+            steps += [(_test, a.pred, self.row(a), False) for a in rule.body_neg]
+        self.run = _emit
+        for (build, *args) in reversed(steps):
+            self.run = build(*args, self.run)
+
+    def _ref(self, t: DTerm) -> int | None:
         if isinstance(t, Const):
-            if t != c:
-                return None
-        else:
-            bound = out.get(t.name)
-            if bound is None:
-                out[t.name] = c
-            elif bound != c:
-                return None
-    return out
+            return self._consts[t.symbol]
+        return self._slot.get(t.name)
+
+    def row(self, atom: DAtom) -> Callable[[tuple], Row]:
+        """The row of ``atom`` under the match so far."""
+        return _row_getter(tuple(self._ref(t) for t in atom.args))
 
 
-def _substitute(atom: DAtom, subst: Mapping[str, Const]) -> DAtom:
-    return DAtom(atom.pred, tuple(
-        subst[t.name] if isinstance(t, Var) else t for t in atom.args))
+def _load(arities: Mapping[str, int], facts: Iterable[Fact]) -> dict[str, _Relation]:
+    """Relations for the predicates of ``arities``; facts of other
+    predicates, or of another arity, can match no atom and are dropped."""
+    db = {pred: _Relation() for pred in arities}
+    for (pred, row) in facts:
+        if arities.get(pred) == len(row):
+            db[pred].add(row)
+    return db
 
 
-def _matches(body: Sequence[DAtom], by_pred: Mapping[str, list[DAtom]],
-             known: set[DAtom], subst: dict[str, Const]) -> Iterator[dict[str, Const]]:
-    if not body:
-        yield subst
-        return
-    # Pick the most-bound atom next; fully bound ones are set lookups.
-    def unbound(a: DAtom) -> int:
-        return sum(1 for t in a.args if isinstance(t, Var) and t.name not in subst)
-    idx = min(range(len(body)), key=lambda j: unbound(body[j]))
-    first = body[idx]
-    rest = body[:idx] + body[idx + 1:]
-    if unbound(first) == 0:
-        if _substitute(first, subst) in known:
-            yield from _matches(rest, by_pred, known, subst)
-        return
-    for fact in by_pred.get(first.pred, ()):
-        s = _unify(first, fact, subst)
-        if s is not None:
-            yield from _matches(rest, by_pred, known, s)
+# ---------------------------------------------------------------------------
+# Grounding
 
 
 def ground(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
@@ -167,52 +323,35 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
     the same stable models as the textbook full grounding (together with
     the facts).  Inequality literals are evaluated away.
 
-    Atoms are only ever appended to ``by_pred``, so a rule whose body
-    predicates have the same atom counts as when it last started can
-    derive nothing new and is not run again.
+    Rows are only ever appended to a relation, so a rule whose body
+    predicates have the same row counts as when it last started can derive
+    nothing new and is not run again.
     """
-    by_pred: dict[str, list[DAtom]] = {}
-    derivable: set[DAtom] = set()
-
-    def add_atom(a: DAtom) -> bool:
-        if a in derivable:
-            return False
-        derivable.add(a)
-        by_pred.setdefault(a.pred, []).append(a)
-        return True
-
-    for f in facts:
-        add_atom(f)
+    db = _load(p.arities, map(fact_of, facts))
+    plans = [_Plan(r) for r in p.rules]
 
     instances: dict[DRule, None] = {}
     seen: list[tuple[int, ...] | None] = [None] * len(p.rules)
     changed = True
     while changed:
         changed = False
-        for n, rule in enumerate(p.rules):
-            sizes = tuple(len(by_pred.get(a.pred, ())) for a in rule.body_pos)
+        for n, (rule, plan) in enumerate(zip(p.rules, plans)):
+            sizes = tuple(len(db[a.pred].rows) for a in rule.body_pos)
             if sizes == seen[n]:
                 continue
             seen[n] = sizes
-            for subst in _matches(rule.body_pos, by_pred, derivable, {}):
-                ok = True
-                for (x, y) in rule.body_neq:
-                    xv = subst[x.name] if isinstance(x, Var) else x
-                    yv = subst[y.name] if isinstance(y, Var) else y
-                    if xv == yv:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                g = DRule(
-                    head=tuple(_substitute(a, subst) for a in rule.head),
-                    body_pos=tuple(_substitute(a, subst) for a in rule.body_pos),
-                    body_neg=tuple(_substitute(a, subst) for a in rule.body_neg),
-                )
-                instances.setdefault(g, None)
-                for h in g.head:
-                    if add_atom(h):
+            parts = [[(a.pred, plan.row(a)) for a in atoms]
+                     for atoms in (rule.head, rule.body_pos, rule.body_neg)]
+
+            def instance(flat, parts=parts):
+                nonlocal changed
+                instances.setdefault(DRule(*(
+                    tuple(DAtom(pred, tuple(map(Const, row(flat)))) for (pred, row) in part)
+                    for part in parts)), None)
+                for (pred, row) in parts[0]:
+                    if db[pred].add(row(flat)):
                         changed = True
+            plan.run(db, plan.consts, instance)
     return DProgram(tuple(instances), dict(p.arities))
 
 
@@ -238,21 +377,91 @@ def ground_full(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
                 yield from assignments(i + 1, subst)
             subst.pop(variables[i], None)
         for subst in assignments(0, {}):
-            ok = True
-            for (x, y) in rule.body_neq:
-                xv = subst[x.name] if isinstance(x, Var) else x
-                yv = subst[y.name] if isinstance(y, Var) else y
-                if xv == yv:
-                    ok = False
-                    break
-            if not ok:
+            def value(t: DTerm) -> Const:
+                return subst[t.name] if isinstance(t, Var) else t
+            if any(value(x) == value(y) for (x, y) in rule.body_neq):
                 continue
-            out[DRule(
-                head=tuple(_substitute(a, subst) for a in rule.head),
-                body_pos=tuple(_substitute(a, subst) for a in rule.body_pos),
-                body_neg=tuple(_substitute(a, subst) for a in rule.body_neg),
-            )] = None
+            out[DRule(*(tuple(DAtom(a.pred, tuple(map(value, a.args))) for a in atoms)
+                        for atoms in (rule.head, rule.body_pos, rule.body_neg)))] = None
     return DProgram(tuple(out), dict(p.arities))
+
+
+# ---------------------------------------------------------------------------
+# Layer evaluation
+
+
+class Layer:
+    """A layer of definite rules and constraints whose negated and ``!=``
+    literals read only the base interpretation below it.
+
+    The rules are compiled once: a plan per rule, and one more per body
+    atom of a predicate the layer derives, with that atom matched first.
+    ``model`` runs semi-naive rounds over a base: the first round joins
+    every rule over the base; each later round joins, per body position,
+    only the rows the previous round added there.  Its result equals the
+    closure of ``gl_reduct(ground(p, base), base)`` over the base, and its
+    constraint verdict the scan of that reduct's constraints.
+    """
+
+    def __init__(self, p: DProgram):
+        derived = {a.pred for r in p.rules for a in r.head}
+        self.arities = dict(p.arities)
+        self.full: list[tuple[str, _Plan, Callable]] = []
+        self.deltas: list[tuple[str, tuple[str, _Plan, Callable]]] = []
+        self.constraints: list[_Plan] = []
+        for rule in p.rules:
+            if len(rule.head) > 1:
+                raise OmqError(f"layer rule {rule} has a disjunctive head")
+            own = sorted({a.pred for a in rule.body_neg} & derived)
+            if own:
+                raise OmqError(f"layer rule {rule} negates {', '.join(own)}, "
+                               f"which its own layer derives")
+            if not rule.head:
+                self.constraints.append(_Plan(rule, negation=True))
+                continue
+            head = rule.head[0]
+            plan = _Plan(rule, negation=True)
+            self.full.append((head.pred, plan, plan.row(head)))
+            for j, a in enumerate(rule.body_pos):
+                if a.pred in derived:
+                    plan = _Plan(rule, j, negation=True)
+                    self.deltas.append((a.pred, (head.pred, plan, plan.row(head))))
+
+    def model(self, base: Iterable[Fact],
+              keep: Iterable[str]) -> tuple[frozenset[Fact], bool]:
+        """The facts of the ``keep`` predicates in the least model over
+        ``base`` (base facts included), and whether every constraint holds
+        there."""
+        db: dict = _load(self.arities, base)
+        added = self._round(db, self.full)
+        while added:
+            for pred, rows in added.items():
+                db[pred].extend(rows)
+                db[DELTA, pred] = _Relation(rows)
+            added = self._round(db, [v for (pred, v) in self.deltas if pred in added])
+        violated: list[tuple] = []
+        for plan in self.constraints:
+            plan.run(db, plan.consts, violated.append)
+            if violated:
+                break
+        facts = frozenset((pred, row) for pred in keep if pred in db
+                          for row in db[pred].rows)
+        return facts, not violated
+
+    @staticmethod
+    def _round(db: dict, variants) -> dict[str, list[Row]]:
+        """The head rows that one run of each variant adds, per predicate."""
+        added: dict[str, dict[Row, None]] = {}
+        for (head, plan, row) in variants:
+            known = db[head].members
+            new = added.setdefault(head, {})
+
+            def derive(flat, row=row, known=known, new=new):
+                r = row(flat)
+                if r not in known:
+                    new[r] = None
+            plan.run(db, plan.consts, derive)
+        return {pred: list(rows) for pred, rows in added.items() if rows}
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ and negation in a layer only mentions predicates settled below it.  The
 ground guess layer is compiled once into clauses: one group per choice
 family, the constraints, and the completion of its derived atoms (the
 answer atoms ``q`` among them).  Evaluation backtracks over the choice
-atoms with unit propagation over those clauses, reads each leaf's model
-off the value array, then computes the least models of the reducts of
-the two upper layers and discards branches that violate a constraint.
+atoms with unit propagation over those clauses and reads each leaf's
+model off the value array.  The two upper layers are compiled once into
+``datalog.Layer`` join plans and evaluated semi-naively over each leaf's
+model (the marking layer once per set of realized types); a branch whose
+upper layers violate a constraint is discarded.  Only the guess layer is
+ever ground.
 Certain answers are the tuples reported by every surviving branch; per
 tuple the goal is the unit clause ``not q(tuple)``, so one surviving
 branch refutes certainty.
@@ -18,11 +21,13 @@ branch refutes certainty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
-from .datalog import (Const, DAtom, DProgram, DRule, closure, ground, gl_reduct,
-                      is_stable_model)
+# ``ground``, ``gl_reduct`` and ``stratify`` are looked up through this module
+# by tracers that wrap them (perfbench/spans.py); keep the names here.
+from .datalog import (Const, DAtom, DProgram, DRule, Fact, Layer, fact_of,
+                      gl_reduct, ground, is_stable_model)
 from .query import individuals_of, OMQ
 from .rewrite import RewriteOutput, abox_facts, db_constant_facts
 from .syntax import Assertion, OmqError
@@ -198,8 +203,10 @@ class _Searcher:
         for c, clause in enumerate(clauses):
             for lit in clause:
                 self.occurs[lit].append(c)
-        self._mark_memo: dict[frozenset[DAtom], tuple[frozenset[DAtom], bool]] = {}
-        self._p3_mark, self._p3_fringe = self._split_p3()
+        self.facts = [fact_of(a) for a in self.atoms]
+        p3_mark, p3_fringe = self._split_p3()
+        self._p2, self._p3_mark, self._p3_fringe = map(Layer, (layered.p2, p3_mark, p3_fringe))
+        self._mark_memo: dict[frozenset[Fact], tuple[frozenset[Fact], bool]] = {}
 
     def _intern(self, a: DAtom) -> int:
         i = self.aid.get(a)
@@ -304,43 +311,29 @@ class _Searcher:
         """At a leaf every atom is settled, and the TRUE ones are the least
         model of the guess layer over the chosen atoms."""
         self.leaves += 1
-        model = frozenset(a for a, v in zip(self.atoms, val) if v == TRUE)
-        if not with_marking:
-            return model
-        return model if self._upper_layers_ok(model) else None
+        true = [i for i, v in enumerate(val[:len(self.atoms)]) if v == TRUE]
+        if with_marking and not self._upper_layers_ok([self.facts[i] for i in true]):
+            return None
+        return frozenset(self.atoms[i] for i in true)
 
     # -- realized-type and marking layers ----------------------------------
 
-    def _upper_layers_ok(self, i1: frozenset[DAtom]) -> bool:
-        i2, ok = _layer_model(self.layered.p2, i1)
+    def _upper_layers_ok(self, i1: list[Fact]) -> bool:
+        """Whether the guess-layer model ``i1`` extends through the
+        realized-type layer, the marking layer (once per set of realized
+        types) and the fringe filter without violating a constraint.  Of
+        layer 2, layer 3 reads only ``realizedtype`` and ``hastype<k>``."""
+        t = self.ctx.table
+        realized, ok = self._p2.model(i1, (t.realizedtype, t.hastype(self.ctx.k)))
         if not ok:
             return False
-        t = self.ctx.table
-        key = frozenset(a for a in i2
-                        if a.pred in (t.realizedtype, t.hastype(self.ctx.k)))
-        memo = self._mark_memo.get(key)
+        memo = self._mark_memo.get(realized)
         if memo is None:
-            bits = frozenset(a for a in i2 if a.pred in (t.tt, t.ff))
-            marked, mok = _layer_model(self._p3_mark, key | bits)
-            memo = (frozenset(a for a in marked if a.pred == t.marked), mok)
-            self._mark_memo[key] = memo
-        marked_atoms, mok = memo
-        if not mok:
-            return False
-        _, fok = _layer_model(self._p3_fringe, i2 | marked_atoms)
-        return fok
-
-
-def _layer_model(p: DProgram, base: frozenset[DAtom]) -> tuple[frozenset[DAtom], bool]:
-    """Least model of the layer's reduct w.r.t. the base interpretation,
-    together with whether its constraints hold."""
-    if not p.rules:
-        return base, True
-    red = gl_reduct(ground(p, base), base)
-    model = frozenset(closure([(r.head[0], r.body_pos) for r in red.rules if r.head],
-                              base))
-    ok = not any(not r.head and all(b in model for b in r.body_pos) for r in red.rules)
-    return model, ok
+            bits = [f for f in i1 if f[0] in (t.tt, t.ff)]
+            memo = self._p3_mark.model(chain(realized, bits), (t.marked,))
+            self._mark_memo[realized] = memo
+        marked, ok = memo
+        return ok and self._p3_fringe.model(chain(i1, realized, marked), ())[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 import omq
 from omq import Core, FringeId, TypeContext, enumerate_guess_models, stratify
-from omq.engine import _layer_model
+from omq.datalog import Layer, atom_of, fact_of
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -79,7 +79,9 @@ def completed_branches():
         layered = stratify(out)
         models = []
         for m in enumerate_guess_models(out, abox, limit=n):
-            i2, _ = _layer_model(layered.p2, m)
-            models.append(_layer_model(layered.p3, i2)[0])
+            for p in (layered.p2, layered.p3):
+                derived, _ = Layer(p).model(map(fact_of, m), p.arities)
+                m = m | frozenset(map(atom_of, derived))
+            models.append(m)
         return models
     return complete

@@ -1,10 +1,16 @@
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import omq
 from omq.cli import main
 from omq.rewrite import abox_facts
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = str(pathlib.Path(omq.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -78,6 +84,25 @@ def test_missing_file_is_diagnostic(capsys):
     code, _, err = run(capsys, "answer", "no-such.kb", FIXTURES / "q_r1.cq")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("which", ["kb", "query", "models", "core"])
+def test_non_utf8_input_is_diagnostic(tmp_path, which):
+    """A file that is not UTF-8 ends in ``error: <file>: ...`` and exit 1,
+    whichever input it is, with no traceback."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    kb = bad if which == "kb" else FIXTURES / "intro.kb"
+    query = bad if which == "query" else FIXTURES / "q_attends.cq"
+    argv = {"kb": ["answer", kb, query], "query": ["answer", kb, query],
+            "models": ["answer", "--external-models", bad, kb, query],
+            "core": ["mark", FIXTURES / "example1.kb", bad]}[which]
+    done = subprocess.run([sys.executable, "-m", "omq.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {bad}: not UTF-8 text"), done.stderr
 
 
 def test_boolean_query_prints_true(capsys, tmp_path):

@@ -6,14 +6,17 @@ import omq
 from omq import (Const, DAtom, DProgram, DRule, Var, emit_text, gl_reduct,
                  ground, ground_full, is_stable_model, parse_ground_atoms,
                  stable_models_bruteforce)
-from omq.datalog import closure
+from omq.datalog import Layer, atom_of, closure, fact_of
 from omq.syntax import OmqError
 from omq.typespace import ResourceRefused
 
 
+def T(name):
+    return Const(name) if name.islower() or name.isdigit() else Var(name)
+
+
 def A(pred, *args):
-    return DAtom(pred, tuple(Const(a) if a.islower() or a.isdigit() else Var(a)
-                             for a in args))
+    return DAtom(pred, tuple(map(T, args)))
 
 
 def rule(head, pos=(), neg=(), neq=()):
@@ -81,42 +84,84 @@ def test_ground_unsafe_rule_rejected():
         DProgram.of([rule([A("p", "X")], [A("q", "Y")])])
 
 
+DERIVED = {"z": 0, "p": 1, "q": 1, "r": 1, "e": 2}
+BASE = {"s": 1, "f": 2}
+PREDS = {**DERIVED, **BASE}
+CONSTS = ["a", "b", "c"]
+
+
+def random_program(rng):
+    """Up to 4 random safe rules over 3 constants, and up to 3 facts of the
+    BASE predicates.  Heads are DERIVED atoms or absent (constraints);
+    bodies mix every predicate, so the rules recurse, repeat a variable
+    inside an atom (``e(X, X)``), use 0-ary atoms, constants in heads and
+    bodies, ``!=`` and one negated atom of any predicate."""
+    rules = []
+    for _ in range(rng.randrange(1, 5)):
+        terms = rng.choice([[], ["X"], ["X", "Y"]]) + [rng.choice(CONSTS)]
+
+        def atom(pred):
+            return A(pred, *(rng.choice(terms) for _ in range(PREDS[pred])))
+        head = [atom(rng.choice(list(DERIVED)))] if rng.random() < 0.85 else []
+        body = [atom(rng.choice(list(PREDS))) for _ in range(rng.randrange(0, 3))]
+        neg = [atom(rng.choice(list(PREDS)))] if rng.random() < 0.5 else []
+        neq = [(Var("X"), T(rng.choice(terms)))] \
+            if "X" in terms and rng.random() < 0.3 else []
+        candidate = rule(head, body, neg, neq)
+        try:
+            DProgram.of(rules + [candidate])
+        except OmqError:
+            continue  # unsafe
+        rules.append(candidate)
+    facts = [A(pred, *rng.choices(CONSTS, k=BASE[pred]))
+             for pred in rng.choices(list(BASE), k=rng.randrange(0, 4))]
+    return DProgram.of(rules), facts
+
+
 def test_relevance_equals_full_grounding_on_random_programs():
     """Same stable models as the textbook grounding, on random micro
     programs over at most 3 constants and 4 rules."""
     rng = random.Random(20240809)
-    consts = ["a", "b", "c"]
     for trial in range(60):
-        rules = []
-        for _ in range(rng.randrange(1, 5)):
-            head_pred = rng.choice("pqr")
-            body = []
-            neg = []
-            nvars = rng.randrange(0, 2)
-            terms = ["X"] if nvars else [rng.choice(consts)]
-            for _ in range(rng.randrange(0, 3)):
-                body.append(A(rng.choice("pqrs"), rng.choice(terms + consts[:1])))
-            if rng.random() < 0.5:
-                neg.append(A(rng.choice("pqrs"), rng.choice(consts)))
-            head = [A(head_pred, rng.choice(terms + consts[:1]))]
-            candidate = rule(head, body, neg)
-            if candidate.variables() and not any(
-                    t for a in body for t in a.args if isinstance(t, Var)):
-                continue  # would be unsafe
-            try:
-                DProgram.of([candidate])
-            except OmqError:
-                continue
-            rules.append(candidate)
-        if not rules:
-            continue
-        p = DProgram.of(rules)
-        facts = [A("s", rng.choice(consts)) for _ in range(rng.randrange(0, 3))]
+        p, facts = random_program(rng)
         fact_rules = [rule([f]) for f in set(facts)]
         g_rel = DProgram.of(list(ground(p, facts).rules) + fact_rules)
         g_full = DProgram.of(list(ground_full(p, facts).rules) + fact_rules)
         assert set(stable_models_bruteforce(g_rel)) == \
             set(stable_models_bruteforce(g_full)), f"trial {trial}"
+
+
+def test_layer_equals_closure_of_the_reduct_on_random_programs():
+    """The semi-naive layer evaluator gives the closure of the grounding's
+    reduct over the base and the same constraint verdict; a program that
+    negates a predicate it derives is refused."""
+    rng = random.Random(5)
+    refused = evaluated = 0
+    for trial in range(400):
+        p, facts = random_program(rng)
+        derived = {a.pred for r in p.rules for a in r.head}
+        if any(a.pred in derived for r in p.rules for a in r.body_neg):
+            with pytest.raises(OmqError, match="negates"):
+                Layer(p)
+            refused += 1
+            continue
+        base = frozenset(facts)
+        got, got_ok = Layer(p).model(map(fact_of, base), p.arities)
+        for grounding in (ground, ground_full):  # the second shares no join code
+            red = gl_reduct(grounding(p, base), base)
+            model = closure([(r.head[0], r.body_pos) for r in red.rules if r.head], base)
+            ok = not any(all(b in model for b in r.body_pos)
+                         for r in red.rules if not r.head)
+            assert set(map(atom_of, got)) == {a for a in model if a.pred in p.arities}, \
+                f"trial {trial}"
+            assert got_ok == ok, f"trial {trial}"
+        evaluated += 1
+    assert refused > 20 and evaluated > 200
+
+
+def test_layer_refuses_disjunctive_heads():
+    with pytest.raises(OmqError, match="disjunctive"):
+        Layer(DProgram.of([rule([A("p", "X"), A("q", "X")], [A("s", "X")])]))
 
 
 # --- reduct and stability ----------------------------------------------------

@@ -1,5 +1,6 @@
 import pathlib
 import sys
+from itertools import combinations, product
 
 import pytest
 
@@ -9,11 +10,14 @@ from omq import (Const, DAtom, DProgram, DRule, TypeContext, build_omq,
                  ground, parse_kb, parse_query, rewrite, rewrite_positive,
                  stable_models_bruteforce, stratify, validate_core,
                  verify_model)
-from omq.engine import StratifyError
+from omq.engine import StratifyError, _Searcher
 from omq.rewrite import abox_facts
+from omq.typespace import mark_types
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 MICRO_KB = "tbox { top <= A or B; } abox { }"
+CHAIN_KB = ("tbox { A1 <= exists r . A2; A2 <= exists r . A3; A3 <= exists r . A4; }"
+            " abox { A1(a); A2(b); r(a, b); } closed { A1; }")
 
 
 def _omq(kb_text, query_text):
@@ -217,3 +221,60 @@ def test_search_depth_is_not_bounded_by_the_python_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert report.answers == {(f"s{i}",) for i in range(1, 7)}
+
+
+@pytest.mark.parametrize("kb_text, query_text, positive, db_constants", [
+    ((FIXTURES / "intro.kb").read_text(), "q(x, y) :- attends(x, y).", False, False),
+    (CHAIN_KB, "q(x) :- A2(x).", False, False),
+    (CHAIN_KB, "q(x) :- A2(x).", False, True),
+    ((FIXTURES / "nominalfree.kb").read_text(), "q(x) :- C(x).", True, False),
+], ids=["intro", "chain", "chain-db-constants", "nominalfree-positive"])
+def test_marking_layer_matches_mark_types(kb_text, query_text, positive, db_constants):
+    """For every set of realized types the answer search meets, and for
+    every set of at most two types (one when k > 4), the marked types evaluated from the
+    emitted marking rules are those of ``typespace.mark_types``.  Vector
+    position i is basis bit i, as in ``core_enumeration_decide``; it holds
+    the ``tt`` constant exactly when the bit is set."""
+    kb, o = _omq(kb_text, query_text)
+    out = (rewrite_positive if positive else rewrite)(o, db_constants=db_constants)
+    searcher = _Searcher(out, kb.abox)
+    inds = omq.individuals_of(o, kb.abox)
+    for goal in [None, *product(inds, repeat=len(out.query.answer_vars))]:
+        searcher.find_model(goal)  # the searches of certain_answers
+    t, k = out.ctx.table, out.ctx.k
+    bit_facts = [f for f in searcher.facts if f[0] in (t.tt, t.ff)]
+    one = next(row[0] for (pred, row) in bit_facts if pred == t.tt)
+    zero = next(row[0] for (pred, row) in bit_facts if pred == t.ff)
+
+    def bits(row):
+        return sum(1 << i for i, v in enumerate(row) if v == one)
+
+    def marked_types(marked):
+        return {bits(row) for (_, row) in marked}
+    assert searcher._mark_memo
+    for realized, (marked, _) in searcher._mark_memo.items():
+        types = frozenset(bits(row) for (pred, row) in realized if pred == t.realizedtype)
+        assert marked_types(marked) == mark_types(out.ctx.types, types).marked
+    for n in range(3 if k <= 4 else 2):  # pairs only while 2^k is small
+        for types in combinations(range(1 << k), n):
+            realized = [(t.realizedtype, tuple(one if ty >> i & 1 else zero
+                                               for i in range(k))) for ty in types]
+            marked, _ = searcher._p3_mark.model(realized + bit_facts, (t.marked,))
+            assert marked_types(marked) == mark_types(out.ctx.types, frozenset(types)).marked
+
+
+def test_only_the_guess_layer_is_ground(monkeypatch):
+    """The realized-type and marking layers are evaluated, not ground: one
+    ``certain_answers`` call grounds the guess layer and nothing else."""
+    kb, o = _omq((FIXTURES / "intro.kb").read_text(), "q(x, y) :- attends(x, y).")
+    out = rewrite(o)
+    calls = []
+    real = omq.engine.ground
+
+    def counted(p, facts):
+        calls.append(p)
+        return real(p, facts)
+    monkeypatch.setattr(omq.engine, "ground", counted)
+    report = certain_answers(out, kb.abox)
+    assert report.models_explored > 1
+    assert calls == [stratify(out).p1]
