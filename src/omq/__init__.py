@@ -27,7 +27,7 @@ from .typespace import (Core, CoreReport, FringeId, MarkResult, ResourceRefused,
                         type_of, validate_core)
 from .datalog import (Const, DAtom, DProgram, DRule, HerbrandInterp, Var,
                       emit_text, gl_reduct, ground, ground_full,
-                      is_stable_model, least_model, parse_ground_atoms,
+                      is_stable_model, parse_ground_atoms,
                       stable_models_bruteforce)
 from .rewrite import (MODE_POSITIVE, MODE_STABLE, PredTable, RewriteContext,
                       RewriteOutput, abox_facts, build_core_program,

@@ -92,7 +92,8 @@ def cmd_answer(args) -> int:
     else:
         for tup in sorted(report.answers):
             print(" ".join(tup))
-    log.info("explored %d branches", report.models_explored)
+    log.info("explored %d branches in %d searches", report.models_explored,
+             report.searches)
     return 0
 
 

@@ -104,10 +104,20 @@ class DProgram:
 
     @staticmethod
     def of(rules: Iterable[DRule]) -> "DProgram":
+        """A program of new rules: each must be safe, and each predicate
+        keeps one arity."""
+        rules = tuple(rules)
+        for r in rules:
+            r.check_safety()
+        return DProgram.of_safe(rules)
+
+    @staticmethod
+    def of_safe(rules: Iterable[DRule]) -> "DProgram":
+        """A program of rules already checked for safety, such as the rules
+        of other programs; only the arities are checked."""
         rules = tuple(rules)
         arities: dict[str, int] = {}
         for r in rules:
-            r.check_safety()
             for a in r.head + r.body_pos + r.body_neg:
                 got = arities.setdefault(a.pred, len(a.args))
                 if got != len(a.args):
@@ -508,14 +518,6 @@ def closure(rules: Sequence[tuple[Hashable, Sequence[Hashable]]],
                 true.add(head)
                 changed = True
     return true
-
-
-def least_model(p: DProgram) -> frozenset[DAtom]:
-    """Least model of the definite part of a positive non-disjunctive ground
-    program (constraints are ignored here; check them separately)."""
-    _require_ground(p)
-    return frozenset(closure([(r.head[0], r.body_pos)
-                              for r in p.rules if len(r.head) == 1]))
 
 
 def models_program(p: DProgram, interp: frozenset[DAtom]) -> bool:

@@ -13,9 +13,12 @@ model off the value array.  The two upper layers are compiled once into
 model (the marking layer once per set of realized types); a branch whose
 upper layers violate a constraint is discarded.  Only the guess layer is
 ever ground.
-Certain answers are the tuples reported by every surviving branch; per
-tuple the goal is the unit clause ``not q(tuple)``, so one surviving
-branch refutes certainty.
+Certain answers are the tuples reported by every surviving branch, found
+by cautious enumeration on one searcher: the candidates start as the
+answer tuples of the first surviving branch, each further search adds the
+clause that some remaining candidate's answer atom is false, and every
+branch it finds drops the candidates it falsifies, until a search finds
+no branch.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ class AnswerReport:
     answers: frozenset[tuple[str, ...]]
     inconsistent: bool
     models_explored: int
+    searches: int = 0
 
 
 def stratify(out: RewriteOutput) -> LayeredProgram:
@@ -83,7 +87,7 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
                     f"rule {rule} negates a predicate of its own layer")
         parts[lay].append(rule)
     return LayeredProgram(
-        DProgram.of(parts[1]), DProgram.of(parts[2]), DProgram.of(parts[3]),
+        DProgram.of_safe(parts[1]), DProgram.of_safe(parts[2]), DProgram.of_safe(parts[3]),
         tuple(out.ctx.table.families))
 
 
@@ -117,6 +121,7 @@ class _Searcher:
         self.branch_limit = branch_limit
         self.leaves = 0
         self.nodes = 0
+        self.searches = 0
 
         facts = _input_facts(out, abox)
         p1g = ground(layered.p1, facts)
@@ -229,7 +234,7 @@ class _Searcher:
                 fringe_rules.append(r)
             else:
                 mark_rules.append(r)
-        return DProgram.of(mark_rules), DProgram.of(fringe_rules)
+        return DProgram.of_safe(mark_rules), DProgram.of_safe(fringe_rules)
 
     # -- unit propagation --------------------------------------------------
 
@@ -256,38 +261,55 @@ class _Searcher:
 
     # -- search ------------------------------------------------------------
 
-    def models(self, goal: tuple[str, ...] | None = None,
+    def models(self, goals: Sequence[tuple[str, ...]] = (),
                with_marking: bool = True) -> Iterator[frozenset[DAtom]]:
-        """Enumerate surviving branches; with a goal, only branches whose
-        answer atoms omit the goal tuple: the unit clause ``not q(goal)``,
-        asserted at the root when that atom was ground at all."""
+        """Enumerate surviving branches; with goals, only branches whose
+        answer atoms omit at least one goal tuple: the clause
+        ``not q(goal_1) or ... or not q(goal_m)``, which holds by itself when
+        some ``q(goal_i)`` was not ground at all.  The clause is added for
+        this search only, so searches must not interleave."""
+        self.searches += 1
         val = bytearray(self.n_vars)
-        if goal is not None:
-            q = self.aid.get(DAtom(self.ctx.table.answer, tuple(Const(s) for s in goal)))
-            if q is not None:
-                val[q] = FALSE
-        yield from self._dfs(val, list(range(len(self.clauses))), with_marking)
+        todo = list(range(len(self.clauses)))
+        qs = [self.aid.get(DAtom(self.ctx.table.answer, tuple(map(Const, t))))
+              for t in goals]
+        if not qs or None in qs:
+            yield from self._dfs(val, todo, with_marking)
+            return
+        clause = tuple(2 * q + 1 for q in qs)
+        self.clauses.append(clause)
+        for lit in clause:
+            self.occurs[lit].append(len(todo))
+        try:
+            yield from self._dfs(val, todo + [len(todo)], with_marking)
+        finally:
+            self.clauses.pop()
+            for lit in clause:
+                self.occurs[lit].pop()
 
-    def find_model(self, goal: tuple[str, ...] | None = None,
+    def find_model(self, goals: Sequence[tuple[str, ...]] = (),
                    with_marking: bool = True) -> frozenset[DAtom] | None:
-        for m in self.models(goal, with_marking):
-            return m
-        return None
+        search = self.models(goals, with_marking)
+        try:
+            return next(search, None)
+        finally:
+            search.close()
 
     def _dfs(self, val: bytearray, todo: list[int],
              with_marking: bool) -> Iterator[frozenset[DAtom]]:
         """Depth-first over the open families, FALSE before TRUE, on an
-        explicit stack of (value array, clauses to propagate) pairs."""
-        stack = [(val, todo)]
+        explicit stack of (value array, clauses to propagate, first family
+        still open) triples."""
+        stack = [(val, todo, 0)]
         while stack:
-            val, todo = stack.pop()
+            val, todo, start = stack.pop()
             self.nodes += 1
             if self.nodes > self.branch_limit:
                 raise ResourceRefused(
                     f"branch limit of {self.branch_limit} nodes exceeded; result undecided")
             if not self._propagate(val, todo):
                 continue
-            pos = self._pick(val)
+            start, pos = self._pick(val, start)
             if pos is None:
                 model = self._finalize(val, with_marking)
                 if model is not None:
@@ -296,16 +318,24 @@ class _Searcher:
             for lit in (2 * pos, 2 * pos + 1):  # FALSE is pushed last, so explored first
                 child = bytearray(val)
                 child[pos] = TRUE + (lit & 1)
-                stack.append((child, list(self.occurs[lit ^ 1])))
+                stack.append((child, list(self.occurs[lit ^ 1]), start))
 
-    def _pick(self, val: bytearray) -> int | None:
-        for (pos, guard) in self.families:
+    def _pick(self, val: bytearray, start: int) -> tuple[int, int | None]:
+        """The positive atom of the first open family from ``start`` whose
+        guard is settled (None at a leaf), and the first family from
+        ``start`` still open at all, where the children's scan starts: values
+        only settle further down, but a family passed over for an UNKNOWN
+        guard may become pickable there."""
+        first = None
+        for i in range(start, len(self.families)):
+            pos, guard = self.families[i]
             if val[pos] != UNKNOWN:
                 continue
-            if guard is not None and val[guard] == UNKNOWN:
-                continue  # its guard family comes up on its own
-            return pos
-        return None
+            if first is None:
+                first = i
+            if guard is None or val[guard] != UNKNOWN:
+                return first, pos
+        return len(self.families) if first is None else first, None
 
     def _finalize(self, val: bytearray, with_marking: bool) -> frozenset[DAtom] | None:
         """At a leaf every atom is settled, and the TRUE ones are the least
@@ -342,23 +372,35 @@ class _Searcher:
 
 def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
                     branch_limit: int = 500_000) -> AnswerReport:
-    """Intersection of the answer atoms over all surviving branches.
+    """Intersection of the answer atoms over all surviving branches, by
+    cautious enumeration on one searcher.
 
-    Per candidate tuple, the search adds the unit clause ``not q(tuple)``
-    and looks for one surviving branch under unit propagation; the tuple
-    is a certain answer exactly when none exists.  An inconsistent knowledge base (no surviving branch at all)
-    reports every tuple over the named individuals as an answer."""
+    The candidates start as the tuples whose answer atom the first
+    surviving branch makes true.  Each further search asks for a branch
+    falsifying the answer atom of some remaining candidate, and drops the
+    candidates that branch falsifies; the first search that finds no branch
+    leaves the certain answers.  So there are at most 2 + |first branch's
+    tuples| - |answers| searches.  An inconsistent knowledge base (no
+    surviving branch at all) reports every tuple over the named individuals
+    as an answer."""
     abox = tuple(abox)
     searcher = _Searcher(out, abox, branch_limit)
     inds = individuals_of(OMQ(out.ctx.ntbox, out.ctx.sigma, out.query), abox)
     arity = len(out.query.answer_vars)
     candidates = list(product(inds, repeat=arity))
 
-    if searcher.find_model() is None:
-        return AnswerReport(frozenset(candidates), True, searcher.leaves)
-
-    answers = [t for t in candidates if searcher.find_model(goal=t) is None]
-    return AnswerReport(frozenset(answers), False, searcher.leaves)
+    model = searcher.find_model()
+    if model is None:
+        return AnswerReport(frozenset(candidates), True, searcher.leaves,
+                            searcher.searches)
+    answer = out.ctx.table.answer
+    remaining = candidates
+    while model is not None:
+        remaining = [t for t in remaining
+                     if DAtom(answer, tuple(map(Const, t))) in model]
+        model = searcher.find_model(remaining) if remaining else None
+    return AnswerReport(frozenset(remaining), False, searcher.leaves,
+                        searcher.searches)
 
 
 def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],

@@ -801,11 +801,12 @@ def _rewrite(omq: OMQ, mode: str, db_constants: bool) -> RewriteOutput:
     omq = _prepare(omq)
     table = build_pred_table(omq.tbox, omq.sigma, mode)
     ctx = RewriteContext(omq.tbox, omq.sigma, table, mode, db_constants)
-    rules = list(build_core_program(ctx).rules)
-    rules += build_marking_program(ctx).rules
-    rules += build_filter_program(ctx).rules
-    rules.append(_query_rule(ctx, omq.query))
-    return RewriteOutput(DProgram.of(rules), table.answer, mode, ctx, omq.query)
+    rules = build_core_program(ctx).rules + build_marking_program(ctx).rules + \
+        build_filter_program(ctx).rules
+    query_rule = _query_rule(ctx, omq.query)
+    query_rule.check_safety()
+    return RewriteOutput(DProgram.of_safe(rules + (query_rule,)), table.answer, mode,
+                         ctx, omq.query)
 
 
 # ---------------------------------------------------------------------------

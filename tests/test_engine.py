@@ -239,8 +239,8 @@ def test_marking_layer_matches_mark_types(kb_text, query_text, positive, db_cons
     out = (rewrite_positive if positive else rewrite)(o, db_constants=db_constants)
     searcher = _Searcher(out, kb.abox)
     inds = omq.individuals_of(o, kb.abox)
-    for goal in [None, *product(inds, repeat=len(out.query.answer_vars))]:
-        searcher.find_model(goal)  # the searches of certain_answers
+    for goals in [[], *([t] for t in product(inds, repeat=len(out.query.answer_vars)))]:
+        searcher.find_model(goals)  # one search per candidate tuple
     t, k = out.ctx.table, out.ctx.k
     bit_facts = [f for f in searcher.facts if f[0] in (t.tt, t.ff)]
     one = next(row[0] for (pred, row) in bit_facts if pred == t.tt)
@@ -275,6 +275,114 @@ def test_only_the_guess_layer_is_ground(monkeypatch):
         calls.append(p)
         return real(p, facts)
     monkeypatch.setattr(omq.engine, "ground", counted)
-    report = certain_answers(out, kb.abox)
+    # a third open course gives the searches more than one leaf
+    report = certain_answers(out, kb.abox + (omq.ConceptAssert("Course", "c3"),))
     assert report.models_explored > 1
     assert calls == [stratify(out).p1]
+
+
+def _per_tuple_answers(out, abox, inds):
+    """The rule cautious enumeration replaced: after one unconstrained
+    search, one search from the root per candidate tuple, under the unit
+    clause ``not q(tuple)``."""
+    searcher = _Searcher(out, abox)
+    candidates = list(product(inds, repeat=len(out.query.answer_vars)))
+    if searcher.find_model() is None:
+        return frozenset(candidates), True
+    return frozenset(t for t in candidates if searcher.find_model([t]) is None), False
+
+
+def _check_against_per_tuple_rule(out, abox, inds):
+    """``certain_answers`` gives the per-tuple rule's answers within
+    2 + |answer tuples of the first branch| - |answers| searches."""
+    report = certain_answers(out, abox)
+    assert (report.answers, report.inconsistent) == _per_tuple_answers(out, abox, inds)
+    if report.inconsistent:
+        assert report.searches == 1
+    else:
+        first = _Searcher(out, abox).find_model()
+        first_tuples = [a for a in first if a.pred == out.ctx.table.answer]
+        assert 1 <= report.searches <= 2 + len(first_tuples) - len(report.answers)
+    return report
+
+
+def _rewritings(o, inds):
+    """Every rewriting of ``o`` the CLI offers: both modes, with and
+    without --db-constants (which needs two individuals), less the
+    combinations it refuses."""
+    outs = []
+    for rw in (rewrite, rewrite_positive):
+        for db_constants in (False, True)[:len(inds)]:
+            try:
+                outs.append(rw(o, db_constants=db_constants))
+            except omq.OmqError:
+                pass
+    return outs
+
+
+def test_certain_answers_match_the_per_tuple_rule_on_fixtures():
+    runs = 0
+    for kb_file in ("example1.kb", "intro.kb", "nominalfree.kb"):
+        kb = parse_kb((FIXTURES / kb_file).read_text())
+        for query_file in ("q_attends.cq", "q_c.cq", "q_r1.cq"):
+            try:
+                o = build_omq(kb, parse_query((FIXTURES / query_file).read_text()))
+            except omq.OmqError:
+                continue
+            inds = omq.individuals_of(o, kb.abox)
+            for out in _rewritings(o, inds):
+                _check_against_per_tuple_rule(out, kb.abox, inds)
+                runs += 1
+    assert runs >= 18
+
+
+def test_certain_answers_match_the_per_tuple_rule_on_random_instances():
+    from test_acceptance import _random_instance
+    import random
+    rng = random.Random(0xCA07)
+    inconsistent = answered = 0
+    for _ in range(60):
+        kb, o = _random_instance(rng)
+        inds = omq.individuals_of(o, kb.abox)
+        for out in _rewritings(o, inds):
+            report = _check_against_per_tuple_rule(out, kb.abox, inds)
+            inconsistent += report.inconsistent
+            answered += bool(report.answers) and not report.inconsistent
+    assert inconsistent and answered  # the inconsistent path and real answers
+
+
+def test_cautious_enumeration_goes_on_past_a_certain_candidate():
+    """The first branch gives C to both individuals, but only ``a`` is
+    certain; the clause of the second search must leave ``b`` refutable."""
+    kb, o = _omq("tbox { A <= B or C; } abox { A(b); C(a); }", "q(x) :- C(x).")
+    out = rewrite(o)
+    assert len([a for a in _Searcher(out, kb.abox).find_model() if a.pred == "q"]) == 2
+    report = _check_against_per_tuple_rule(out, kb.abox, ("a", "b"))
+    assert report.answers == {("a",)}
+
+
+def test_cautious_enumeration_needs_fewer_searches_than_candidates(intro):
+    kb, o = intro
+    n = len(omq.individuals_of(o, kb.abox))
+    report = _check_against_per_tuple_rule(rewrite(o), kb.abox,
+                                           omq.individuals_of(o, kb.abox))
+    assert report.searches < 1 + n ** 2
+
+
+def test_pick_resumes_where_a_full_scan_would_pick(monkeypatch):
+    """The family ``_pick`` returns from its carried start index is the one
+    a scan from the first family returns, at every node of every search.
+    With this query, the running example's families of ``C`` are often
+    passed over while their guards are open."""
+    kb, o = _omq((FIXTURES / "example1.kb").read_text(), "q(x) :- C(x).")
+    real = _Searcher._pick
+    calls = []
+
+    def checked(self, val, start):
+        got = real(self, val, start)
+        assert got == real(self, val, 0)
+        calls.append(start)
+        return got
+    monkeypatch.setattr(_Searcher, "_pick", checked)
+    _per_tuple_answers(rewrite(o), kb.abox, omq.individuals_of(o, kb.abox))
+    assert max(calls) > 0
