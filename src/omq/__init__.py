@@ -25,17 +25,16 @@ from .typespace import (Core, CoreReport, FringeId, MarkResult, ResourceRefused,
                         TypeContext, TypeVec, dump_types, has_nonlosing_strategy,
                         lc_check, is_c_type, mark, mark_types, realized_types,
                         type_of, validate_core)
-from .datalog import (Const, DAtom, DProgram, DRule, HerbrandInterp, Var,
-                      emit_text, gl_reduct, ground, ground_full,
-                      is_stable_model, parse_ground_atoms,
-                      stable_models_bruteforce)
+from .datalog import (Const, DAtom, DProgram, DRule, Var, emit_text,
+                      gl_reduct, ground, ground_full, is_stable_model,
+                      parse_ground_atoms, stable_models_bruteforce)
 from .rewrite import (MODE_POSITIVE, MODE_STABLE, PredTable, RewriteContext,
                       RewriteOutput, abox_facts, build_core_program,
                       build_filter_program, build_marking_program, rewrite,
                       rewrite_positive)
-from .engine import (AnswerReport, LayeredProgram, certain_answers,
-                     core_of_model, enumerate_guess_models, ground_guess_layer,
-                     stratify, verify_model)
+from .engine import (AnswerReport, certain_answers, core_of_model,
+                     enumerate_guess_models, ground_guess_layer, stratify,
+                     verify_model)
 from .oracle import (FiniteInterp, NormalKB, bounded_model_search,
                      core_enumeration_decide, core_extends, count_cores,
                      cq_matches, iter_cores, models_kb)

@@ -288,6 +288,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("refused: input nested too deeply for the Python stack", file=sys.stderr)
+        return 2
     except (OmqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

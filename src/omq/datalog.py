@@ -94,9 +94,6 @@ class DRule:
         return rule_text(self)
 
 
-HerbrandInterp = frozenset[DAtom]
-
-
 @dataclass(frozen=True)
 class DProgram:
     rules: tuple[DRule, ...]
@@ -564,7 +561,7 @@ def is_stable_model(p: DProgram, interp: Iterable[DAtom],
         sub = (sub - 1) & full
 
 
-def stable_models_bruteforce(p: DProgram, max_atoms: int = 24) -> list[HerbrandInterp]:
+def stable_models_bruteforce(p: DProgram, max_atoms: int = 24) -> list[frozenset[DAtom]]:
     """All stable models of a ground program, by enumerating candidate
     subsets of the head atoms.  Refuses programs beyond the atom budget.
 
@@ -590,7 +587,7 @@ def stable_models_bruteforce(p: DProgram, max_atoms: int = 24) -> list[HerbrandI
         rules.append((pos, neg, head))
         disjunctive = disjunctive or len(r.head) > 1
 
-    out: list[HerbrandInterp] = []
+    out: list[frozenset[DAtom]] = []
     for m in range(1 << len(base)):
         reduct = [(pos, head) for (pos, neg, head) in rules if not neg & m]
         if any((m & pos) == pos and not head & m for (pos, head) in reduct):

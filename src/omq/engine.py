@@ -1,18 +1,19 @@
 """Layered stable-model evaluation of rewritten programs.
 
-The rewriting splits into three layers: a guess layer over the named
-individuals (at most two variables per rule), the realized-type layer,
-and the marking/filter layer.  Lower layers never depend on higher ones,
-and negation in a layer only mentions predicates settled below it.  The
-ground guess layer is compiled once into clauses: one group per choice
-family, the constraints, and the completion of its derived atoms (the
-answer atoms ``q`` among them).  Evaluation backtracks over the choice
-atoms with unit propagation over those clauses and reads each leaf's
-model off the value array.  The two upper layers are compiled once into
-``datalog.Layer`` join plans and evaluated semi-naively over each leaf's
-model (the marking layer once per set of realized types); a branch whose
-upper layers violate a constraint is discarded.  Only the guess layer is
-ever ground.
+The rewriting declares a layer per predicate: a guess layer over the
+named individuals (at most two variables per rule), the realized-type
+layer, the marking layer and the fringe filter.  Lower layers never
+depend on higher ones, and negation in a layer only mentions predicates
+settled below it.  The ground guess layer is compiled once into clauses:
+one group per choice family, the constraints, and the completion of its
+derived atoms (the answer atoms ``q`` among them).  Evaluation
+backtracks over the choice atoms with unit propagation over those
+clauses, from a root propagated once, and reads each leaf's model off
+the value array.  The upper layers are compiled once into
+``datalog.Layer`` join plans and evaluated semi-naively, in order, over
+each leaf's model, each one over the facts it reads and memoized on
+them; a branch whose upper layers violate a constraint is discarded.
+Only the guess layer is ever ground.
 Certain answers are the tuples reported by every surviving branch, found
 by cautious enumeration on one searcher: the candidates start as the
 answer tuples of the first surviving branch, each further search adds the
@@ -24,7 +25,7 @@ no branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 # ``ground``, ``gl_reduct`` and ``stratify`` are looked up through this module
@@ -48,6 +49,7 @@ class LayeredProgram:
     p1: DProgram
     p2: DProgram
     p3: DProgram
+    p4: DProgram
     choice_specs: tuple[tuple[str, str, str | None], ...]
 
 
@@ -60,10 +62,10 @@ class AnswerReport:
 
 
 def stratify(out: RewriteOutput) -> LayeredProgram:
-    """Partition the program into its three layers and verify the layering
+    """Partition the program into its four layers and verify the layering
     invariants; fails loudly on programs not produced by this rewriter."""
     layer_of = out.ctx.table.layer
-    parts: dict[int, list[DRule]] = {1: [], 2: [], 3: []}
+    parts: dict[int, list[DRule]] = {1: [], 2: [], 3: [], 4: []}
     for rule in out.program.rules:
         preds = [a.pred for a in rule.head + rule.body_pos + rule.body_neg]
         unknown = [p for p in preds if p not in layer_of]
@@ -86,9 +88,8 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
                 raise StratifyError(
                     f"rule {rule} negates a predicate of its own layer")
         parts[lay].append(rule)
-    return LayeredProgram(
-        DProgram.of_safe(parts[1]), DProgram.of_safe(parts[2]), DProgram.of_safe(parts[3]),
-        tuple(out.ctx.table.families))
+    return LayeredProgram(*(DProgram.of_safe(parts[i]) for i in (1, 2, 3, 4)),
+                          tuple(out.ctx.table.families))
 
 
 def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
@@ -106,7 +107,7 @@ def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
 
 class _Searcher:
     """Backtracking enumeration of the guess layer's stable models, each
-    checked against the realized-type and marking layers.
+    checked against the upper layers.
 
     The ground guess layer is compiled once into clauses over int literals
     ``2 * atom + negated``; the value array ``val`` holds one of UNKNOWN,
@@ -117,7 +118,6 @@ class _Searcher:
                  branch_limit: int = 500_000):
         self.ctx = out.ctx
         layered = stratify(out)
-        self.layered = layered
         self.branch_limit = branch_limit
         self.leaves = 0
         self.nodes = 0
@@ -195,23 +195,34 @@ class _Searcher:
                     some_support.append(2 * n_vars)
                     n_vars += 1
             clauses.append(tuple(some_support))
-        # Facts hold; atoms with no fact, no family and no support never
-        # do (for instance closed predicates beyond their ABox facts).
-        fact_ids = {self.aid[a] for a in facts}
-        clauses += [(2 * i,) for i in sorted(fact_ids)]
-        live = fact_ids | set(supports) | {a for f in families for a in f[:2]}
-        clauses += [(2 * i + 1,) for i in range(len(self.atoms)) if i not in live]
-
-        self.n_vars = n_vars
         self.clauses = clauses
         self.occurs: list[list[int]] = [[] for _ in range(2 * n_vars)]
         for c, clause in enumerate(clauses):
             for lit in clause:
                 self.occurs[lit].append(c)
+        # At the root facts hold, and atoms with no fact, no family and no
+        # support never do (for instance closed predicates beyond their ABox
+        # facts).  The root is propagated once; every search starts from a
+        # copy.  A root in conflict conflicts again when rescanned.
+        fact_ids = {self.aid[a] for a in facts}
+        live = fact_ids | set(supports) | {a for f in families for a in f[:2]}
+        self.root = bytearray(n_vars)
+        for i in range(len(self.atoms)):
+            self.root[i] = TRUE if i in fact_ids else UNKNOWN if i in live else FALSE
+        every = range(len(clauses))
+        self.root_todo = [] if self._propagate(self.root, list(every)) else list(every)
+
+        # Each upper layer is evaluated over the facts its rule bodies read
+        # and hands up those of its own facts that a higher layer reads.
         self.facts = [fact_of(a) for a in self.atoms]
-        p3_mark, p3_fringe = self._split_p3()
-        self._p2, self._p3_mark, self._p3_fringe = map(Layer, (layered.p2, p3_mark, p3_fringe))
-        self._mark_memo: dict[frozenset[Fact], tuple[frozenset[Fact], bool]] = {}
+        uppers = (layered.p2, layered.p3, layered.p4)
+        reads = [{a.pred for r in p.rules for a in r.body_pos + r.body_neg} for p in uppers]
+        self.layers: list[tuple[Layer, set[str], tuple[str, ...]]] = []
+        for i, p in enumerate(uppers):
+            own = {a.pred for r in p.rules for a in r.head}
+            keep = tuple(sorted(own & set().union(*reads[i + 1:])))
+            self.layers.append((Layer(p), reads[i], keep))
+        self.memo: dict[tuple[int, frozenset[Fact]], tuple[frozenset[Fact], bool]] = {}
 
     def _intern(self, a: DAtom) -> int:
         i = self.aid.get(a)
@@ -220,21 +231,6 @@ class _Searcher:
             self.aid[a] = i
             self.atoms.append(a)
         return i
-
-    def _split_p3(self) -> tuple[DProgram, DProgram]:
-        t = self.ctx.table
-        fringe_preds = {t.fringetype}
-        for i in range(len(self.ctx.ntbox.existentials)):
-            for i2 in range(self.ctx.k + 1):
-                fringe_preds.add(t.hastype_fr(i2, i))
-        mark_rules, fringe_rules = [], []
-        for r in self.layered.p3.rules:
-            preds = {a.pred for a in r.head + r.body_pos + r.body_neg}
-            if preds & fringe_preds:
-                fringe_rules.append(r)
-            else:
-                mark_rules.append(r)
-        return DProgram.of_safe(mark_rules), DProgram.of_safe(fringe_rules)
 
     # -- unit propagation --------------------------------------------------
 
@@ -269,19 +265,18 @@ class _Searcher:
         some ``q(goal_i)`` was not ground at all.  The clause is added for
         this search only, so searches must not interleave."""
         self.searches += 1
-        val = bytearray(self.n_vars)
-        todo = list(range(len(self.clauses)))
+        val, todo = bytearray(self.root), list(self.root_todo)
         qs = [self.aid.get(DAtom(self.ctx.table.answer, tuple(map(Const, t))))
               for t in goals]
         if not qs or None in qs:
             yield from self._dfs(val, todo, with_marking)
             return
-        clause = tuple(2 * q + 1 for q in qs)
+        clause, goal = tuple(2 * q + 1 for q in qs), len(self.clauses)
         self.clauses.append(clause)
         for lit in clause:
-            self.occurs[lit].append(len(todo))
+            self.occurs[lit].append(goal)
         try:
-            yield from self._dfs(val, todo + [len(todo)], with_marking)
+            yield from self._dfs(val, todo + [goal], with_marking)
         finally:
             self.clauses.pop()
             for lit in clause:
@@ -346,24 +341,23 @@ class _Searcher:
             return None
         return frozenset(self.atoms[i] for i in true)
 
-    # -- realized-type and marking layers ----------------------------------
+    # -- upper layers ------------------------------------------------------
 
-    def _upper_layers_ok(self, i1: list[Fact]) -> bool:
-        """Whether the guess-layer model ``i1`` extends through the
-        realized-type layer, the marking layer (once per set of realized
-        types) and the fringe filter without violating a constraint.  Of
-        layer 2, layer 3 reads only ``realizedtype`` and ``hastype<k>``."""
-        t = self.ctx.table
-        realized, ok = self._p2.model(i1, (t.realizedtype, t.hastype(self.ctx.k)))
-        if not ok:
-            return False
-        memo = self._mark_memo.get(realized)
-        if memo is None:
-            bits = [f for f in i1 if f[0] in (t.tt, t.ff)]
-            memo = self._p3_mark.model(chain(realized, bits), (t.marked,))
-            self._mark_memo[realized] = memo
-        marked, ok = memo
-        return ok and self._p3_fringe.model(chain(i1, realized, marked), ())[1]
+    def _upper_layers_ok(self, facts: list[Fact]) -> bool:
+        """Whether the guess-layer model ``facts`` extends through the upper
+        layers, in order, without violating a constraint.  Each layer runs
+        over the facts it reads, from the guess layer and from the facts the
+        layers below hand up; its result is memoized on those facts."""
+        for i, (layer, reads, keep) in enumerate(self.layers):
+            base = frozenset(f for f in facts if f[0] in reads)
+            result = self.memo.get((i, base))
+            if result is None:
+                result = self.memo[i, base] = layer.model(base, keep)
+            handed_up, ok = result
+            if not ok:
+                return False
+            facts = [*facts, *handed_up]
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .typespace import TypeContext
 MODE_STABLE = "stable-negation"
 MODE_POSITIVE = "positive-disjunctive"
 
-LAYER_GUESS, LAYER_REALIZED, LAYER_MARKING = 1, 2, 3
+LAYER_GUESS, LAYER_REALIZED, LAYER_MARKING, LAYER_FRINGE = 1, 2, 3, 4
 
 _FIXED = ("ind", "eq", "tt", "ff", "type", "marked", "closedtype",
           "realizedtype", "fringetype", "q")
@@ -115,44 +115,48 @@ class PredTable:
 
 
 def build_pred_table(ntbox: NormalTBox, sigma: frozenset[str], mode: str) -> PredTable:
+    """Name every predicate, declare its layer, and list the choice families
+    (even loops / disjunctive guess pairs, each with its guard) the engine
+    branches on."""
     t = PredTable(k=len(ntbox.basis))
     used: set[str] = set(_FIXED)
     fringe = mode == MODE_STABLE
     n_exist = len(ntbox.existentials) if fringe else 0
 
+    def guess(pos: str, neg: str, guard: str | None = None) -> None:
+        t.layer[pos] = t.layer[neg] = LAYER_GUESS
+        t.families.append((pos, neg, guard))
+
+    for i in range(len(ntbox.existentials)):
+        if fringe:
+            t.in_pred[i] = f"in_e{i}"
+            t.out_pred[i] = f"out_e{i}"
+            guess(t.in_pred[i], t.out_pred[i])
+        t.wit[i] = f"wit_e{i}"
+        t.layer[t.wit[i]] = LAYER_GUESS
     for a in ntbox.concept_names:
         san = _sanitize(a, used)
         t.concept[a] = f"c_{san}"
         t.layer[t.concept[a]] = LAYER_GUESS
         if a not in sigma:
             t.concept_neg[a] = f"nc_{san}"
-            t.layer[t.concept_neg[a]] = LAYER_GUESS
+            guess(t.concept[a], t.concept_neg[a])
             for i in range(n_exist):
                 t.concept_fr[(a, i)] = f"c_{san}_e{i}"
                 t.concept_fr_neg[(a, i)] = f"nc_{san}_e{i}"
-                t.layer[t.concept_fr[(a, i)]] = LAYER_GUESS
-                t.layer[t.concept_fr_neg[(a, i)]] = LAYER_GUESS
+                guess(t.concept_fr[(a, i)], t.concept_fr_neg[(a, i)], t.in_pred[i])
     for p in ntbox.role_names:
         san = _sanitize(p, used)
         t.role[p] = f"r_{san}"
         t.layer[t.role[p]] = LAYER_GUESS
         if p not in sigma:
             t.role_neg[p] = f"nr_{san}"
-            t.layer[t.role_neg[p]] = LAYER_GUESS
+            guess(t.role[p], t.role_neg[p])
             for i in range(n_exist):
                 for d in ("fw", "bw"):
                     t.role_dir[(p, i, d)] = f"r_{san}_{d}_e{i}"
                     t.role_dir_neg[(p, i, d)] = f"nr_{san}_{d}_e{i}"
-                    t.layer[t.role_dir[(p, i, d)]] = LAYER_GUESS
-                    t.layer[t.role_dir_neg[(p, i, d)]] = LAYER_GUESS
-    for i in range(len(ntbox.existentials)):
-        if fringe:
-            t.in_pred[i] = f"in_e{i}"
-            t.out_pred[i] = f"out_e{i}"
-            t.layer[t.in_pred[i]] = LAYER_GUESS
-            t.layer[t.out_pred[i]] = LAYER_GUESS
-        t.wit[i] = f"wit_e{i}"
-        t.layer[t.wit[i]] = LAYER_GUESS
+                    guess(t.role_dir[(p, i, d)], t.role_dir_neg[(p, i, d)], t.in_pred[i])
 
     # tt/ff are plain facts (or data, with --db-constants), so they live in
     # the first layer even though the marking rules consume them.
@@ -162,39 +166,19 @@ def build_pred_table(ntbox: NormalTBox, sigma: frozenset[str], mode: str) -> Pre
     for i in range(k + 1):
         t.layer[t.hastype(i)] = LAYER_REALIZED
     t.layer[t.realizedtype] = LAYER_REALIZED
-    for name in (t.type_pred, t.marked, t.closedtype, t.fringetype):
+    for name in (t.type_pred, t.marked, t.closedtype):
         t.layer[name] = LAYER_MARKING
     for i in range(1, k + 1):
         t.layer[t.first(i)] = LAYER_MARKING
         t.layer[t.last(i)] = LAYER_MARKING
         t.layer[t.next(i)] = LAYER_MARKING
+    # The fringe filter reads ``marked``, so it is a layer of its own.
+    t.layer[t.fringetype] = LAYER_FRINGE
     for i in range(len(ntbox.existentials)):
         t.layer[t.markedone(i)] = LAYER_MARKING
         t.layer[t.markeduntil(i)] = LAYER_MARKING
         for i2 in range(k + 1):
-            t.layer[t.hastype_fr(i2, i)] = LAYER_MARKING
-
-    # Choice families (even loops / disjunctive guess pairs) for the engine.
-    if fringe:
-        for i in range(len(ntbox.existentials)):
-            t.families.append((t.in_pred[i], t.out_pred[i], None))
-    for a in ntbox.concept_names:
-        if a in sigma:
-            continue
-        t.families.append((t.concept[a], t.concept_neg[a], None))
-        if fringe:
-            for i in range(n_exist):
-                t.families.append(
-                    (t.concept_fr[(a, i)], t.concept_fr_neg[(a, i)], t.in_pred[i]))
-    for p in ntbox.role_names:
-        if p in sigma:
-            continue
-        t.families.append((t.role[p], t.role_neg[p], None))
-        if fringe:
-            for i in range(n_exist):
-                for d in ("fw", "bw"):
-                    t.families.append(
-                        (t.role_dir[(p, i, d)], t.role_dir_neg[(p, i, d)], t.in_pred[i]))
+            t.layer[t.hastype_fr(i2, i)] = LAYER_FRINGE
     return t
 
 
@@ -292,20 +276,19 @@ class _Emitter:
     # -- bit constants --------------------------------------------------
     # With --db-constants the 0/1 constants disappear from rules: each
     # occurrence becomes a variable bound by ff/tt, whose single fact is
-    # injected from the data side.
+    # injected from the data side.  A rule binds each variable once.
 
     def zero(self) -> DTerm:
-        if not self.ctx.db_constants:
-            return Const("0")
-        v = Var("B0")
-        self._bit_vars.append(_pos(DAtom(self.t.ff, (v,))))
-        return v
+        return self._bit_var("B0", self.t.ff) if self.ctx.db_constants else Const("0")
 
     def one(self) -> DTerm:
-        if not self.ctx.db_constants:
-            return Const("1")
-        v = Var("B1")
-        self._bit_vars.append(_pos(DAtom(self.t.tt, (v,))))
+        return self._bit_var("B1", self.t.tt) if self.ctx.db_constants else Const("1")
+
+    def _bit_var(self, name: str, pred: str) -> Var:
+        v = Var(name)
+        lit = _pos(DAtom(pred, (v,)))
+        if lit not in self._bit_vars:
+            self._bit_vars.append(lit)
         return v
 
     # -- individual-level literals ---------------------------------------

@@ -74,12 +74,12 @@ def intro():
 @pytest.fixture(scope="session")
 def completed_branches():
     """The first ``n`` surviving guess-layer branches, each completed with
-    the realized-type and marking layers into a full answer set."""
+    the realized-type, marking and fringe layers into a full answer set."""
     def complete(out, abox, n):
         layered = stratify(out)
         models = []
         for m in enumerate_guess_models(out, abox, limit=n):
-            for p in (layered.p2, layered.p3):
+            for p in (layered.p2, layered.p3, layered.p4):
                 derived, _ = Layer(p).model(map(fact_of, m), p.arities)
                 m = m | frozenset(map(atom_of, derived))
             models.append(m)

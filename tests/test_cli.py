@@ -105,6 +105,30 @@ def test_non_utf8_input_is_diagnostic(tmp_path, which):
     assert done.stderr.startswith(f"error: {bad}: not UTF-8 text"), done.stderr
 
 
+@pytest.mark.parametrize("which", ["not", "exists", "parens", "chain-query"])
+def test_deep_input_is_refused(tmp_path, which):
+    """Input nested past the Python stack ends in ``refused: ...`` and exit
+    2, whether the parser (``check``) or the query folding (``rewrite``)
+    runs out of stack, with no traceback."""
+    concept = {"not": "not " * 3000 + "B", "exists": "exists r . " * 600 + "B",
+               "parens": "(" * 1500 + "B" + ")" * 1500,
+               "chain-query": "exists r . A"}[which]
+    kb = tmp_path / "kb.kb"
+    kb.write_text(f"tbox {{ A <= {concept}; }} abox {{ A(a); }}")
+    argv = ["check", kb]
+    if which == "chain-query":
+        query = tmp_path / "q.cq"
+        atoms = ", ".join(f"r(x{i}, x{i + 1})" for i in range(1500))
+        query.write_text(f"q(x0) :- {atoms}.")
+        argv = ["rewrite", kb, query]
+    done = subprocess.run([sys.executable, "-m", "omq.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("refused: "), done.stderr
+
+
 def test_boolean_query_prints_true(capsys, tmp_path):
     kb = tmp_path / "kb.kb"
     kb.write_text("tbox { A <= B; } abox { A(a); } closed { A; }")

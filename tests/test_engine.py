@@ -10,6 +10,7 @@ from omq import (Const, DAtom, DProgram, DRule, TypeContext, build_omq,
                  ground, parse_kb, parse_query, rewrite, rewrite_positive,
                  stable_models_bruteforce, stratify, validate_core,
                  verify_model)
+from omq.datalog import Layer
 from omq.engine import StratifyError, _Searcher
 from omq.rewrite import abox_facts
 from omq.typespace import mark_types
@@ -25,6 +26,17 @@ def _omq(kb_text, query_text):
     return kb, build_omq(kb, parse_query(query_text))
 
 
+def _fixture_omqs():
+    """Every fixture KB/query pair the query builder accepts."""
+    for kb_file in ("example1.kb", "intro.kb", "nominalfree.kb"):
+        kb = parse_kb((FIXTURES / kb_file).read_text())
+        for query_file in ("q_attends.cq", "q_c.cq", "q_r1.cq"):
+            try:
+                yield kb, build_omq(kb, parse_query((FIXTURES / query_file).read_text()))
+            except omq.OmqError:
+                continue
+
+
 def test_stratify_layers(example1):
     _, o = example1
     layered = stratify(rewrite(o))
@@ -34,7 +46,33 @@ def test_stratify_layers(example1):
     assert p2_preds == {"hastype0", "hastype1", "hastype2", "hastype3",
                         "hastype4", "hastype5", "realizedtype"}
     p3_preds = {a.pred for r in layered.p3.rules for a in r.head}
-    assert "marked" in p3_preds and "next5" in p3_preds and "fringetype" in p3_preds
+    assert "marked" in p3_preds and "next5" in p3_preds
+    p4_preds = {a.pred for r in layered.p4.rules for a in r.head}
+    assert "fringetype" in p4_preds and "hastype5_e0" in p4_preds
+    # On every fixture, layer 4 is exactly the rules that mention
+    # ``fringetype`` or a ``hastype<i>_e<j>``, and the rest of layers 3 and
+    # 4 is layer 3; in positive mode that leaves the filter constraint in
+    # layer 3 and layer 4 empty.
+    runs = 0
+    for kb, o in _fixture_omqs():
+        for out in _rewritings(o, omq.individuals_of(o, kb.abox)):
+            t, k = out.ctx.table, out.ctx.k
+            fringe = {t.fringetype} | {t.hastype_fr(i, j) for i in range(k + 1)
+                                       for j in range(len(out.ctx.ntbox.existentials))}
+            layered = stratify(out)
+            above = set(layered.p3.rules + layered.p4.rules)
+            upper = [r for r in out.program.rules if r in above]
+            mentions = [r for r in upper
+                        if fringe & {a.pred for a in r.head + r.body_pos + r.body_neg}]
+            assert list(layered.p4.rules) == mentions
+            assert list(layered.p3.rules) == [r for r in upper if r not in mentions]
+            if out.mode == omq.MODE_POSITIVE:
+                assert not layered.p4.rules
+                assert any(not r.head for r in layered.p3.rules)
+            else:
+                assert any(not r.head for r in layered.p4.rules)
+            runs += 1
+    assert runs >= 18
 
 
 def test_stratify_rejects_foreign_program(example1):
@@ -174,7 +212,7 @@ def test_verify_model_against_bruteforce():
 def test_completed_branches_are_stable_models(completed_branches, kb_file,
                                               query_file, positive):
     """The leaf model the search reads off its value array, completed with
-    layers 2 and 3, is a stable model of the whole emitted program."""
+    layers 2 to 4, is a stable model of the whole emitted program."""
     kb = parse_kb((FIXTURES / kb_file).read_text())
     o = build_omq(kb, parse_query((FIXTURES / query_file).read_text()))
     out = (rewrite_positive if positive else rewrite)(o)
@@ -251,16 +289,67 @@ def test_marking_layer_matches_mark_types(kb_text, query_text, positive, db_cons
 
     def marked_types(marked):
         return {bits(row) for (_, row) in marked}
-    assert searcher._mark_memo
-    for realized, (marked, _) in searcher._mark_memo.items():
-        types = frozenset(bits(row) for (pred, row) in realized if pred == t.realizedtype)
+    marking, _, keep = searcher.layers[1]
+    assert keep == ((t.marked,) if not positive else ())
+    memoized = [(base, up) for ((i, base), (up, _)) in searcher.memo.items() if i == 1]
+    assert memoized
+    for base, up in memoized:
+        # in positive mode no layer above reads ``marked``, so none is kept
+        marked = up if keep else marking.model(base, (t.marked,))[0]
+        types = frozenset(bits(row) for (pred, row) in base if pred == t.realizedtype)
         assert marked_types(marked) == mark_types(out.ctx.types, types).marked
     for n in range(3 if k <= 4 else 2):  # pairs only while 2^k is small
         for types in combinations(range(1 << k), n):
             realized = [(t.realizedtype, tuple(one if ty >> i & 1 else zero
                                                for i in range(k))) for ty in types]
-            marked, _ = searcher._p3_mark.model(realized + bit_facts, (t.marked,))
+            marked, _ = marking.model(realized + bit_facts, (t.marked,))
             assert marked_types(marked) == mark_types(out.ctx.types, frozenset(types)).marked
+
+
+def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
+    """At every leaf of the fixture searches, the verdict of the memoized
+    upper layers equals a fresh ``Layer`` evaluation of layers 2, 3 and 4
+    over all the leaf's facts, each handing up every fact it derives.  No
+    fixture leaf fails an upper layer, so two OMQs whose leaves fail the
+    fringe filter (stable) and the filter constraint (positive) join them,
+    with more branches enumerated, so that some leaves are decided from the
+    memo alone."""
+    real = _Searcher._upper_layers_ok
+    fresh, leaves, memo_only, verdicts = [], 0, 0, set()
+
+    def fresh_verdict(facts):
+        for layer, p in fresh:
+            derived, ok = layer.model(facts, p.arities)
+            if not ok:
+                return False
+            facts = [*facts, *derived]
+        return True
+
+    def checked(self, facts):
+        nonlocal leaves, memo_only
+        before = len(self.memo)
+        got = real(self, facts)
+        memo_only += len(self.memo) == before
+        assert got == fresh_verdict(facts)
+        leaves += 1
+        verdicts.add((self.ctx.mode, got))
+        return got
+    monkeypatch.setattr(_Searcher, "_upper_layers_ok", checked)
+    runs = [(*fixture, 0) for fixture in _fixture_omqs()] + [
+        (*_omq("tbox { A <= exists r . B;  B <= exists r . C;  C <= bot;  E <= top; }"
+               " abox { E(a); }", "q(x) :- E(x)."), 20),
+        (*_omq("tbox { A <= B or C; B <= D; C <= D; D <= exists r . D;"
+               " D <= forall inv(r) . F; } abox { A(a); F(b); }", "q(x) :- D(x)."), 2)]
+    for kb, o, branches in runs:
+        for out in _rewritings(o, omq.individuals_of(o, kb.abox)):
+            layered = stratify(out)
+            fresh[:] = [(Layer(p), p) for p in (layered.p2, layered.p3, layered.p4)]
+            certain_answers(out, kb.abox)
+            if branches:
+                enumerate_guess_models(out, kb.abox, limit=branches)
+    assert leaves > memo_only > 0
+    assert verdicts == {(mode, ok) for mode in (omq.MODE_STABLE, omq.MODE_POSITIVE)
+                        for ok in (True, False)}
 
 
 def test_only_the_guess_layer_is_ground(monkeypatch):
@@ -322,17 +411,11 @@ def _rewritings(o, inds):
 
 def test_certain_answers_match_the_per_tuple_rule_on_fixtures():
     runs = 0
-    for kb_file in ("example1.kb", "intro.kb", "nominalfree.kb"):
-        kb = parse_kb((FIXTURES / kb_file).read_text())
-        for query_file in ("q_attends.cq", "q_c.cq", "q_r1.cq"):
-            try:
-                o = build_omq(kb, parse_query((FIXTURES / query_file).read_text()))
-            except omq.OmqError:
-                continue
-            inds = omq.individuals_of(o, kb.abox)
-            for out in _rewritings(o, inds):
-                _check_against_per_tuple_rule(out, kb.abox, inds)
-                runs += 1
+    for kb, o in _fixture_omqs():
+        inds = omq.individuals_of(o, kb.abox)
+        for out in _rewritings(o, inds):
+            _check_against_per_tuple_rule(out, kb.abox, inds)
+            runs += 1
     assert runs >= 18
 
 

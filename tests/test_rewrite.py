@@ -161,6 +161,9 @@ def test_db_constants_suppresses_bit_facts(intro):
               for a in r.head + r.body_pos + r.body_neg
               for t in a.args if isinstance(t, Const)}
     assert "0" not in consts and "1" not in consts
+    # no rule repeats a body literal, such as an ff/tt binding
+    assert all(len(set(lits)) == len(lits) for r in out.program.rules
+               for lits in (r.body_pos, r.body_neg))
 
 
 def test_db_constants_same_answers(intro):
