@@ -8,7 +8,8 @@ positions already bound.  Two evaluators run on it:
 * ``ground`` is relevance-driven: rule instances are produced by joining
   positive body atoms over the atoms derivable when negation is ignored,
   which keeps the ground program proportional to the derivable atoms
-  instead of the full substitution space;
+  instead of the full substitution space; the instances are tuples of
+  ``(predicate, row)`` facts, and ``DRule``s are built only on request;
 * ``Layer`` evaluates a layer of definite rules whose negation reads only
   the base below it, by semi-naive rounds that join each rule once per
   body position against the previous round's new rows, without building
@@ -322,13 +323,36 @@ def _load(arities: Mapping[str, int], facts: Iterable[Fact]) -> dict[str, _Relat
 # Grounding
 
 
-def ground(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
+GroundRule = tuple[tuple[Fact, ...], tuple[Fact, ...], tuple[Fact, ...]]
+
+
+def rule_of(rule: GroundRule) -> DRule:
+    """The ``DRule`` of a ground rule given as (heads, positive body,
+    negated body) fact tuples."""
+    return DRule(*(tuple(map(atom_of, part)) for part in rule))
+
+
+@dataclass(frozen=True)
+class Grounding:
+    """A ground program in fact form: each rule instance is a triple of fact
+    tuples (heads, positive body, negated body)."""
+    rules: tuple[GroundRule, ...]
+    arities: Mapping[str, int]
+
+    def program(self) -> DProgram:
+        """The same instances as a program of ``DRule``s."""
+        return DProgram(tuple(map(rule_of, self.rules)), dict(self.arities))
+
+
+def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
     """Relevance-driven grounding of ``p`` against ``facts``.
 
     Produces the rule instances whose positive bodies are satisfiable over
     the atoms derivable when negated literals are ignored; the result has
     the same stable models as the textbook full grounding (together with
-    the facts).  Inequality literals are evaluated away.
+    the facts).  Inequality literals are evaluated away.  Each instance is
+    recorded as fact tuples, once, in the order first derived; no rule or
+    atom objects are built (``Grounding.program`` builds them).
 
     Rows are only ever appended to a relation, so a rule whose body
     predicates have the same row counts as when it last started can derive
@@ -337,7 +361,7 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
     db = _load(p.arities, map(fact_of, facts))
     plans = [_Plan(r) for r in p.rules]
 
-    instances: dict[DRule, None] = {}
+    instances: dict[GroundRule, None] = {}
     seen: list[tuple[int, ...] | None] = [None] * len(p.rules)
     changed = True
     while changed:
@@ -352,14 +376,14 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
 
             def instance(flat, parts=parts):
                 nonlocal changed
-                instances.setdefault(DRule(*(
-                    tuple(DAtom(pred, tuple(map(Const, row(flat)))) for (pred, row) in part)
-                    for part in parts)), None)
-                for (pred, row) in parts[0]:
-                    if db[pred].add(row(flat)):
+                head, pos, neg = [tuple([(pred, row(flat)) for (pred, row) in part])
+                                  for part in parts]
+                instances.setdefault((head, pos, neg), None)
+                for (pred, row) in head:
+                    if db[pred].add(row):
                         changed = True
             plan.run(db, plan.consts, instance)
-    return DProgram(tuple(instances), dict(p.arities))
+    return Grounding(tuple(instances), dict(p.arities))
 
 
 def ground_full(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
@@ -406,8 +430,8 @@ class Layer:
     ``model`` runs semi-naive rounds over a base: the first round joins
     every rule over the base; each later round joins, per body position,
     only the rows the previous round added there.  Its result equals the
-    closure of ``gl_reduct(ground(p, base), base)`` over the base, and its
-    constraint verdict the scan of that reduct's constraints.
+    closure of ``gl_reduct(ground(p, base).program(), base)`` over the
+    base, and its constraint verdict the scan of that reduct's constraints.
     """
 
     def __init__(self, p: DProgram):
@@ -492,12 +516,13 @@ def gl_reduct(p: DProgram, interp: Iterable[DAtom]) -> DProgram:
     """Delete every rule whose negated body intersects the interpretation,
     then strip the remaining negated literals."""
     _require_ground(p)
-    i = frozenset(interp)
-    out = []
-    for r in p.rules:
-        if any(a in i for a in r.body_neg):
-            continue
-        out.append(DRule(head=r.head, body_pos=r.body_pos))
+    return _reduct(p, frozenset(interp))
+
+
+def _reduct(p: DProgram, i: frozenset[DAtom]) -> DProgram:
+    """``gl_reduct`` of a program already known to be ground."""
+    out = [DRule(head=r.head, body_pos=r.body_pos) for r in p.rules
+           if not any(a in i for a in r.body_neg)]
     return DProgram(tuple(out), dict(p.arities))
 
 
@@ -536,7 +561,7 @@ def is_stable_model(p: DProgram, interp: Iterable[DAtom],
     is refused beyond a desk-scale atom budget."""
     _require_ground(p)
     i = frozenset(interp)
-    reduct = gl_reduct(p, i)
+    reduct = _reduct(p, i)
     if not models_program(reduct, i):
         return False
     rules = [([h for h in r.head if h in i], r.body_pos) for r in reduct.rules

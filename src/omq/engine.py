@@ -4,12 +4,13 @@ The rewriting declares a layer per predicate: a guess layer over the
 named individuals (at most two variables per rule), the realized-type
 layer, the marking layer and the fringe filter.  Lower layers never
 depend on higher ones, and negation in a layer only mentions predicates
-settled below it.  The ground guess layer is compiled once into clauses:
-one group per choice family, the constraints, and the completion of its
-derived atoms (the answer atoms ``q`` among them).  Evaluation
-backtracks over the choice atoms with unit propagation over those
-clauses, from a root propagated once, and reads each leaf's model off
-the value array.  The upper layers are compiled once into
+settled below it.  The guess layer is ground once, straight to
+``(predicate, row)`` facts; these are interned to ints and compiled into
+clauses: one group per choice family, the constraints, and the
+completion of its derived atoms (the answer atoms ``q`` among them).
+Evaluation backtracks over the choice atoms with unit propagation over
+those clauses, from a root propagated once, and reads each leaf's model
+off the value array.  The upper layers are compiled once into
 ``datalog.Layer`` join plans and evaluated semi-naively, in order, over
 each leaf's model, each one over the facts it reads and memoized on
 them; a branch whose upper layers violate a constraint is discarded.
@@ -19,19 +20,21 @@ by cautious enumeration on one searcher: the candidates start as the
 answer tuples of the first surviving branch, each further search adds the
 clause that some remaining candidate's answer atom is false, and every
 branch it finds drops the candidates it falsifies, until a search finds
-no branch.
+no branch.  The answer tuples are read off each branch's value array;
+``DRule`` and ``DAtom`` objects are built only at the edge, for the
+callers that ask for rules or models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 from typing import Iterable, Iterator, Sequence
 
 # ``ground``, ``gl_reduct`` and ``stratify`` are looked up through this module
 # by tracers that wrap them (perfbench/spans.py); keep the names here.
-from .datalog import (Const, DAtom, DProgram, DRule, Fact, Layer, fact_of,
-                      gl_reduct, ground, is_stable_model)
+from .datalog import (DAtom, DProgram, DRule, Fact, Layer, atom_of, fact_of,
+                      gl_reduct, ground, is_stable_model, rule_of)
 from .query import individuals_of, OMQ
 from .rewrite import RewriteOutput, abox_facts, db_constant_facts
 from .syntax import Assertion, OmqError
@@ -109,10 +112,12 @@ class _Searcher:
     """Backtracking enumeration of the guess layer's stable models, each
     checked against the upper layers.
 
-    The ground guess layer is compiled once into clauses over int literals
+    The grounder's facts are interned in order of first occurrence:
+    ``facts[i]`` is the fact of atom ``i`` and ``aid`` maps it back.  The
+    ground guess layer is compiled once into clauses over int literals
     ``2 * atom + negated``; the value array ``val`` holds one of UNKNOWN,
-    TRUE and FALSE per atom, so literal ``l`` is true when
-    ``val[l >> 1] == TRUE + (l & 1)``."""
+    TRUE and FALSE per atom (and per auxiliary atom past ``facts``), so
+    literal ``l`` is true when ``val[l >> 1] == TRUE + (l & 1)``."""
 
     def __init__(self, out: RewriteOutput, abox: Sequence[Assertion],
                  branch_limit: int = 500_000):
@@ -123,17 +128,14 @@ class _Searcher:
         self.nodes = 0
         self.searches = 0
 
-        facts = _input_facts(out, abox)
-        p1g = ground(layered.p1, facts)
+        inputs = _input_facts(out, abox)
+        facts = list(map(fact_of, inputs))
+        rules = ground(layered.p1, inputs).rules
 
-        # Intern every ground atom in sight.
-        self.atoms: list[DAtom] = []
-        self.aid: dict[DAtom, int] = {}
-        for a in facts:
-            self._intern(a)
-        for r in p1g.rules:
-            for a in r.head + r.body_pos + r.body_neg:
-                self._intern(a)
+        # Intern every ground fact in sight, in order of first occurrence.
+        self.facts: list[Fact] = list(dict.fromkeys(
+            chain(facts, chain.from_iterable(chain.from_iterable(rules)))))
+        self.aid: dict[Fact, int] = {f: i for i, f in enumerate(self.facts)}
 
         spec_by_pos = {pos: (neg, guard) for (pos, neg, guard) in layered.choice_specs}
         spec_preds = set(spec_by_pos) | {n for (_, n, _) in layered.choice_specs}
@@ -141,13 +143,13 @@ class _Searcher:
         # Choice families (pos, neg, guard) present in the grounding; a
         # guard is the fringe-presence atom the pair depends on.
         families = []
-        for a in list(self.atoms):
-            if a.pred in spec_by_pos:
-                neg_pred, guard_pred = spec_by_pos[a.pred]
-                families.append((self.aid[a], self._intern(DAtom(neg_pred, a.args)),
+        for (pred, row) in self.facts[:]:
+            if pred in spec_by_pos:
+                neg_pred, guard_pred = spec_by_pos[pred]
+                families.append((self.aid[pred, row], self._intern((neg_pred, row)),
                                  None if guard_pred is None
-                                 else self._intern(DAtom(guard_pred, a.args))))
-        families.sort(key=lambda f: self.atoms[f[0]])
+                                 else self._intern((guard_pred, row))))
+        families.sort(key=lambda f: self.facts[f[0]])
         self.families = [(p, g) for (p, _, g) in families]
 
         # Clauses.  A family is exactly one of its pair when its guard holds
@@ -162,28 +164,28 @@ class _Searcher:
         # Headless rules and rules forcing a choice atom are plain clauses;
         # every other rule is a support of a derived atom.
         supports: dict[int, list[tuple[int, ...]]] = {}
-        for r in p1g.rules:
-            if len(r.head) == 1 and r.head[0].pred in spec_preds and \
-                    any(a.pred in spec_preds for a in r.body_neg):
+        aid = self.aid
+        for rule in rules:
+            head, pos, neg = rule
+            if len(head) == 1 and head[0][0] in spec_preds and \
+                    any(f[0] in spec_preds for f in neg):
                 continue  # even-loop guess rule
-            if len(r.head) == 2 and r.head[0].pred in spec_preds:
+            if len(head) == 2 and head[0][0] in spec_preds:
                 continue  # disjunctive guess rule (positive mode)
-            body = tuple(2 * self.aid[a] + 1 for a in r.body_pos) + \
-                tuple(2 * self.aid[a] for a in r.body_neg)
-            if not r.head:
+            body = tuple([2 * aid[f] + 1 for f in pos] + [2 * aid[f] for f in neg])
+            if not head:
                 clauses.append(body)
-            elif r.head[0].pred in spec_preds:
-                clauses.append(body + (2 * self.aid[r.head[0]],))
-            elif r.body_neg:
-                raise StratifyError(f"unexpected negation in support rule {r}")
+            elif head[0][0] in spec_preds:
+                clauses.append(body + (2 * aid[head[0]],))
+            elif neg:
+                raise StratifyError(f"unexpected negation in support rule {rule_of(rule)}")
             else:
-                supports.setdefault(self.aid[r.head[0]], []).append(
-                    tuple(self.aid[a] for a in r.body_pos))
+                supports.setdefault(aid[head[0]], []).append(tuple([aid[f] for f in pos]))
         # Completion of a derived atom d: each support implies d, and d
         # implies some support, through an auxiliary atom per support of
         # two or more atoms.  The derived predicates are not recursive, so
         # once the choices are settled every derived atom is settled too.
-        n_vars = len(self.atoms)
+        n_vars = len(self.facts)
         for d, bodies in supports.items():
             some_support = [2 * d + 1]
             for body in bodies:
@@ -204,17 +206,16 @@ class _Searcher:
         # support never do (for instance closed predicates beyond their ABox
         # facts).  The root is propagated once; every search starts from a
         # copy.  A root in conflict conflicts again when rescanned.
-        fact_ids = {self.aid[a] for a in facts}
+        fact_ids = {aid[f] for f in facts}
         live = fact_ids | set(supports) | {a for f in families for a in f[:2]}
         self.root = bytearray(n_vars)
-        for i in range(len(self.atoms)):
+        for i in range(len(self.facts)):
             self.root[i] = TRUE if i in fact_ids else UNKNOWN if i in live else FALSE
         every = range(len(clauses))
         self.root_todo = [] if self._propagate(self.root, list(every)) else list(every)
 
         # Each upper layer is evaluated over the facts its rule bodies read
         # and hands up those of its own facts that a higher layer reads.
-        self.facts = [fact_of(a) for a in self.atoms]
         uppers = (layered.p2, layered.p3, layered.p4)
         reads = [{a.pred for r in p.rules for a in r.body_pos + r.body_neg} for p in uppers]
         self.layers: list[tuple[Layer, set[str], tuple[str, ...]]] = []
@@ -224,12 +225,11 @@ class _Searcher:
             self.layers.append((Layer(p), reads[i], keep))
         self.memo: dict[tuple[int, frozenset[Fact]], tuple[frozenset[Fact], bool]] = {}
 
-    def _intern(self, a: DAtom) -> int:
-        i = self.aid.get(a)
+    def _intern(self, f: Fact) -> int:
+        i = self.aid.get(f)
         if i is None:
-            i = len(self.atoms)
-            self.aid[a] = i
-            self.atoms.append(a)
+            i = self.aid[f] = len(self.facts)
+            self.facts.append(f)
         return i
 
     # -- unit propagation --------------------------------------------------
@@ -257,17 +257,17 @@ class _Searcher:
 
     # -- search ------------------------------------------------------------
 
-    def models(self, goals: Sequence[tuple[str, ...]] = (),
-               with_marking: bool = True) -> Iterator[frozenset[DAtom]]:
-        """Enumerate surviving branches; with goals, only branches whose
-        answer atoms omit at least one goal tuple: the clause
-        ``not q(goal_1) or ... or not q(goal_m)``, which holds by itself when
-        some ``q(goal_i)`` was not ground at all.  The clause is added for
-        this search only, so searches must not interleave."""
+    def branches(self, goals: Sequence[tuple[str, ...]] = (),
+                 with_marking: bool = True) -> Iterator[bytearray]:
+        """Enumerate the value arrays of the surviving branches; with goals,
+        only branches whose answer atoms omit at least one goal tuple: the
+        clause ``not q(goal_1) or ... or not q(goal_m)``, which holds by
+        itself when some ``q(goal_i)`` was not ground at all.  The clause is
+        added for this search only, so searches must not interleave."""
         self.searches += 1
         val, todo = bytearray(self.root), list(self.root_todo)
-        qs = [self.aid.get(DAtom(self.ctx.table.answer, tuple(map(Const, t))))
-              for t in goals]
+        answer = self.ctx.table.answer
+        qs = [self.aid.get((answer, t)) for t in goals]
         if not qs or None in qs:
             yield from self._dfs(val, todo, with_marking)
             return
@@ -282,16 +282,31 @@ class _Searcher:
             for lit in clause:
                 self.occurs[lit].pop()
 
-    def find_model(self, goals: Sequence[tuple[str, ...]] = (),
-                   with_marking: bool = True) -> frozenset[DAtom] | None:
-        search = self.models(goals, with_marking)
+    def first_branch(self, goals: Sequence[tuple[str, ...]] = (),
+                     with_marking: bool = True) -> bytearray | None:
+        """The value array of the first surviving branch, if any."""
+        search = self.branches(goals, with_marking)
         try:
             return next(search, None)
         finally:
             search.close()
 
+    def model_of(self, val: bytearray) -> frozenset[DAtom]:
+        """The TRUE atoms of a branch."""
+        return frozenset(map(atom_of, self._true(val)))
+
+    def models(self, goals: Sequence[tuple[str, ...]] = (),
+               with_marking: bool = True) -> Iterator[frozenset[DAtom]]:
+        """The TRUE atoms of each surviving branch."""
+        return map(self.model_of, self.branches(goals, with_marking))
+
+    def find_model(self, goals: Sequence[tuple[str, ...]] = (),
+                   with_marking: bool = True) -> frozenset[DAtom] | None:
+        val = self.first_branch(goals, with_marking)
+        return None if val is None else self.model_of(val)
+
     def _dfs(self, val: bytearray, todo: list[int],
-             with_marking: bool) -> Iterator[frozenset[DAtom]]:
+             with_marking: bool) -> Iterator[bytearray]:
         """Depth-first over the open families, FALSE before TRUE, on an
         explicit stack of (value array, clauses to propagate, first family
         still open) triples."""
@@ -306,9 +321,9 @@ class _Searcher:
                 continue
             start, pos = self._pick(val, start)
             if pos is None:
-                model = self._finalize(val, with_marking)
-                if model is not None:
-                    yield model
+                self.leaves += 1
+                if not with_marking or self._upper_layers_ok(self._true(val)):
+                    yield val
                 continue
             for lit in (2 * pos, 2 * pos + 1):  # FALSE is pushed last, so explored first
                 child = bytearray(val)
@@ -332,14 +347,10 @@ class _Searcher:
                 return first, pos
         return len(self.families) if first is None else first, None
 
-    def _finalize(self, val: bytearray, with_marking: bool) -> frozenset[DAtom] | None:
-        """At a leaf every atom is settled, and the TRUE ones are the least
+    def _true(self, val: bytearray) -> list[Fact]:
+        """The TRUE facts of a leaf, where every atom is settled: the least
         model of the guess layer over the chosen atoms."""
-        self.leaves += 1
-        true = [i for i, v in enumerate(val[:len(self.atoms)]) if v == TRUE]
-        if with_marking and not self._upper_layers_ok([self.facts[i] for i in true]):
-            return None
-        return frozenset(self.atoms[i] for i in true)
+        return [f for f, v in zip(self.facts, val) if v == TRUE]
 
     # -- upper layers ------------------------------------------------------
 
@@ -383,16 +394,15 @@ def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
     arity = len(out.query.answer_vars)
     candidates = list(product(inds, repeat=arity))
 
-    model = searcher.find_model()
-    if model is None:
+    val = searcher.first_branch()
+    if val is None:
         return AnswerReport(frozenset(candidates), True, searcher.leaves,
                             searcher.searches)
-    answer = out.ctx.table.answer
-    remaining = candidates
-    while model is not None:
-        remaining = [t for t in remaining
-                     if DAtom(answer, tuple(map(Const, t))) in model]
-        model = searcher.find_model(remaining) if remaining else None
+    answer, aid = out.ctx.table.answer, searcher.aid
+    remaining = [t for t in candidates if (answer, t) in aid]
+    while val is not None:
+        remaining = [t for t in remaining if val[aid[answer, t]] == TRUE]
+        val = searcher.first_branch(remaining) if remaining else None
     return AnswerReport(frozenset(remaining), False, searcher.leaves,
                         searcher.searches)
 
@@ -404,12 +414,7 @@ def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],
     filter), for correspondence counting against core enumeration; with a
     limit, enumeration stops once that many branches are collected."""
     searcher = _Searcher(out, tuple(abox), branch_limit)
-    models = []
-    for m in searcher.models(with_marking=with_marking):
-        models.append(m)
-        if limit is not None and len(models) >= limit:
-            break
-    return models
+    return list(islice(searcher.models(with_marking=with_marking), limit))
 
 
 def core_of_model(out: RewriteOutput, model: Iterable[DAtom]):
@@ -465,11 +470,11 @@ def verify_model(out: RewriteOutput, abox: Iterable[Assertion],
             "model uses predicate(s) unknown to this rewriting: "
             + ", ".join(sorted(unknown)))
     facts = _input_facts(out, tuple(abox))
-    gp = ground(out.program, list(facts) + sorted(model))
-    rules = list(gp.rules) + [DRule((a,)) for a in facts]
-    return is_stable_model(DProgram.of(rules), model)
+    gp = ground(out.program, facts + sorted(model)).program()
+    return is_stable_model(DProgram.of_safe(gp.rules + tuple(DRule((a,)) for a in facts)),
+                           model)
 
 
 def ground_guess_layer(out: RewriteOutput, abox: Iterable[Assertion]) -> DProgram:
     """The grounding of the guess layer over the given data (for --emit-ground)."""
-    return ground(stratify(out).p1, _input_facts(out, tuple(abox)))
+    return ground(stratify(out).p1, _input_facts(out, tuple(abox))).program()

@@ -28,7 +28,7 @@ def rule(head, pos=(), neg=(), neq=()):
 
 def test_ground_simple():
     p = DProgram.of([rule([A("p", "X")], [A("q", "X")])])
-    g = ground(p, [A("q", "a"), A("q", "b")])
+    g = ground(p, [A("q", "a"), A("q", "b")]).program()
     assert set(g.rules) == {
         rule([A("p", "a")], [A("q", "a")]),
         rule([A("p", "b")], [A("q", "b")]),
@@ -38,7 +38,7 @@ def test_ground_simple():
 def test_ground_inequality_prunes():
     p = DProgram.of([rule([A("r", "X", "Y")], [A("p", "X"), A("p", "Y")],
                           neq=[(Var("X"), Var("Y"))])])
-    g = ground(p, [A("p", "a"), A("p", "b")])
+    g = ground(p, [A("p", "a"), A("p", "b")]).program()
     heads = {r.head[0] for r in g.rules}
     assert heads == {A("r", "a", "b"), A("r", "b", "a")}
 
@@ -48,7 +48,7 @@ def test_ground_successor_chain_counts(example1):
     kb, o = example1
     out = omq.rewrite(o)
     layered = omq.stratify(out)
-    g = ground(layered.p3, [])
+    g = ground(layered.p3, []).program()
     next5 = {r.head[0] for r in g.rules if r.head and r.head[0].pred == "next5"}
     assert len(next5) == 31
     types = {r.head[0] for r in g.rules if r.head and r.head[0].pred == "type"}
@@ -62,8 +62,8 @@ def test_ground_reruns_rules_listed_before_their_inputs():
     step = rule([A("path", "X", "Z")], [A("path", "X", "Y"), A("edge", "Y", "Z")])
     base = rule([A("path", "X", "Y")], [A("edge", "X", "Y")])
     edges = [A("edge", "a", "b"), A("edge", "b", "c"), A("edge", "c", "d")]
-    backward = ground(DProgram.of([reach, step, base]), edges)
-    forward = ground(DProgram.of([base, step, reach]), edges)
+    backward = ground(DProgram.of([reach, step, base]), edges).program()
+    forward = ground(DProgram.of([base, step, reach]), edges).program()
     assert set(backward.rules) == set(forward.rules)
     heads = {r.head[0] for r in backward.rules}
     assert {h for h in heads if h.pred == "path"} == {
@@ -125,7 +125,7 @@ def test_relevance_equals_full_grounding_on_random_programs():
     for trial in range(60):
         p, facts = random_program(rng)
         fact_rules = [rule([f]) for f in set(facts)]
-        g_rel = DProgram.of(list(ground(p, facts).rules) + fact_rules)
+        g_rel = DProgram.of(list(ground(p, facts).program().rules) + fact_rules)
         g_full = DProgram.of(list(ground_full(p, facts).rules) + fact_rules)
         assert set(stable_models_bruteforce(g_rel)) == \
             set(stable_models_bruteforce(g_full)), f"trial {trial}"
@@ -147,8 +147,9 @@ def test_layer_equals_closure_of_the_reduct_on_random_programs():
             continue
         base = frozenset(facts)
         got, got_ok = Layer(p).model(map(fact_of, base), p.arities)
-        for grounding in (ground, ground_full):  # the second shares no join code
-            red = gl_reduct(grounding(p, base), base)
+        # the second grounding shares no join code
+        for program in (ground(p, base).program(), ground_full(p, base)):
+            red = gl_reduct(program, base)
             model = closure([(r.head[0], r.body_pos) for r in red.rules if r.head], base)
             ok = not any(all(b in model for b in r.body_pos)
                          for r in red.rules if not r.head)

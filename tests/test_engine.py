@@ -93,7 +93,7 @@ def test_positive_mode_choice_pairs(example1):
 
 def _full_ground(out, abox):
     facts = abox_facts(out.ctx, abox)
-    g = ground(out.program, facts)
+    g = ground(out.program, facts).program()
     return DProgram.of(list(g.rules) + [DRule((f,)) for f in facts])
 
 
@@ -368,6 +368,30 @@ def test_only_the_guess_layer_is_ground(monkeypatch):
     report = certain_answers(out, kb.abox + (omq.ConceptAssert("Course", "c3"),))
     assert report.models_explored > 1
     assert calls == [stratify(out).p1]
+
+
+def test_the_answer_path_builds_no_rule_objects(monkeypatch):
+    """From the grounder to the answers the engine works on ``(pred, row)``
+    facts: one ``certain_answers`` call constructs no ``DRule``."""
+    kb, o = _omq((FIXTURES / "intro.kb").read_text(), "q(x, y) :- attends(x, y).")
+    out = rewrite(o)
+    built = []
+    real = DRule.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(DRule, "__init__", counted)
+    report = certain_answers(out, kb.abox + (omq.ConceptAssert("Course", "c3"),))
+    assert report.models_explored > 1
+    assert built == []
+
+
+def test_enumerate_guess_models_honours_a_zero_limit(intro):
+    kb, o = intro
+    out = rewrite(o)
+    assert enumerate_guess_models(out, kb.abox, limit=0) == []
+    assert len(enumerate_guess_models(out, kb.abox, limit=1)) == 1
 
 
 def _per_tuple_answers(out, abox, inds):
