@@ -542,6 +542,11 @@ def closure(rules: Sequence[tuple[Hashable, Sequence[Hashable]]],
     return true
 
 
+# Atom budgets of the two checks below that search subsets of atoms.
+MAX_MINIMALITY_ATOMS = 22
+MAX_BRUTEFORCE_ATOMS = 24
+
+
 def models_program(p: DProgram, interp: frozenset[DAtom]) -> bool:
     for r in p.rules:
         if all(b in interp for b in r.body_pos) and \
@@ -551,8 +556,7 @@ def models_program(p: DProgram, interp: frozenset[DAtom]) -> bool:
     return True
 
 
-def is_stable_model(p: DProgram, interp: Iterable[DAtom],
-                    max_minimality_atoms: int = 22) -> bool:
+def is_stable_model(p: DProgram, interp: Iterable[DAtom]) -> bool:
     """Stability check: the interpretation must be a minimal model of its
     GL-reduct.  Within subsets of the interpretation only the reduct rules
     whose body lies inside it can fire, with their heads cut to it; when
@@ -569,10 +573,10 @@ def is_stable_model(p: DProgram, interp: Iterable[DAtom],
     if all(len(heads) <= 1 for heads, _ in rules):
         return i == closure([(heads[0], body) for heads, body in rules if heads])
     atoms = sorted(i)
-    if len(atoms) > max_minimality_atoms:
+    if len(atoms) > MAX_MINIMALITY_ATOMS:
         raise ResourceRefused(
             f"minimality search over {len(atoms)} atoms exceeds the budget "
-            f"of {max_minimality_atoms}")
+            f"of {MAX_MINIMALITY_ATOMS}")
     index = {a: n for n, a in enumerate(atoms)}
     masks = [(_or_mask(1 << index[b] for b in body), _or_mask(1 << index[h] for h in heads))
              for heads, body in rules]
@@ -586,7 +590,7 @@ def is_stable_model(p: DProgram, interp: Iterable[DAtom],
         sub = (sub - 1) & full
 
 
-def stable_models_bruteforce(p: DProgram, max_atoms: int = 24) -> list[frozenset[DAtom]]:
+def stable_models_bruteforce(p: DProgram) -> list[frozenset[DAtom]]:
     """All stable models of a ground program, by enumerating candidate
     subsets of the head atoms.  Refuses programs beyond the atom budget.
 
@@ -595,9 +599,9 @@ def stable_models_bruteforce(p: DProgram, max_atoms: int = 24) -> list[frozenset
     the base make a rule vacuous and negative ones are dropped."""
     _require_ground(p)
     base = sorted({h for r in p.rules for h in r.head})
-    if len(base) > max_atoms:
+    if len(base) > MAX_BRUTEFORCE_ATOMS:
         raise ResourceRefused(
-            f"Herbrand base of {len(base)} atoms exceeds the budget of {max_atoms}")
+            f"Herbrand base of {len(base)} atoms exceeds the budget of {MAX_BRUTEFORCE_ATOMS}")
     index = {a: j for j, a in enumerate(base)}
     rules = []
     disjunctive = False
@@ -687,7 +691,8 @@ _ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?")
 
 
 def parse_ground_atoms(text: str) -> list[DAtom]:
-    """Parse space-separated ground atoms, e.g. ``ind(a) tt(1) q(a,b)``."""
+    """Parse space-separated ground atoms, e.g. ``ind(a) tt(1) q(a,b)``; an
+    empty argument, as in ``q(a,,b)``, is an error."""
     out: list[DAtom] = []
     for token in text.split():
         m = _ATOM_RE.fullmatch(token)
@@ -696,6 +701,9 @@ def parse_ground_atoms(text: str) -> list[DAtom]:
         pred, args = m.group(1), m.group(2)
         if not args:
             out.append(DAtom(pred))
-        else:
-            out.append(DAtom(pred, tuple(Const(s.strip()) for s in args.split(","))))
+            continue
+        terms = tuple(Const(s.strip()) for s in args.split(","))
+        if not all(c.symbol for c in terms):
+            raise OmqError(f"empty argument in atom {token!r}")
+        out.append(DAtom(pred, terms))
     return out

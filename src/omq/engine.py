@@ -42,6 +42,9 @@ from .typespace import ResourceRefused
 
 UNKNOWN, TRUE, FALSE = 0, 1, 2
 
+# Search-node budget of ``enumerate_guess_models``, which walks every branch.
+ENUMERATION_BRANCH_LIMIT = 2_000_000
+
 
 class StratifyError(OmqError):
     """The program does not match the layered shape of this rewriting."""
@@ -53,7 +56,6 @@ class LayeredProgram:
     p2: DProgram
     p3: DProgram
     p4: DProgram
-    choice_specs: tuple[tuple[str, str, str | None], ...]
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,7 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
                 raise StratifyError(
                     f"rule {rule} negates a predicate of its own layer")
         parts[lay].append(rule)
-    return LayeredProgram(*(DProgram.of_safe(parts[i]) for i in (1, 2, 3, 4)),
-                          tuple(out.ctx.table.families))
+    return LayeredProgram(*(DProgram.of_safe(parts[i]) for i in (1, 2, 3, 4)))
 
 
 def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
@@ -137,8 +138,9 @@ class _Searcher:
             chain(facts, chain.from_iterable(chain.from_iterable(rules)))))
         self.aid: dict[Fact, int] = {f: i for i, f in enumerate(self.facts)}
 
-        spec_by_pos = {pos: (neg, guard) for (pos, neg, guard) in layered.choice_specs}
-        spec_preds = set(spec_by_pos) | {n for (_, n, _) in layered.choice_specs}
+        specs = out.ctx.table.families
+        spec_by_pos = {pos: (neg, guard) for (pos, neg, guard) in specs}
+        spec_preds = set(spec_by_pos) | {n for (_, n, _) in specs}
 
         # Choice families (pos, neg, guard) present in the grounding; a
         # guard is the fringe-presence atom the pair depends on.
@@ -408,12 +410,12 @@ def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
 
 
 def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],
-                           with_marking: bool = True, limit: int | None = None,
-                           branch_limit: int = 2_000_000) -> list[frozenset[DAtom]]:
+                           with_marking: bool = True,
+                           limit: int | None = None) -> list[frozenset[DAtom]]:
     """Surviving guess-layer branches (optionally without the marking
     filter), for correspondence counting against core enumeration; with a
     limit, enumeration stops once that many branches are collected."""
-    searcher = _Searcher(out, tuple(abox), branch_limit)
+    searcher = _Searcher(out, tuple(abox), ENUMERATION_BRANCH_LIMIT)
     return list(islice(searcher.models(with_marking=with_marking), limit))
 
 
@@ -461,7 +463,8 @@ def core_of_model(out: RewriteOutput, model: Iterable[DAtom]):
 def verify_model(out: RewriteOutput, abox: Iterable[Assertion],
                  model: Iterable[DAtom]) -> bool:
     """Check an externally produced answer set against the grounding of the
-    full program plus the ABox facts."""
+    full program plus the ABox facts.  An atom of a predicate the rewriting
+    does not know, or of another arity than the program's, is an error."""
     model = frozenset(model)
     known = set(out.ctx.table.layer)
     unknown = {a.pred for a in model} - known
@@ -469,6 +472,11 @@ def verify_model(out: RewriteOutput, abox: Iterable[Assertion],
         raise OmqError(
             "model uses predicate(s) unknown to this rewriting: "
             + ", ".join(sorted(unknown)))
+    arity = out.program.arities
+    wrong = sorted(a for a in model if arity.get(a.pred, len(a.args)) != len(a.args))
+    if wrong:
+        raise OmqError("model atom(s) of the wrong arity: " + ", ".join(
+            f"{a} (expected {arity[a.pred]} arguments)" for a in wrong))
     facts = _input_facts(out, tuple(abox))
     gp = ground(out.program, facts + sorted(model)).program()
     return is_stable_model(DProgram.of_safe(gp.rules + tuple(DRule((a,)) for a in facts)),

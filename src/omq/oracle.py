@@ -122,9 +122,11 @@ def models_kb(i: FiniteInterp, kb: NormalKB) -> bool:
 # ---------------------------------------------------------------------------
 # Bounded countermodel search
 
+MAX_ASSIGNMENTS = 2_000_000  # type assignments tried over all domain sizes
 
-def bounded_model_search(kb: NormalKB, goal: Assertion | None, max_size: int,
-                         max_assignments: int = 2_000_000) -> FiniteInterp | None:
+
+def bounded_model_search(kb: NormalKB, goal: Assertion | None,
+                         max_size: int) -> FiniteInterp | None:
     """Search domains of growing size for a model of the KB falsifying the
     goal atom (or any model when the goal is None).  A returned
     interpretation is a sound witness; None is inconclusive beyond the
@@ -177,7 +179,7 @@ def bounded_model_search(kb: NormalKB, goal: Assertion | None, max_size: int,
     ind_candidates = [candidates_for(e) for e in inds]
     anon_candidates = candidates_for(None)
 
-    budget = max_assignments
+    budget = MAX_ASSIGNMENTS
     for size in range(max(1, len(inds)), max_size + 1):
         m = size - len(inds)
         if m < 0:
@@ -192,7 +194,7 @@ def bounded_model_search(kb: NormalKB, goal: Assertion | None, max_size: int,
                 budget -= 1
                 if budget < 0:
                     raise ResourceRefused(
-                        f"countermodel search exceeded {max_assignments} type assignments")
+                        f"countermodel search exceeded {MAX_ASSIGNMENTS} type assignments")
                 types = dict(zip(inds, assignment))
                 types.update(zip(anon, anon_types))
                 interp = _close_roles(kb, ctx, elements, types, goal, fact_r)
@@ -279,6 +281,8 @@ def _close_roles(kb: NormalKB, ctx: TypeContext, elements: list[str],
 # ---------------------------------------------------------------------------
 # Core enumeration
 
+MAX_CORE_NODES = 5_000_000  # search nodes of one walk over the core space
+
 
 class _CoreSpace:
     """Backtracking enumeration of all valid cores of an instance.
@@ -290,9 +294,7 @@ class _CoreSpace:
     goal: tuple[ConjunctiveQuery, tuple[str, ...]] | None = None
 
     def __init__(self, ctx: TypeContext, abox: Sequence[Assertion],
-                 individuals: Sequence[str], max_bits: int,
-                 max_nodes: int = 5_000_000):
-        self.max_nodes = max_nodes
+                 individuals: Sequence[str], max_bits: int):
         self.nodes = 0
         self.ctx = ctx
         self.abox = tuple(abox)
@@ -358,9 +360,9 @@ class _CoreSpace:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.max_nodes:
+        if self.nodes > MAX_CORE_NODES:
             raise ResourceRefused(
-                f"core enumeration exceeded {self.max_nodes} search nodes; "
+                f"core enumeration exceeded {MAX_CORE_NODES} search nodes; "
                 "instance too large")
 
     def cores(self) -> Iterator[Core]:
@@ -645,14 +647,13 @@ class _CoreSpace:
         return core
 
 
-def iter_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40,
-               max_nodes: int = 5_000_000) -> Iterator[Core]:
+def iter_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40) -> Iterator[Core]:
     """Every valid core of the instance, within the free-bit budget on the
     individual-level guesses and a search-node budget on the whole walk."""
     from .query import individuals_of
     ctx = TypeContext(omq.tbox, omq.sigma)
     inds = individuals_of(omq, abox)
-    space = _CoreSpace(ctx, abox, inds, max_bits, max_nodes)
+    space = _CoreSpace(ctx, abox, inds, max_bits)
     return space.cores()
 
 
@@ -779,8 +780,7 @@ def core_extends(kb: NormalKB, core: Core, extra: int) -> bool:
 
 
 def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],
-                            answers: tuple[str, ...], max_bits: int = 40,
-                            max_nodes: int = 5_000_000) -> bool:
+                            answers: tuple[str, ...], max_bits: int = 40) -> bool:
     """Certainty by exhaustion: the tuple is NOT certain exactly when some
     valid core falsifies the query and survives the marking fixpoint."""
     if not isinstance(classify(omq), CSafe):
@@ -790,7 +790,7 @@ def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],
     from .query import individuals_of
     from .typespace import realized_types, type_of
 
-    space = _CoreSpace(ctx, abox, individuals_of(omq, abox), max_bits, max_nodes)
+    space = _CoreSpace(ctx, abox, individuals_of(omq, abox), max_bits)
     space.goal = (omq.query, answers)
     for core in space.cores():
         if cq_matches(core, omq.query, answers):
@@ -805,6 +805,5 @@ def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],
     return True
 
 
-def count_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40,
-                max_nodes: int = 5_000_000) -> int:
-    return sum(1 for _ in iter_cores(omq, abox, max_bits, max_nodes))
+def count_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40) -> int:
+    return sum(1 for _ in iter_cores(omq, abox, max_bits))

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Sequence, Union
+from typing import Callable, Iterable, Literal, Sequence, Union
 
 from .datalog import Const, DAtom, DProgram, DRule, DTerm, Var
-from .normalize import NormalTBox
-from .parser import ConceptAtom, ConjunctiveQuery, RoleAtom
+from .normalize import ClauseAxiom, NormalTBox
+from .parser import ConceptAtom, ConjunctiveQuery
 from .query import OMQ, CAcyclic, Unsupported, classify, rollup
 from .syntax import (Assertion, Basic, Bot, ConceptAssert, Name, Nominal,
                      OmqError, RoleExpr, Top)
@@ -116,8 +116,8 @@ class PredTable:
 
 def build_pred_table(ntbox: NormalTBox, sigma: frozenset[str], mode: str) -> PredTable:
     """Name every predicate, declare its layer, and list the choice families
-    (even loops / disjunctive guess pairs, each with its guard) the engine
-    branches on."""
+    (even loops / disjunctive guess pairs, each with its guard): the
+    rewriting emits one guess per family and the engine branches on them."""
     t = PredTable(k=len(ntbox.basis))
     used: set[str] = set(_FIXED)
     fringe = mode == MODE_STABLE
@@ -202,14 +202,6 @@ class RewriteContext:
     def k(self) -> int:
         return len(self.ntbox.basis)
 
-    @cached_property
-    def open_concepts(self) -> tuple[str, ...]:
-        return tuple(a for a in self.ntbox.concept_names if a not in self.sigma)
-
-    @cached_property
-    def open_roles(self) -> tuple[str, ...]:
-        return tuple(p for p in self.ntbox.role_names if p not in self.sigma)
-
     def bit_index(self, b: Basic) -> int:
         return self.types.bit_of[b]
 
@@ -234,6 +226,9 @@ def _neq(x: DTerm, y: DTerm) -> Lit:
     return ("neq", x, y)
 
 
+B0, B1 = Var("B0"), Var("B1")
+
+
 def _rule(head: Sequence[DAtom], lits: Sequence[Lit]) -> DRule | None:
     """Assemble a rule; a definitely-false literal kills it, true literals
     vanish.  Returns None when the rule can never fire."""
@@ -255,18 +250,30 @@ def _rule(head: Sequence[DAtom], lits: Sequence[Lit]) -> DRule | None:
 
 
 class _Emitter:
-    """Shared rendering helpers for both rewriting modes."""
+    """Shared rendering helpers for both rewriting modes.
+
+    A basic concept b is read at an element in three ways: ``holds`` (b is
+    true there), ``fails`` (b is false there, read off the complement guess
+    ``nc_`` for open concepts) and ``not_holds`` (negation as failure of
+    ``holds``, stable mode only).  The element is the individual x, or, with
+    ``at=i``, x's fringe element for existential i; there closed concepts,
+    nominals and bot never hold.  The clause constraints (``_clause``) and
+    the bit-by-bit type chain of groups VI and IX (``_type_chain``) serve
+    both kinds of element through these three helpers.
+    """
 
     def __init__(self, ctx: RewriteContext):
         self.ctx = ctx
         self.t = ctx.table
         self.rules: list[DRule] = []
-        self._bit_vars: list[Lit] = []
+        self._bit_preds = {B0: self.t.ff, B1: self.t.tt}
 
     def add(self, head: Sequence[DAtom], *lits: Lit) -> None:
-        extra = self._bit_vars
-        self._bit_vars = []
-        r = _rule(head, list(lits) + extra)
+        if self.ctx.db_constants:
+            atoms = [*head, *(lit[1] for lit in lits if lit[0] == "pos")]
+            bits = dict.fromkeys(v for a in atoms for v in a.args if v in self._bit_preds)
+            lits += tuple(_pos(DAtom(self._bit_preds[v], (v,))) for v in bits)
+        r = _rule(head, lits)
         if r is not None:
             self.rules.append(r)
 
@@ -275,95 +282,52 @@ class _Emitter:
 
     # -- bit constants --------------------------------------------------
     # With --db-constants the 0/1 constants disappear from rules: each
-    # occurrence becomes a variable bound by ff/tt, whose single fact is
-    # injected from the data side.  A rule binds each variable once.
+    # becomes the variable B0/B1, which ``add`` binds once per rule with
+    # ff/tt, whose single fact is injected from the data side.
 
     def zero(self) -> DTerm:
-        return self._bit_var("B0", self.t.ff) if self.ctx.db_constants else Const("0")
+        return B0 if self.ctx.db_constants else Const("0")
 
     def one(self) -> DTerm:
-        return self._bit_var("B1", self.t.tt) if self.ctx.db_constants else Const("1")
+        return B1 if self.ctx.db_constants else Const("1")
 
-    def _bit_var(self, name: str, pred: str) -> Var:
-        v = Var(name)
-        lit = _pos(DAtom(pred, (v,)))
-        if lit not in self._bit_vars:
-            self._bit_vars.append(lit)
-        return v
-
-    # -- individual-level literals ---------------------------------------
+    # -- literals ----------------------------------------------------------
 
     def role_atom(self, r: RoleExpr, x: DTerm, y: DTerm) -> DAtom:
         name = self.t.role[r.name]
         return DAtom(name, (y, x) if r.inverted else (x, y))
 
-    def holds(self, b: Basic, x: DTerm) -> Lit:
-        """x satisfies b (positive occurrence on individuals)."""
-        if isinstance(b, Name):
-            return _pos(DAtom(self.t.concept[b.name], (x,)))
-        if isinstance(b, Nominal):
+    def _concept(self, name: str, x: DTerm, at: int | None, neg: bool = False) -> DAtom:
+        if at is None:
+            return DAtom((self.t.concept_neg if neg else self.t.concept)[name], (x,))
+        return DAtom((self.t.concept_fr_neg if neg else self.t.concept_fr)[(name, at)], (x,))
+
+    def holds(self, b: Basic, x: DTerm, at: int | None = None) -> Lit:
+        """x (with ``at``, its fringe element ``at``) satisfies b."""
+        if isinstance(b, Top):
+            return TRUE
+        if isinstance(b, Name) and (at is None or b.name not in self.ctx.sigma):
+            return _pos(self._concept(b.name, x, at))
+        if isinstance(b, Nominal) and at is None:
             return _pos(DAtom(self.t.eq, (x, Const(b.individual))))
-        if isinstance(b, Top):
-            return TRUE
         return FALSE
 
-    def fails(self, b: Basic, x: DTerm) -> Lit:
-        """x does not satisfy b (for constraint bodies over individuals)."""
-        if isinstance(b, Name):
-            if b.name in self.ctx.sigma:
-                return _neg(DAtom(self.t.concept[b.name], (x,)))
-            return _pos(DAtom(self.t.concept_neg[b.name], (x,)))
-        if isinstance(b, Nominal):
+    def not_holds(self, b: Basic, x: DTerm, at: int | None = None) -> Lit:
+        """Negation as failure of ``holds(b, x, at)``."""
+        if isinstance(b, Top):
+            return FALSE
+        if isinstance(b, Name) and (at is None or b.name not in self.ctx.sigma):
+            return _neg(self._concept(b.name, x, at))
+        if isinstance(b, Nominal) and at is None:
             return _neq(x, Const(b.individual))
-        if isinstance(b, Top):
-            return FALSE
         return TRUE
 
-    def not_holds(self, b: Basic, x: DTerm) -> Lit:
-        """Negation-as-failure reading of b(x) (stable mode only)."""
-        if isinstance(b, Name):
-            return _neg(DAtom(self.t.concept[b.name], (x,)))
-        if isinstance(b, Nominal):
-            return _neq(x, Const(b.individual))
-        if isinstance(b, Top):
-            return FALSE
-        return TRUE
-
-    # -- fringe-level literals (stable mode) ------------------------------
-
-    def fr_holds(self, b: Basic, i: int, x: DTerm) -> Lit:
-        """The fringe element x^{alpha_i} satisfies b."""
-        if isinstance(b, Name):
-            if b.name in self.ctx.sigma:
-                return FALSE  # closed concepts never hold at fringe elements
-            return _pos(DAtom(self.t.concept_fr[(b.name, i)], (x,)))
-        if isinstance(b, Nominal):
-            return FALSE  # fringe elements are never nominals
-        if isinstance(b, Top):
-            return TRUE
-        return FALSE
-
-    def fr_fails(self, b: Basic, i: int, x: DTerm) -> Lit:
-        if isinstance(b, Name):
-            if b.name in self.ctx.sigma:
-                return TRUE
-            return _pos(DAtom(self.t.concept_fr_neg[(b.name, i)], (x,)))
-        if isinstance(b, Nominal):
-            return TRUE
-        if isinstance(b, Top):
-            return FALSE
-        return TRUE
-
-    def fr_not_holds(self, b: Basic, i: int, x: DTerm) -> Lit:
-        if isinstance(b, Name):
-            if b.name in self.ctx.sigma:
-                return TRUE
-            return _neg(DAtom(self.t.concept_fr[(b.name, i)], (x,)))
-        if isinstance(b, Nominal):
-            return TRUE
-        if isinstance(b, Top):
-            return FALSE
-        return TRUE
+    def fails(self, b: Basic, x: DTerm, at: int | None = None) -> Lit:
+        """x (with ``at``, its fringe element ``at``) does not satisfy b: the
+        complement guess for open concepts, ``not_holds`` otherwise."""
+        if isinstance(b, Name) and b.name not in self.ctx.sigma:
+            return _pos(self._concept(b.name, x, at, neg=True))
+        return self.not_holds(b, x, at)
 
     def dir_atom(self, r: RoleExpr, i: int, forward: bool, x: DTerm) -> DAtom | None:
         """Edge between x and its fringe element x^{alpha_i} along r; a
@@ -373,10 +337,6 @@ class _Emitter:
             return None
         d = ("fw" if forward else "bw") if not r.inverted else ("bw" if forward else "fw")
         return DAtom(self.t.role_dir[(r.name, i, d)], (x,))
-
-    def neg_dir(self, r: RoleExpr, i: int, forward: bool, x: DTerm) -> Lit:
-        a = self.dir_atom(r, i, forward, x)
-        return TRUE if a is None else _neg(a)
 
     # -- bit-vector helpers ------------------------------------------------
 
@@ -408,7 +368,7 @@ X, Y = Var("X"), Var("Y")
 def build_core_program(ctx: RewriteContext) -> DProgram:
     """Individual collection, core guessing and core validation rules."""
     e = _Emitter(ctx)
-    t, ntbox, sigma = ctx.table, ctx.ntbox, ctx.sigma
+    t, ntbox = ctx.table, ctx.ntbox
 
     # (I) collect the individuals.
     for a in ntbox.nominals:
@@ -419,10 +379,7 @@ def build_core_program(ctx: RewriteContext) -> DProgram:
         e.add([DAtom(t.ind, (X,))], _pos(DAtom(t.role[p], (X, Y))))
         e.add([DAtom(t.ind, (Y,))], _pos(DAtom(t.role[p], (X, Y))))
 
-    if ctx.mode == MODE_POSITIVE:
-        _positive_guesses(e)
-    else:
-        _stable_guesses(e)
+    _guesses(e)
 
     # (III) validate: equality scaffold and the axiom constraints.
     e.add([DAtom(t.eq, (X, X))], _pos(DAtom(t.ind, (X,))))
@@ -433,35 +390,24 @@ def build_core_program(ctx: RewriteContext) -> DProgram:
     return DProgram.of(e.rules)
 
 
-def _stable_guesses(e: _Emitter) -> None:
-    """(II) even-loop guesses for fringe presence, concept and role
-    membership of individuals, and concept/direction labels of fringe
-    elements; closed predicates get no guesses at all."""
-    ctx, t = e.ctx, e.ctx.table
-    ind_x = _pos(DAtom(t.ind, (X,)))
-    for i in range(len(ctx.ntbox.existentials)):
-        e.add([DAtom(t.in_pred[i], (X,))], ind_x, _neg(DAtom(t.out_pred[i], (X,))))
-        e.add([DAtom(t.out_pred[i], (X,))], ind_x, _neg(DAtom(t.in_pred[i], (X,))))
-    for a in ctx.open_concepts:
-        e.add([DAtom(t.concept[a], (X,))], ind_x, _neg(DAtom(t.concept_neg[a], (X,))))
-        e.add([DAtom(t.concept_neg[a], (X,))], ind_x, _neg(DAtom(t.concept[a], (X,))))
-        for i in range(len(ctx.ntbox.existentials)):
-            guard = _pos(DAtom(t.in_pred[i], (X,)))
-            e.add([DAtom(t.concept_fr[(a, i)], (X,))], guard,
-                  _neg(DAtom(t.concept_fr_neg[(a, i)], (X,))))
-            e.add([DAtom(t.concept_fr_neg[(a, i)], (X,))], guard,
-                  _neg(DAtom(t.concept_fr[(a, i)], (X,))))
-    for p in ctx.open_roles:
-        ind_xy = (ind_x, _pos(DAtom(t.ind, (Y,))))
-        e.add([DAtom(t.role[p], (X, Y))], *ind_xy, _neg(DAtom(t.role_neg[p], (X, Y))))
-        e.add([DAtom(t.role_neg[p], (X, Y))], *ind_xy, _neg(DAtom(t.role[p], (X, Y))))
-        for i in range(len(ctx.ntbox.existentials)):
-            guard = _pos(DAtom(t.in_pred[i], (X,)))
-            for d in ("fw", "bw"):
-                e.add([DAtom(t.role_dir[(p, i, d)], (X,))], guard,
-                      _neg(DAtom(t.role_dir_neg[(p, i, d)], (X,))))
-                e.add([DAtom(t.role_dir_neg[(p, i, d)], (X,))], guard,
-                      _neg(DAtom(t.role_dir[(p, i, d)], (X,))))
+def _guesses(e: _Emitter) -> None:
+    """(II) one guess per choice family the table declares, over the named
+    individuals or, with a guard, over the fringe elements present: an even
+    loop in stable mode, a disjunction in positive mode.  Closed predicates
+    have no family, so they get no guesses at all."""
+    t = e.ctx.table
+    roles = set(t.role.values())
+    for pos, neg, guard in t.families:
+        if guard is not None:
+            args, body = (X,), [_pos(DAtom(guard, (X,)))]
+        else:
+            args = (X, Y) if pos in roles else (X,)
+            body = [_pos(DAtom(t.ind, (v,))) for v in args]
+        if e.ctx.mode == MODE_POSITIVE:
+            e.add([DAtom(pos, args), DAtom(neg, args)], *body)
+        else:
+            e.add([DAtom(pos, args)], *body, _neg(DAtom(neg, args)))
+            e.add([DAtom(neg, args)], *body, _neg(DAtom(pos, args)))
 
 
 def _stable_validation(e: _Emitter) -> None:
@@ -471,15 +417,9 @@ def _stable_validation(e: _Emitter) -> None:
 
     # Clause axioms, at individuals and at every fringe element.
     for ax in ntbox.clauses:
-        lits = [_pos(DAtom(t.ind, (X,)))]
-        lits += [e.holds(b, X) for b in _sorted_basics(ax.lhs)]
-        lits += [e.fails(b, X) for b in _sorted_basics(ax.rhs)]
-        e.constraint(*lits)
+        _clause(e, ax, t.ind, None)
         for i in range(n_exist):
-            lits = [_pos(DAtom(t.in_pred[i], (X,)))]
-            lits += [e.fr_holds(b, i, X) for b in _sorted_basics(ax.lhs)]
-            lits += [e.fr_fails(b, i, X) for b in _sorted_basics(ax.rhs)]
-            e.constraint(*lits)
+            _clause(e, ax, t.in_pred[i], i)
 
     # Universal axioms: individual-to-individual, individual-to-fringe,
     # fringe-to-parent.
@@ -490,10 +430,9 @@ def _stable_validation(e: _Emitter) -> None:
             continue  # closed roles never touch fringe elements
         for i in range(n_exist):
             fw = e.dir_atom(ax.role, i, True, X)
-            e.constraint(e.holds(ax.lhs, X), _pos(fw), e.fr_not_holds(ax.filler, i, X))
+            e.constraint(e.holds(ax.lhs, X), _pos(fw), e.not_holds(ax.filler, X, i))
             bw = e.dir_atom(ax.role, i, False, X)
-            e.constraint(e.fr_holds(ax.lhs, i, X), _pos(bw),
-                         e.not_holds(ax.filler, X))
+            e.constraint(e.holds(ax.lhs, X, i), _pos(bw), e.not_holds(ax.filler, X))
 
     # Role inclusions, in both individual-pair and fringe-direction form.
     for ax in ntbox.role_incls:
@@ -503,8 +442,9 @@ def _stable_validation(e: _Emitter) -> None:
             continue
         for i in range(n_exist):
             for forward in (True, False):
-                sub = e.dir_atom(ax.lhs, i, forward, X)
-                e.constraint(_pos(sub), e.neg_dir(ax.rhs, i, forward, X))
+                sup = e.dir_atom(ax.rhs, i, forward, X)
+                e.constraint(_pos(e.dir_atom(ax.lhs, i, forward, X)),
+                             TRUE if sup is None else _neg(sup))
 
     # Witness rules: every individual carrying the trigger of an
     # existential axiom must see a matching successor, either a named one
@@ -515,7 +455,7 @@ def _stable_validation(e: _Emitter) -> None:
         if ax.role.name not in ctx.sigma:
             for i in range(n_exist):
                 fw = e.dir_atom(ax.role, i, True, X)
-                e.add([wit], _pos(fw), e.fr_holds(ax.filler, i, X))
+                e.add([wit], _pos(fw), e.holds(ax.filler, X, i))
         trigger = e.holds(ax.lhs, X)
         if isinstance(ax.lhs, Top):
             trigger = _pos(DAtom(t.ind, (X,)))
@@ -527,33 +467,17 @@ def _stable_validation(e: _Emitter) -> None:
         if not ctx.types.role_closed(ax.role):
             continue
         for i in range(n_exist):
-            e.constraint(_pos(DAtom(t.in_pred[i], (X,))), e.fr_holds(ax.lhs, i, X))
-
-
-def _positive_guesses(e: _Emitter) -> None:
-    """(II') disjunctive membership guesses over the individuals."""
-    ctx, t = e.ctx, e.ctx.table
-    ind_x = _pos(DAtom(t.ind, (X,)))
-    for a in ctx.ntbox.concept_names:
-        e.add([DAtom(t.concept[a], (X,)), DAtom(t.concept_neg[a], (X,))], ind_x)
-    for p in ctx.ntbox.role_names:
-        e.add([DAtom(t.role[p], (X, Y)), DAtom(t.role_neg[p], (X, Y))],
-              ind_x, _pos(DAtom(t.ind, (Y,))))
+            e.constraint(_pos(DAtom(t.in_pred[i], (X,))), e.holds(ax.lhs, X, i))
 
 
 def _positive_validation(e: _Emitter) -> None:
     ctx, t = e.ctx, e.ctx.table
     for ax in ctx.ntbox.clauses:
-        lits = [_pos(DAtom(t.ind, (X,)))]
-        lits += [e.holds(b, X) for b in _sorted_basics(ax.lhs)]
-        lits += [e.fails(b, X) for b in _sorted_basics(ax.rhs)]
-        e.constraint(*lits)
+        _clause(e, ax, t.ind, None)
     for ax in ctx.ntbox.universals:
         body = (e.holds(ax.lhs, X), _pos(e.role_atom(ax.role, X, Y)))
         if isinstance(ax.filler, Name):
-            r = _rule([DAtom(t.concept[ax.filler.name], (Y,))], list(body))
-            if r is not None:
-                e.rules.append(r)
+            e.add([DAtom(t.concept[ax.filler.name], (Y,))], *body)
         elif isinstance(ax.filler, Nominal):
             e.constraint(*body, _neq(Y, Const(ax.filler.individual)))
         elif isinstance(ax.filler, Bot):
@@ -567,6 +491,14 @@ def _positive_validation(e: _Emitter) -> None:
         if isinstance(ax.filler, Nominal):
             e.add([e.role_atom(ax.role, X, Const(ax.filler.individual))],
                   e.holds(ax.lhs, X), _pos(DAtom(t.ind, (X,))))
+
+
+def _clause(e: _Emitter, ax: ClauseAxiom, start: str, at: int | None) -> None:
+    """Forbid a violation of the clause at each X of ``start`` (with ``at``,
+    at X's fringe element ``at``)."""
+    e.constraint(_pos(DAtom(start, (X,))),
+                 *(e.holds(b, X, at) for b in _sorted_basics(ax.lhs)),
+                 *(e.fails(b, X, at) for b in _sorted_basics(ax.rhs)))
 
 
 def _sorted_basics(bs: Iterable[Basic]) -> list[Basic]:
@@ -615,25 +547,7 @@ def build_marking_program(ctx: RewriteContext) -> DProgram:
         e.add([DAtom(t.marked, xs)], *lits)
 
     # (VI) realized types of the named individuals.
-    e.add([DAtom(t.hastype(0), (X,))], _pos(DAtom(t.ind, (X,))))
-    for i, b in enumerate(ctx.ntbox.basis, start=1):
-        prev = ys[:i - 1]
-        prev_atom = _pos(DAtom(t.hastype(i - 1), (X,) + prev))
-        if isinstance(b, Name):
-            e.add([DAtom(t.hastype(i), (X,) + prev + (e.one(),))], prev_atom,
-                  _pos(DAtom(t.concept[b.name], (X,))))
-            if b.name in ctx.sigma:
-                e.add([DAtom(t.hastype(i), (X,) + prev + (e.zero(),))], prev_atom,
-                      _neg(DAtom(t.concept[b.name], (X,))))
-            else:
-                e.add([DAtom(t.hastype(i), (X,) + prev + (e.zero(),))], prev_atom,
-                      _pos(DAtom(t.concept_neg[b.name], (X,))))
-        else:
-            a = Const(b.individual)
-            e.add([DAtom(t.hastype(i), (a,) + prev + (e.one(),))],
-                  _pos(DAtom(t.hastype(i - 1), (a,) + prev)))
-            e.add([DAtom(t.hastype(i), (X,) + prev + (e.zero(),))], prev_atom,
-                  _neq(X, a))
+    _type_chain(e, t.hastype, t.ind, None)
     e.add([DAtom(t.realizedtype, ys)], _pos(DAtom(t.hastype(k), (X,) + ys)))
 
     # (VII) marking of types only individuals may realize.
@@ -691,6 +605,30 @@ def build_marking_program(ctx: RewriteContext) -> DProgram:
 
 
 # ---------------------------------------------------------------------------
+# Type chain, shared by groups VI (individuals) and IX (fringe elements)
+
+
+def _type_chain(e: _Emitter, level: Callable[[int], str], start: str,
+                at: int | None) -> None:
+    """The type of each X of ``start`` (with ``at``, of X's fringe element
+    ``at``), bit by bit: ``level(i)`` holds X and its first i bits, read
+    with ``holds`` and ``fails``.  A nominal's own bit is set only at that
+    individual."""
+    ys = e.vec("Y")
+    e.add([DAtom(level(0), (X,))], _pos(DAtom(start, (X,))))
+    for i, b in enumerate(e.ctx.ntbox.basis, start=1):
+        prev = ys[:i - 1]
+        prev_atom = _pos(DAtom(level(i - 1), (X,) + prev))
+        if isinstance(b, Nominal) and at is None:
+            a = Const(b.individual)
+            e.add([DAtom(level(i), (a,) + prev + (e.one(),))],
+                  _pos(DAtom(level(i - 1), (a,) + prev)))
+        else:
+            e.add([DAtom(level(i), (X,) + prev + (e.one(),))], prev_atom, e.holds(b, X, at))
+        e.add([DAtom(level(i), (X,) + prev + (e.zero(),))], prev_atom, e.fails(b, X, at))
+
+
+# ---------------------------------------------------------------------------
 # Filter program (group IX)
 
 
@@ -708,22 +646,9 @@ def build_filter_program(ctx: RewriteContext) -> DProgram:
 
     if not ctx.ntbox.existentials:
         return DProgram.of(())
+    # (IX) the type of each fringe element, and the filter.
     for i in range(len(ctx.ntbox.existentials)):
-        e.add([DAtom(t.hastype_fr(0, i), (X,))], _pos(DAtom(t.in_pred[i], (X,))))
-        for i2, b in enumerate(ctx.ntbox.basis, start=1):
-            prev = ys[:i2 - 1]
-            prev_atom = _pos(DAtom(t.hastype_fr(i2 - 1, i), (X,) + prev))
-            one_rule_body = e.fr_holds(b, i, X)
-            if one_rule_body != FALSE:
-                e.add([DAtom(t.hastype_fr(i2, i), (X,) + prev + (e.one(),))],
-                      prev_atom, one_rule_body)
-            if isinstance(b, Name) and b.name not in ctx.sigma:
-                e.add([DAtom(t.hastype_fr(i2, i), (X,) + prev + (e.zero(),))],
-                      prev_atom, _pos(DAtom(t.concept_fr_neg[(b.name, i)], (X,))))
-            else:
-                # closed concepts and nominals never hold at fringe elements
-                e.add([DAtom(t.hastype_fr(i2, i), (X,) + prev + (e.zero(),))],
-                      prev_atom)
+        _type_chain(e, lambda level: t.hastype_fr(level, i), t.in_pred[i], i)
         e.add([DAtom(t.fringetype, ys)], _pos(DAtom(t.hastype_fr(k, i), (X,) + ys)))
     e.constraint(_pos(DAtom(t.marked, xs)), _pos(DAtom(t.fringetype, xs)))
     return DProgram.of(e.rules)

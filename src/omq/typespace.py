@@ -320,7 +320,7 @@ def validate_core(core: Core, ctx: TypeContext, abox: Iterable[Assertion]) -> Co
 # The marking fixpoint
 
 
-def mark(ctx: TypeContext, core: Core, max_bits: int = MAX_BASIS_BITS) -> MarkResult:
+def mark(ctx: TypeContext, core: Core) -> MarkResult:
     """Eliminate the types from which the core-extension game is lost.
 
     Starts from all 2^k types, marks clause violators and unrealized
@@ -330,16 +330,15 @@ def mark(ctx: TypeContext, core: Core, max_bits: int = MAX_BASIS_BITS) -> MarkRe
     universal axiom along the role hierarchy.  Existentials over roles
     subsumed by a closed role are exempt: valid cores already satisfy them.
     """
-    return mark_types(ctx, realized_types(core, ctx), max_bits)
+    return mark_types(ctx, realized_types(core, ctx))
 
 
-def mark_types(ctx: TypeContext, realized: frozenset[TypeVec],
-               max_bits: int = MAX_BASIS_BITS) -> MarkResult:
+def mark_types(ctx: TypeContext, realized: frozenset[TypeVec]) -> MarkResult:
     """The marking fixpoint given the set of types realized by individuals."""
     k = ctx.k
-    if k > max_bits:
+    if k > MAX_BASIS_BITS:
         raise ResourceRefused(
-            f"basis of {k} concepts exceeds the {max_bits}-bit type-space budget")
+            f"basis of {k} concepts exceeds the {MAX_BASIS_BITS}-bit type-space budget")
     total = 1 << k
     marked = bytearray(total)
 

@@ -170,6 +170,24 @@ def test_external_models_verification(capsys, tmp_path):
     assert out.splitlines() == ["model 1: stable", "model 2: not stable"]
 
 
+def test_external_models_with_malformed_atoms_are_errors(capsys, tmp_path):
+    """An empty argument, an argument-less ``q()`` and an atom of the wrong
+    arity are input errors, not models that merely fail to be stable."""
+    kb = tmp_path / "kb.kb"
+    kb.write_text("tbox { p <= s; } abox { p(a, a); }")
+    q = tmp_path / "q.cq"
+    q.write_text("q(x, y) :- s(x, y).")
+    models = tmp_path / "models.txt"
+    for line, message in [("q(a,,b)", "error: empty argument in atom 'q(a,,b)'"),
+                          ("q()", "error: model atom(s) of the wrong arity: q "),
+                          ("ind(a,a) eq(a,a) r_p(a,a) r_s(a,a) q(a,a)",
+                           "error: model atom(s) of the wrong arity: ind(a,a) ")]:
+        models.write_text(line + "\n")
+        code, out, err = run(capsys, "answer", "--external-models", models, kb, q)
+        assert (code, out) == (1, ""), line
+        assert err.startswith(message), err
+
+
 def test_external_models_accepts_a_completed_positive_model(capsys, tmp_path,
                                                            completed_branches):
     kb_file, q_file = FIXTURES / "nominalfree.kb", FIXTURES / "q_c.cq"

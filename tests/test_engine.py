@@ -87,8 +87,7 @@ def test_stratify_rejects_foreign_program(example1):
 def test_positive_mode_choice_pairs(example1):
     kb, _ = parse_kb(MICRO_KB), None
     o = build_omq(kb, parse_query("q(x) :- A(x)."))
-    layered = stratify(rewrite_positive(o))
-    assert ("c_a", "nc_a", None) in layered.choice_specs
+    assert ("c_a", "nc_a", None) in rewrite_positive(o).ctx.table.families
 
 
 def _full_ground(out, abox):

@@ -1,10 +1,16 @@
+import hashlib
+import pathlib
+
 import pytest
 
 import omq
 from omq import (Const, DAtom, DRule, Var, build_omq, parse_kb, parse_query,
                  rewrite, rewrite_positive)
+from omq.cli import main
 from omq.rewrite import build_pred_table, MODE_STABLE
 from omq.syntax import OmqError
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def X(name):
@@ -204,3 +210,19 @@ def test_positive_nominal_subsumption_agrees_and_detects_inconsistency():
     positive2 = omq.certain_answers(rewrite_positive(o2), kb2.abox)
     assert stable2.inconsistent and positive2.inconsistent
     assert stable2.answers == positive2.answers
+
+
+def test_emitted_text_is_pinned(capsys):
+    """``omq rewrite`` prints, byte for byte, what it printed when the digests
+    in ``fixtures/rewrite.sha256`` were recorded: one line per fixture KB x
+    query x mode x ``--db-constants`` run, with the SHA-256 of stdout (of
+    stderr when the run fails) and the exit status.  Only a deliberate
+    change of the emitted program may change that file."""
+    lines = (FIXTURES / "rewrite.sha256").read_text().splitlines()
+    assert len(lines) == 36
+    for line in lines:
+        digest, code, kb, query, *flags = line.split()
+        got = main(["rewrite", str(FIXTURES / kb), str(FIXTURES / query), *flags])
+        out = capsys.readouterr()
+        text = out.out if got == 0 else out.err
+        assert (got, hashlib.sha256(text.encode()).hexdigest()) == (int(code), digest), line
