@@ -280,8 +280,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("OMQ_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("OMQ_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: OMQ_LOG: unknown log level {level!r}", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)

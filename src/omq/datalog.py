@@ -1,19 +1,24 @@
 """Datalog with disjunction, stable negation and built-in inequality.
 
 The rewriting targets this IR.  One join core matches rule bodies: each
-rule is compiled once into a plan of nested loops over relations of rows
-(tuples of constant symbols), each step probing a hash index on the
-positions already bound.  Two evaluators run on it:
+rule is compiled once into a plan, generated Python source with a nested
+``for`` per positive atom over relations of rows (tuples of constant
+symbols), each probing a hash index on the positions already bound, with
+the membership and ``!=`` tests inline.  No program symbol enters the
+source, so rules of one shape share one function.  Two evaluators run on
+it:
 
 * ``ground`` is relevance-driven: rule instances are produced by joining
   positive body atoms over the atoms derivable when negation is ignored,
   which keeps the ground program proportional to the derivable atoms
   instead of the full substitution space; the instances are tuples of
   ``(predicate, row)`` facts, and ``DRule``s are built only on request;
+  a program keeps its plans (``DProgram.plans``) for the next grounding;
 * ``Layer`` evaluates a layer of definite rules whose negation reads only
   the base below it, by semi-naive rounds that join each rule once per
-  body position against the previous round's new rows, without building
-  any rule instance.
+  body position against the previous round's new rows, building and
+  recording each head row in the innermost loop, without building any
+  rule instance.
 
 Inequality literals are decided during matching; because rule safety
 bounds both sides by positive atoms, the built-in's occurrence semantics
@@ -23,7 +28,10 @@ coincides with plain constant distinctness.
 from __future__ import annotations
 
 import re
+import weakref
+import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -85,7 +93,9 @@ class DRule:
 
     def check_safety(self) -> None:
         bound = {t.name for a in self.body_pos for t in a.args if isinstance(t, Var)}
-        loose = self.variables() - bound
+        terms = [t for a in self.head + self.body_neg for t in a.args]
+        terms += [t for pair in self.body_neq for t in pair]
+        loose = {t.name for t in terms if isinstance(t, Var) and t.name not in bound}
         if loose:
             raise OmqError(
                 f"unsafe rule: variable(s) {', '.join(sorted(loose))} not bound "
@@ -123,6 +133,12 @@ class DProgram:
                         f"predicate {a.pred} used with arities {got} and {len(a.args)}")
         return DProgram(rules, arities)
 
+    @cached_property
+    def plans(self) -> list["_Plan"]:
+        """The join plans ``ground`` runs for ``rules``, compiled on first
+        use and kept with the program."""
+        return [_Plan(r) for r in self.rules]
+
     def is_disjunctive(self) -> bool:
         return any(len(r.head) > 1 for r in self.rules)
 
@@ -134,8 +150,8 @@ class DProgram:
 # Joins
 #
 # Rule bodies are matched over relations of rows, tuples of constant
-# symbols.  A partial match is one flat tuple: the rule's constants followed
-# by the rows matched so far, so every term of the rule is an index into it.
+# symbols.  Each plan is the source of one Python function, in which every
+# variable of the rule is a local bound by a loop over rows.
 
 Row = tuple[str, ...]
 Fact = tuple[str, Row]
@@ -187,126 +203,195 @@ class _Relation:
         return got[1]
 
 
-def _row_getter(refs: tuple[int, ...]) -> Callable[[tuple], Row]:
-    """The tuple of the flat match's entries at ``refs``."""
-    if len(refs) == 1:
-        i = refs[0]
-        return lambda flat: (flat[i],)
-    if not refs:
-        return lambda flat: ()
-    return itemgetter(*refs)
+# CPython refuses more than 20 statically nested blocks in one function;
+# a plan with more loops goes on in a further generated function.
+_MAX_LOOPS = 16
+
+# What a match does, by evaluator: lines run before the loops, the return
+# line, and how a further function of the same plan is called.
+_INSTANCE = (["ch = False"], ["return ch"], ["if {}:", "    ch = True"])
+_DERIVE = ([], [], ["{}"])
+_VIOLATION = ([], ["return False"], ["if {}:", "    return True"])
+
+# Generated join functions by source, shared while some plan holds them.
+_JOINS: "weakref.WeakValueDictionary[str, Callable]" = weakref.WeakValueDictionary()
 
 
-def _checks_hold(flat: tuple, same: Sequence[tuple[int, int]],
-                 differ: Sequence[tuple[int, int]]) -> bool:
-    return all(flat[i] == flat[j] for (i, j) in same) and \
-        all(flat[i] != flat[j] for (i, j) in differ)
+def _tuple(items: Sequence[str]) -> str:
+    """The source of a tuple of the expressions ``items``."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _loop(source, positions, key, same, differ, nxt):
-    """Extend the match by each row of ``source`` that agrees with it on
-    ``positions`` (all rows when there are none) and passes the checks."""
-    checked = bool(same or differ)
-
-    def run(db, flat, out):
-        rel = db[source]
-        for row in rel.index(positions).get(key(flat), ()) if positions else rel.rows:
-            f = flat + row
-            if not checked or _checks_hold(f, same, differ):
-                nxt(db, f, out)
-    return run
-
-
-def _test(source, row, present, nxt):
-    """Go on when the fully bound ``row`` is (or, negated, is not) in ``source``."""
-    def run(db, flat, out):
-        if (row(flat) in db[source].members) == present:
-            nxt(db, flat, out)
-    return run
-
-
-def _emit(db, flat, out):
-    out(flat)
-
-
-def _never(db, flat, out):
-    pass
+def _compile(source: str) -> Callable:
+    join = _JOINS.get(source)
+    if join is None:
+        # A file name per source keeps profiles and tracebacks of the
+        # generated functions apart.
+        name = f"<join {zlib.crc32(source.encode()):08x}>"
+        scope: dict = {}
+        exec(compile(source, name, "exec"), scope)
+        join = _JOINS[source] = scope["join"]
+    return join
 
 
 DELTA = "+"
 
 
 class _Plan:
-    """A rule body compiled to nested loops.  The positive atoms are matched
-    in a fixed order: ``first`` if given, then repeatedly the atom with the
-    fewest unbound variable occurrences, ties to the earliest.  An atom with
-    bound positions loops over the index bucket of their values, a fully
-    bound one is a membership test, and ``!=`` is tested as soon as both
-    sides are bound; with ``negation`` the negated atoms are tested last.
-    ``run(db, consts, out)`` calls ``out`` with every flat match over
-    ``db``, which maps a source to its ``_Relation``: a predicate, or
-    ``(DELTA, predicate)`` for the atom at ``first``."""
+    """A rule body compiled to one generated function, called as
+    ``plan.join(db, plan.keys, out)``, where ``db`` maps a source to its
+    ``_Relation``: a predicate, or ``(DELTA, predicate)`` for the atom at
+    ``first``.
 
-    def __init__(self, rule: DRule, first: int | None = None, negation: bool = False):
-        terms = [t for a in rule.head + rule.body_pos + rule.body_neg for t in a.args]
-        terms += [t for pair in rule.body_neq for t in pair]
-        self._consts: dict[str, int] = {}
-        for t in terms:
-            if isinstance(t, Const):
-                self._consts.setdefault(t.symbol, len(self._consts))
-        self.consts: Row = tuple(self._consts)
-        self._slot: dict[str, int] = {}
-        self.run = _never
+    The positive atoms are matched in a fixed order: ``first`` if given,
+    then repeatedly the atom with the fewest unbound variable occurrences,
+    ties to the earliest.  Each is one nested ``for``: over the index bucket
+    of the values at its bound positions, or over all its rows when none is
+    bound; a fully bound atom is a membership test instead, and ``!=`` is
+    tested as soon as both sides are bound.  Relations, indexes and member
+    sets are looked up once, at the top.  No program symbol enters the
+    source: the constants and sources are ``keys``, so rules of one shape
+    share one function.  At each match:
+
+    * for ``ground`` (``layer`` false) the instance is put in the dict
+      ``out`` and its heads are added to ``db``; the call returns whether
+      some head was new;
+    * for a ``Layer`` rule the negated atoms are tested against ``db``,
+      then the head row is put in the dict ``out`` unless ``db`` has it;
+    * for a ``Layer`` constraint the negated atoms are tested, and the call
+      returns True at the first match (False if there is none).
+    """
+
+    __slots__ = ("join", "keys")
+
+    def __init__(self, rule: DRule, layer: bool = False, first: int | None = None):
+        keys: list = []
+        local: dict[DTerm, str] = {}   # a bound term's name in the source
+        preamble: list[str] = []
+
+        def key(obj) -> str:
+            keys.append(obj)
+            return f"k{len(keys) - 1}"
+
+        def ref(t: DTerm) -> str | None:
+            if isinstance(t, Const) and t not in local:
+                local[t] = key(t.symbol)
+            return local.get(t)
+
+        def row(atom: DAtom) -> str:
+            return _tuple([ref(t) for t in atom.args])
+
+        def hoist(expr: str) -> str:
+            preamble.append(f"h{len(preamble)} = {expr}")
+            return f"h{len(preamble) - 1}"
+
         if any(isinstance(x, Const) and x == y for (x, y) in rule.body_neq):
+            self.join, self.keys = _compile("def join(db, K, out):\n    return False"), ()
             return
         differ = [(x, y) for (x, y) in rule.body_neq if not
                   (isinstance(x, Const) and isinstance(y, Const))]
-        width = len(self.consts)
-        steps = []
+        steps: list[tuple[str, str, tuple[str, ...]]] = []   # (for|if, text, vars bound)
+        conds: list[str] = []
+        source: dict[int, str] = {}
+
+        def flush() -> None:
+            if conds:
+                steps.append(("if", " and ".join(conds), ()))
+                conds.clear()
+
         todo = list(range(len(rule.body_pos)))
         while todo:
-            j = first if not steps and first is not None else min(
+            j = first if first is not None and len(todo) == len(rule.body_pos) else min(
                 todo, key=lambda j: sum(1 for t in rule.body_pos[j].args
-                                        if isinstance(t, Var) and t.name not in self._slot))
+                                        if isinstance(t, Var) and t not in local))
             todo.remove(j)
-            atom = rule.body_pos[j]
-            bound, same, new = [], [], {}
+            atom, delta = rule.body_pos[j], j == first
+            source[j] = key((DELTA, atom.pred) if delta else atom.pred)
+            target, checks, new, positions, values = [], [], {}, [], []
             for pos, t in enumerate(atom.args):
-                ref = self._ref(t)
-                if ref is not None:
-                    bound.append((pos, ref))
-                elif t.name in new:
-                    same.append((width + new[t.name], width + pos))
-                else:
-                    new[t.name] = pos
-            if j == first:  # the delta rows are scanned, not indexed
-                same += [(width + pos, ref) for (pos, ref) in bound]
-                bound = []
-            elif not new:
-                steps.append((_test, atom.pred, self.row(atom), True))
+                r = ref(t)
+                if r is None and t not in new:
+                    new[t] = f"v{len(local) + len(new)}"
+                    target.append(new[t])
+                elif r is not None and not delta:
+                    target.append("_")
+                    positions.append(str(pos))
+                    values.append(r)
+                else:  # a repeated variable, or a bound position of the delta rows
+                    target.append(f"t{pos}")
+                    checks.append(f"t{pos} == {r or new[t]}")
+            if not new and not delta:
+                conds.append(f"{_tuple(values)} in {hoist(f'db[{source[j]}].members')}")
                 continue
-            self._slot.update((name, width + pos) for (name, pos) in new.items())
-            width += len(atom.args)
-            now = [(self._ref(x), self._ref(y)) for (x, y) in differ]
-            differ = [d for (d, refs) in zip(differ, now) if None in refs]
-            steps.append((_loop, (DELTA, atom.pred) if j == first else atom.pred,
-                          tuple(pos for (pos, _) in bound),
-                          bound and itemgetter(*(ref for (_, ref) in bound)),
-                          same, [refs for refs in now if None not in refs]))
-        if negation:
-            steps += [(_test, a.pred, self.row(a), False) for a in rule.body_neg]
-        self.run = _emit
-        for (build, *args) in reversed(steps):
-            self.run = build(*args, self.run)
+            flush()
+            if positions:
+                index = hoist(f"db[{source[j]}].index({_tuple(positions)})")
+                rows = f"{index}.get({values[0] if len(values) == 1 else _tuple(values)}, ())"
+            else:
+                rows = hoist(f"db[{source[j]}].rows")
+            steps.append(("for", f"{_tuple(target)} in {rows}", tuple(new.values())))
+            local.update(new)
+            conds += checks
+            for (x, y) in list(differ):
+                if ref(x) is not None and ref(y) is not None:
+                    conds.append(f"{ref(x)} != {ref(y)}")
+                    differ.remove((x, y))
+        if layer:
+            conds += [f"{row(a)} not in {hoist(f'db[{key(a.pred)}].members')}"
+                      for a in rule.body_neg]
+        flush()
 
-    def _ref(self, t: DTerm) -> int | None:
-        if isinstance(t, Const):
-            return self._consts[t.symbol]
-        return self._slot.get(t.name)
+        if not layer:
+            kind = _INSTANCE
+            heads = [key(a.pred) for a in rule.head]
+            sink = [f"f{i} = {row(a)}" for i, a in enumerate(rule.head)]
+            parts = ([f"({k}, f{i})" for i, k in enumerate(heads)],
+                     [f"({source[j]}, {row(a)})" for j, a in enumerate(rule.body_pos)],
+                     [f"({key(a.pred)}, {row(a)})" for a in rule.body_neg])
+            sink.append(f"{hoist('out.setdefault')}"
+                        f"(({', '.join(_tuple(part) for part in parts)}), None)")
+            for i, k in enumerate(heads):
+                sink += [f"if {hoist(f'db[{k}].add')}(f{i}):", "    ch = True"]
+        elif rule.head:
+            kind = _DERIVE
+            known = hoist(f"db[{key(rule.head[0].pred)}].members")
+            sink = [f"r = {row(rule.head[0])}", f"if r not in {known}:", "    out[r] = None"]
+        else:
+            kind = _VIOLATION
+            sink = ["return True"]
+        if keys:
+            preamble.insert(0, f"{', '.join(f'k{i}' for i in range(len(keys)))}, = K")
+        self.join = _compile(_render(preamble, steps, sink, kind))
+        self.keys = tuple(keys)
 
-    def row(self, atom: DAtom) -> Callable[[tuple], Row]:
-        """The row of ``atom`` under the match so far."""
-        return _row_getter(tuple(self._ref(t) for t in atom.args))
+
+def _render(preamble: list[str], steps: list[tuple[str, str, tuple[str, ...]]],
+            sink: list[str], kind: tuple[list[str], list[str], list[str]]) -> str:
+    """The source of ``join`` running ``steps`` nested, then ``sink``.  Past
+    ``_MAX_LOOPS`` loops, ``join`` calls ``join1`` with the variables bound
+    so far, and so on."""
+    start, end, call = kind
+    functions = []
+
+    def function(n: int, first: int, params: tuple[str, ...]) -> None:
+        lines, depth, loops, bound = [*preamble, *start], 0, 0, params
+        for i in range(first, len(steps)):
+            op, text, names = steps[i]
+            if op == "for" and loops == _MAX_LOOPS:
+                further = f"join{n + 1}(db, K, out{''.join(', ' + v for v in bound)})"
+                lines += ["    " * depth + line.format(further) for line in call]
+                function(n + 1, i, bound)
+                break
+            lines.append("    " * depth + f"{op} {text}:")
+            depth, loops, bound = depth + 1, loops + (op == "for"), bound + names
+        else:
+            lines += ["    " * depth + line for line in sink]
+        lines += end
+        signature = f"def join{n or ''}(db, K, out{''.join(', ' + v for v in params)}):"
+        functions.append("\n".join([signature, *("    " + line for line in lines)]))
+
+    function(0, 0, ())
+    return "\n\n".join(functions)
 
 
 def _load(arities: Mapping[str, int], facts: Iterable[Fact]) -> dict[str, _Relation]:
@@ -352,37 +437,26 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
     the same stable models as the textbook full grounding (together with
     the facts).  Inequality literals are evaluated away.  Each instance is
     recorded as fact tuples, once, in the order first derived; no rule or
-    atom objects are built (``Grounding.program`` builds them).
+    atom objects are built (``Grounding.program`` builds them).  The rules
+    are compiled once per program, into ``p.plans``.
 
     Rows are only ever appended to a relation, so a rule whose body
     predicates have the same row counts as when it last started can derive
     nothing new and is not run again.
     """
     db = _load(p.arities, map(fact_of, facts))
-    plans = [_Plan(r) for r in p.rules]
-
     instances: dict[GroundRule, None] = {}
     seen: list[tuple[int, ...] | None] = [None] * len(p.rules)
     changed = True
     while changed:
         changed = False
-        for n, (rule, plan) in enumerate(zip(p.rules, plans)):
+        for n, (rule, plan) in enumerate(zip(p.rules, p.plans)):
             sizes = tuple(len(db[a.pred].rows) for a in rule.body_pos)
             if sizes == seen[n]:
                 continue
             seen[n] = sizes
-            parts = [[(a.pred, plan.row(a)) for a in atoms]
-                     for atoms in (rule.head, rule.body_pos, rule.body_neg)]
-
-            def instance(flat, parts=parts):
-                nonlocal changed
-                head, pos, neg = [tuple([(pred, row(flat)) for (pred, row) in part])
-                                  for part in parts]
-                instances.setdefault((head, pos, neg), None)
-                for (pred, row) in head:
-                    if db[pred].add(row):
-                        changed = True
-            plan.run(db, plan.consts, instance)
+            if plan.join(db, plan.keys, instances):
+                changed = True
     return Grounding(tuple(instances), dict(p.arities))
 
 
@@ -437,8 +511,8 @@ class Layer:
     def __init__(self, p: DProgram):
         derived = {a.pred for r in p.rules for a in r.head}
         self.arities = dict(p.arities)
-        self.full: list[tuple[str, _Plan, Callable]] = []
-        self.deltas: list[tuple[str, tuple[str, _Plan, Callable]]] = []
+        self.full: list[tuple[str, _Plan]] = []
+        self.deltas: list[tuple[str, tuple[str, _Plan]]] = []
         self.constraints: list[_Plan] = []
         for rule in p.rules:
             if len(rule.head) > 1:
@@ -448,15 +522,14 @@ class Layer:
                 raise OmqError(f"layer rule {rule} negates {', '.join(own)}, "
                                f"which its own layer derives")
             if not rule.head:
-                self.constraints.append(_Plan(rule, negation=True))
+                self.constraints.append(_Plan(rule, layer=True))
                 continue
-            head = rule.head[0]
-            plan = _Plan(rule, negation=True)
-            self.full.append((head.pred, plan, plan.row(head)))
+            head = rule.head[0].pred
+            self.full.append((head, _Plan(rule, layer=True)))
             for j, a in enumerate(rule.body_pos):
                 if a.pred in derived:
-                    plan = _Plan(rule, j, negation=True)
-                    self.deltas.append((a.pred, (head.pred, plan, plan.row(head))))
+                    plan = _Plan(rule, layer=True, first=j)
+                    self.deltas.append((a.pred, (head, plan)))
 
     def model(self, base: Iterable[Fact],
               keep: Iterable[str]) -> tuple[frozenset[Fact], bool]:
@@ -470,28 +543,17 @@ class Layer:
                 db[pred].extend(rows)
                 db[DELTA, pred] = _Relation(rows)
             added = self._round(db, [v for (pred, v) in self.deltas if pred in added])
-        violated: list[tuple] = []
-        for plan in self.constraints:
-            plan.run(db, plan.consts, violated.append)
-            if violated:
-                break
+        ok = not any(plan.join(db, plan.keys, None) for plan in self.constraints)
         facts = frozenset((pred, row) for pred in keep if pred in db
                           for row in db[pred].rows)
-        return facts, not violated
+        return facts, ok
 
     @staticmethod
     def _round(db: dict, variants) -> dict[str, list[Row]]:
         """The head rows that one run of each variant adds, per predicate."""
         added: dict[str, dict[Row, None]] = {}
-        for (head, plan, row) in variants:
-            known = db[head].members
-            new = added.setdefault(head, {})
-
-            def derive(flat, row=row, known=known, new=new):
-                r = row(flat)
-                if r not in known:
-                    new[r] = None
-            plan.run(db, plan.consts, derive)
+        for (head, plan) in variants:
+            plan.join(db, plan.keys, added.setdefault(head, {}))
         return {pred: list(rows) for pred, rows in added.items() if rows}
 
 

@@ -10,11 +10,14 @@ clauses: one group per choice family, the constraints, and the
 completion of its derived atoms (the answer atoms ``q`` among them).
 Evaluation backtracks over the choice atoms with unit propagation over
 those clauses, from a root propagated once, and reads each leaf's model
-off the value array.  The upper layers are compiled once into
-``datalog.Layer`` join plans and evaluated semi-naively, in order, over
-each leaf's model, each one over the facts it reads and memoized on
-them; a branch whose upper layers violate a constraint is discarded.
-Only the guess layer is ever ground.
+off the value array.  The upper layers are compiled into ``datalog.Layer``
+join plans and evaluated semi-naively, in order, over each leaf's model,
+each one over the facts it reads and memoized on them; a branch whose
+upper layers violate a constraint is discarded.  Only the guess layer is
+ever ground.  The layering, the guess layer's plans and the ``Layer``s
+depend on the rewriting alone: they form its ``Evaluation``, built on
+the first evaluation and kept on the ``RewriteOutput``, so later calls
+on the same rewriting stratify and compile nothing.
 Certain answers are the tuples reported by every surviving branch, found
 by cautious enumeration on one searcher: the candidates start as the
 answer tuples of the first surviving branch, each further search adds the
@@ -96,6 +99,26 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
     return LayeredProgram(*(DProgram.of_safe(parts[i]) for i in (1, 2, 3, 4)))
 
 
+class Evaluation:
+    """The evaluation form of a rewriting: its layers, whose guess layer
+    keeps the join plans of its first grounding (``DProgram.plans``), and
+    each upper layer compiled to a ``datalog.Layer`` with the predicates it
+    reads and those of its own facts that a higher layer reads, which it
+    hands up.  It depends on the rewriting only, never on the data:
+    ``RewriteOutput.evaluation`` builds it on first use and keeps it for the
+    rewriting's lifetime."""
+
+    def __init__(self, out: RewriteOutput):
+        self.layered = stratify(out)
+        uppers = (self.layered.p2, self.layered.p3, self.layered.p4)
+        reads = [{a.pred for r in p.rules for a in r.body_pos + r.body_neg} for p in uppers]
+        self.layers: list[tuple[Layer, set[str], tuple[str, ...]]] = []
+        for i, p in enumerate(uppers):
+            own = {a.pred for r in p.rules for a in r.head}
+            keep = tuple(sorted(own & set().union(*reads[i + 1:])))
+            self.layers.append((Layer(p), reads[i], keep))
+
+
 def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
     """The ABox facts, plus the two bit-constant facts under --db-constants."""
     facts = abox_facts(out.ctx, abox)
@@ -122,8 +145,10 @@ class _Searcher:
 
     def __init__(self, out: RewriteOutput, abox: Sequence[Assertion],
                  branch_limit: int = 500_000):
+        if branch_limit < 1:
+            raise OmqError(f"branch limit must be at least 1, got {branch_limit}")
         self.ctx = out.ctx
-        layered = stratify(out)
+        form = out.evaluation
         self.branch_limit = branch_limit
         self.leaves = 0
         self.nodes = 0
@@ -131,7 +156,7 @@ class _Searcher:
 
         inputs = _input_facts(out, abox)
         facts = list(map(fact_of, inputs))
-        rules = ground(layered.p1, inputs).rules
+        rules = ground(form.layered.p1, inputs).rules
 
         # Intern every ground fact in sight, in order of first occurrence.
         self.facts: list[Fact] = list(dict.fromkeys(
@@ -216,15 +241,7 @@ class _Searcher:
         every = range(len(clauses))
         self.root_todo = [] if self._propagate(self.root, list(every)) else list(every)
 
-        # Each upper layer is evaluated over the facts its rule bodies read
-        # and hands up those of its own facts that a higher layer reads.
-        uppers = (layered.p2, layered.p3, layered.p4)
-        reads = [{a.pred for r in p.rules for a in r.body_pos + r.body_neg} for p in uppers]
-        self.layers: list[tuple[Layer, set[str], tuple[str, ...]]] = []
-        for i, p in enumerate(uppers):
-            own = {a.pred for r in p.rules for a in r.head}
-            keep = tuple(sorted(own & set().union(*reads[i + 1:])))
-            self.layers.append((Layer(p), reads[i], keep))
+        self.layers = form.layers
         self.memo: dict[tuple[int, frozenset[Fact]], tuple[frozenset[Fact], bool]] = {}
 
     def _intern(self, f: Fact) -> int:
@@ -485,4 +502,4 @@ def verify_model(out: RewriteOutput, abox: Iterable[Assertion],
 
 def ground_guess_layer(out: RewriteOutput, abox: Iterable[Assertion]) -> DProgram:
     """The grounding of the guess layer over the given data (for --emit-ground)."""
-    return ground(stratify(out).p1, _input_facts(out, tuple(abox))).program()
+    return ground(out.evaluation.layered.p1, _input_facts(out, tuple(abox))).program()

@@ -365,9 +365,9 @@ class _Emitter:
 X, Y = Var("X"), Var("Y")
 
 
-def build_core_program(ctx: RewriteContext) -> DProgram:
+def _core_rules(e: _Emitter) -> None:
     """Individual collection, core guessing and core validation rules."""
-    e = _Emitter(ctx)
+    ctx = e.ctx
     t, ntbox = ctx.table, ctx.ntbox
 
     # (I) collect the individuals.
@@ -387,7 +387,6 @@ def build_core_program(ctx: RewriteContext) -> DProgram:
         _positive_validation(e)
     else:
         _stable_validation(e)
-    return DProgram.of(e.rules)
 
 
 def _guesses(e: _Emitter) -> None:
@@ -510,14 +509,14 @@ def _sorted_basics(bs: Iterable[Basic]) -> list[Basic]:
 # Marking program (groups IV-VIII)
 
 
-def build_marking_program(ctx: RewriteContext) -> DProgram:
+def _marking_rules(e: _Emitter) -> None:
     """Linear order over bit vectors, type collection, clause marking,
     realized types, individual-only-type marking and the successor-search
     marking loop."""
-    e = _Emitter(ctx)
+    ctx = e.ctx
     t, k = ctx.table, ctx.k
     if k == 0:
-        return DProgram.of(())
+        return
 
     # (IV) successor relation over {0,1}^i, level by level.
     e.add([DAtom(t.first(1), (e.zero(),))])
@@ -601,7 +600,6 @@ def build_marking_program(ctx: RewriteContext) -> DProgram:
               _pos(DAtom(t.next(k), zs + us)), _pos(DAtom(mo, xs + us)))
         e.add([DAtom(t.marked, xs)], _pos(DAtom(mu, xs + zs)),
               e.bit_true(xs, ax.lhs), _pos(DAtom(t.last(k), zs)))
-    return DProgram.of(e.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -632,26 +630,45 @@ def _type_chain(e: _Emitter, level: Callable[[int], str], start: str,
 # Filter program (group IX)
 
 
-def build_filter_program(ctx: RewriteContext) -> DProgram:
+def _filter_rules(e: _Emitter) -> None:
     """Forbid eliminated types where the game starts: at fringe elements
     (stable mode) or at any realized type (positive mode)."""
-    e = _Emitter(ctx)
+    ctx = e.ctx
     t, k = ctx.table, ctx.k
     if k == 0:
-        return DProgram.of(())
+        return
     xs, ys = e.vec("X"), e.vec("Y")
     if ctx.mode == MODE_POSITIVE:
         e.constraint(_pos(DAtom(t.marked, xs)), _pos(DAtom(t.realizedtype, xs)))
-        return DProgram.of(e.rules)
+        return
 
     if not ctx.ntbox.existentials:
-        return DProgram.of(())
+        return
     # (IX) the type of each fringe element, and the filter.
     for i in range(len(ctx.ntbox.existentials)):
         _type_chain(e, lambda level: t.hastype_fr(level, i), t.in_pred[i], i)
         e.add([DAtom(t.fringetype, ys)], _pos(DAtom(t.hastype_fr(k, i), (X,) + ys)))
     e.constraint(_pos(DAtom(t.marked, xs)), _pos(DAtom(t.fringetype, xs)))
+
+
+def _program(ctx: RewriteContext, *groups: Callable[[_Emitter], None]) -> DProgram:
+    """The rules of ``groups``, in order, checked once for safety and arities."""
+    e = _Emitter(ctx)
+    for group in groups:
+        group(e)
     return DProgram.of(e.rules)
+
+
+def build_core_program(ctx: RewriteContext) -> DProgram:
+    return _program(ctx, _core_rules)
+
+
+def build_marking_program(ctx: RewriteContext) -> DProgram:
+    return _program(ctx, _marking_rules)
+
+
+def build_filter_program(ctx: RewriteContext) -> DProgram:
+    return _program(ctx, _filter_rules)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +682,12 @@ class RewriteOutput:
     mode: str
     ctx: RewriteContext
     query: ConjunctiveQuery
+
+    @cached_property
+    def evaluation(self):
+        """The ``engine.Evaluation`` of this rewriting, built on first use."""
+        from .engine import Evaluation
+        return Evaluation(self)
 
 
 def _query_rule(ctx: RewriteContext, query: ConjunctiveQuery) -> DRule:
@@ -709,12 +732,9 @@ def _rewrite(omq: OMQ, mode: str, db_constants: bool) -> RewriteOutput:
     omq = _prepare(omq)
     table = build_pred_table(omq.tbox, omq.sigma, mode)
     ctx = RewriteContext(omq.tbox, omq.sigma, table, mode, db_constants)
-    rules = build_core_program(ctx).rules + build_marking_program(ctx).rules + \
-        build_filter_program(ctx).rules
-    query_rule = _query_rule(ctx, omq.query)
-    query_rule.check_safety()
-    return RewriteOutput(DProgram.of_safe(rules + (query_rule,)), table.answer, mode,
-                         ctx, omq.query)
+    program = _program(ctx, _core_rules, _marking_rules, _filter_rules,
+                       lambda e: e.rules.append(_query_rule(ctx, omq.query)))
+    return RewriteOutput(program, table.answer, mode, ctx, omq.query)
 
 
 # ---------------------------------------------------------------------------

@@ -228,3 +228,23 @@ def test_branch_limit_exit_code(capsys):
                        FIXTURES / "example1.kb", FIXTURES / "q_r1.cq")
     assert code == 2
     assert "refused" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_branch_limit_below_one_is_diagnostic(capsys, limit):
+    code, _, err = run(capsys, "answer", "--branch-limit", limit,
+                       FIXTURES / "example1.kb", FIXTURES / "q_r1.cq")
+    assert code == 1
+    assert err.startswith("error: branch limit must be at least 1"), err
+
+
+def test_unknown_log_level_is_diagnostic():
+    """``OMQ_LOG`` names no logging level: ``error: ...`` and exit 1, with
+    no traceback (a fresh process, as the logging set-up runs once)."""
+    done = subprocess.run([sys.executable, "-m", "omq.cli", "check",
+                           str(FIXTURES / "intro.kb")],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC, "OMQ_LOG": "bogus"})
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: OMQ_LOG: unknown log level 'BOGUS'"), done.stderr

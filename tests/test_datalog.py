@@ -88,24 +88,37 @@ DERIVED = {"z": 0, "p": 1, "q": 1, "r": 1, "e": 2}
 BASE = {"s": 1, "f": 2}
 PREDS = {**DERIVED, **BASE}
 CONSTS = ["a", "b", "c"]
+# The same predicates and constants spelled with quotes, a backslash, a
+# newline, an index expression and Python keywords: symbols that would
+# break or change a generated join function if one ever entered its source.
+ODD = {"z": "if", "p": 'p"q', "q": "q'", "r": "r\\", "e": "e\nf", "s": "c[0]",
+       "f": "class", "a": "c[0]", "b": '"b\\', "c": "lambda"}
+SPELLINGS = ({}, ODD)
 
 
-def random_program(rng):
+def random_program(rng, spelling=SPELLINGS[0]):
     """Up to 4 random safe rules over 3 constants, and up to 3 facts of the
     BASE predicates.  Heads are DERIVED atoms or absent (constraints);
     bodies mix every predicate, so the rules recurse, repeat a variable
     inside an atom (``e(X, X)``), use 0-ary atoms, constants in heads and
-    bodies, ``!=`` and one negated atom of any predicate."""
+    bodies, ``!=`` and one negated atom of any predicate.  ``spelling``
+    renames predicates and constants; it draws nothing from ``rng``."""
+    def term(name):
+        return Var(name) if name in ("X", "Y") else Const(spelling.get(name, name))
+
+    def spelt(pred, names):
+        return DAtom(spelling.get(pred, pred), tuple(map(term, names)))
+
     rules = []
     for _ in range(rng.randrange(1, 5)):
         terms = rng.choice([[], ["X"], ["X", "Y"]]) + [rng.choice(CONSTS)]
 
         def atom(pred):
-            return A(pred, *(rng.choice(terms) for _ in range(PREDS[pred])))
+            return spelt(pred, [rng.choice(terms) for _ in range(PREDS[pred])])
         head = [atom(rng.choice(list(DERIVED)))] if rng.random() < 0.85 else []
         body = [atom(rng.choice(list(PREDS))) for _ in range(rng.randrange(0, 3))]
         neg = [atom(rng.choice(list(PREDS)))] if rng.random() < 0.5 else []
-        neq = [(Var("X"), T(rng.choice(terms)))] \
+        neq = [(Var("X"), term(rng.choice(terms)))] \
             if "X" in terms and rng.random() < 0.3 else []
         candidate = rule(head, body, neg, neq)
         try:
@@ -113,51 +126,71 @@ def random_program(rng):
         except OmqError:
             continue  # unsafe
         rules.append(candidate)
-    facts = [A(pred, *rng.choices(CONSTS, k=BASE[pred]))
+    facts = [spelt(pred, rng.choices(CONSTS, k=BASE[pred]))
              for pred in rng.choices(list(BASE), k=rng.randrange(0, 4))]
     return DProgram.of(rules), facts
 
 
 def test_relevance_equals_full_grounding_on_random_programs():
     """Same stable models as the textbook grounding, on random micro
-    programs over at most 3 constants and 4 rules."""
-    rng = random.Random(20240809)
-    for trial in range(60):
-        p, facts = random_program(rng)
-        fact_rules = [rule([f]) for f in set(facts)]
-        g_rel = DProgram.of(list(ground(p, facts).program().rules) + fact_rules)
-        g_full = DProgram.of(list(ground_full(p, facts).rules) + fact_rules)
-        assert set(stable_models_bruteforce(g_rel)) == \
-            set(stable_models_bruteforce(g_full)), f"trial {trial}"
+    programs over at most 3 constants and 4 rules, in both spellings."""
+    for spelling in SPELLINGS:
+        rng = random.Random(20240809)
+        for trial in range(60):
+            p, facts = random_program(rng, spelling)
+            fact_rules = [rule([f]) for f in set(facts)]
+            g_rel = DProgram.of(list(ground(p, facts).program().rules) + fact_rules)
+            g_full = DProgram.of(list(ground_full(p, facts).rules) + fact_rules)
+            assert set(stable_models_bruteforce(g_rel)) == \
+                set(stable_models_bruteforce(g_full)), f"trial {trial}"
 
 
 def test_layer_equals_closure_of_the_reduct_on_random_programs():
     """The semi-naive layer evaluator gives the closure of the grounding's
     reduct over the base and the same constraint verdict; a program that
-    negates a predicate it derives is refused."""
-    rng = random.Random(5)
-    refused = evaluated = 0
-    for trial in range(400):
-        p, facts = random_program(rng)
-        derived = {a.pred for r in p.rules for a in r.head}
-        if any(a.pred in derived for r in p.rules for a in r.body_neg):
-            with pytest.raises(OmqError, match="negates"):
-                Layer(p)
-            refused += 1
-            continue
-        base = frozenset(facts)
-        got, got_ok = Layer(p).model(map(fact_of, base), p.arities)
-        # the second grounding shares no join code
-        for program in (ground(p, base).program(), ground_full(p, base)):
-            red = gl_reduct(program, base)
-            model = closure([(r.head[0], r.body_pos) for r in red.rules if r.head], base)
-            ok = not any(all(b in model for b in r.body_pos)
-                         for r in red.rules if not r.head)
-            assert set(map(atom_of, got)) == {a for a in model if a.pred in p.arities}, \
-                f"trial {trial}"
-            assert got_ok == ok, f"trial {trial}"
-        evaluated += 1
-    assert refused > 20 and evaluated > 200
+    negates a predicate it derives is refused; in both spellings."""
+    for spelling in SPELLINGS:
+        rng = random.Random(5)
+        refused = evaluated = 0
+        for trial in range(400):
+            p, facts = random_program(rng, spelling)
+            derived = {a.pred for r in p.rules for a in r.head}
+            if any(a.pred in derived for r in p.rules for a in r.body_neg):
+                with pytest.raises(OmqError, match="negates"):
+                    Layer(p)
+                refused += 1
+                continue
+            base = frozenset(facts)
+            got, got_ok = Layer(p).model(map(fact_of, base), p.arities)
+            # the second grounding shares no join code
+            for program in (ground(p, base).program(), ground_full(p, base)):
+                red = gl_reduct(program, base)
+                model = closure([(r.head[0], r.body_pos) for r in red.rules if r.head],
+                                base)
+                ok = not any(all(b in model for b in r.body_pos)
+                             for r in red.rules if not r.head)
+                assert set(map(atom_of, got)) == \
+                    {a for a in model if a.pred in p.arities}, f"trial {trial}"
+                assert got_ok == ok, f"trial {trial}"
+            evaluated += 1
+        assert refused > 20 and evaluated > 200
+
+
+def test_bodies_past_the_loop_nesting_python_allows():
+    """A rule and a constraint over 24 chained atoms, more nested loops than
+    one Python function may hold: the rule relates the ends of each path of
+    24 edges, and the constraint fails exactly when there is one."""
+    n = 24
+    path = [A("e", f"X{i}", f"X{i + 1}") for i in range(n)]
+    p = DProgram.of([rule([A("q", "X0", f"X{n}")], path), rule([], path)])
+    for length in (30, 10):
+        edges = [A("e", f"a{i}", f"a{i + 1}") for i in range(length)]
+        ends = {A("q", f"a{i}", f"a{i + n}") for i in range(length - n + 1)}
+        grounding = ground(p, edges).program()
+        assert {h for r in grounding.rules for h in r.head} == ends
+        assert sum(not r.head for r in grounding.rules) == len(ends)
+        got, ok = Layer(p).model(map(fact_of, edges), ["q"])
+        assert (set(map(atom_of, got)), ok) == (ends, not ends)
 
 
 def test_layer_refuses_disjunctive_heads():

@@ -10,7 +10,7 @@ from omq import (Const, DAtom, DProgram, DRule, TypeContext, build_omq,
                  ground, parse_kb, parse_query, rewrite, rewrite_positive,
                  stable_models_bruteforce, stratify, validate_core,
                  verify_model)
-from omq.datalog import Layer
+from omq.datalog import Layer, _Plan
 from omq.engine import StratifyError, _Searcher
 from omq.rewrite import abox_facts
 from omq.typespace import mark_types
@@ -383,6 +383,29 @@ def test_the_answer_path_builds_no_rule_objects(monkeypatch):
     monkeypatch.setattr(DRule, "__init__", counted)
     report = certain_answers(out, kb.abox + (omq.ConceptAssert("Course", "c3"),))
     assert report.models_explored > 1
+    assert built == []
+
+
+def test_the_evaluation_form_is_built_once(monkeypatch):
+    """The layers, plans and ``Layer``s depend on the rewriting alone: a
+    second ``certain_answers`` on it stratifies nothing and compiles no
+    join plan or layer, and answers the same."""
+    kb, o = _omq((FIXTURES / "intro.kb").read_text(), "q(x, y) :- attends(x, y).")
+    out = rewrite(o)
+    abox = kb.abox + (omq.ConceptAssert("Course", "c3"),)
+    first = certain_answers(out, abox)
+    built = []
+    for cls in (_Plan, Layer):
+        real = cls.__init__
+
+        def counted(self, *args, real=real, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    real_stratify = omq.engine.stratify
+    monkeypatch.setattr(omq.engine, "stratify",
+                        lambda out: built.append("stratify") or real_stratify(out))
+    assert certain_answers(out, abox) == first
     assert built == []
 
 
