@@ -92,8 +92,8 @@ def cmd_answer(args) -> int:
     else:
         for tup in sorted(report.answers):
             print(" ".join(tup))
-    log.info("explored %d branches in %d searches", report.models_explored,
-             report.searches)
+    log.info("explored %d branches in %d searches, learned %d clauses",
+             report.models_explored, report.searches, report.learned)
     return 0
 
 
@@ -174,6 +174,8 @@ def cmd_mark(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.bound < 0:
+        raise OmqError(f"bound must be at least 0, got {args.bound}")
     kb, omq_obj = _load(args)
     safe = rollup(omq_obj)
     out = _rewrite_for(args, omq_obj)

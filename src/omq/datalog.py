@@ -239,9 +239,9 @@ DELTA = "+"
 
 class _Plan:
     """A rule body compiled to one generated function, called as
-    ``plan.join(db, plan.keys, out)``, where ``db`` maps a source to its
-    ``_Relation``: a predicate, or ``(DELTA, predicate)`` for the atom at
-    ``first``.
+    ``plan.join(db, plan.keys, out)``, where ``db`` maps a predicate to its
+    ``_Relation``, and ``(DELTA, predicate)`` to the plain list of rows the
+    atom at ``first`` ranges over.
 
     The positive atoms are matched in a fixed order: ``first`` if given,
     then repeatedly the atom with the fewest unbound variable occurrences,
@@ -328,7 +328,7 @@ class _Plan:
                 index = hoist(f"db[{source[j]}].index({_tuple(positions)})")
                 rows = f"{index}.get({values[0] if len(values) == 1 else _tuple(values)}, ())"
             else:
-                rows = hoist(f"db[{source[j]}].rows")
+                rows = hoist(f"db[{source[j]}]" if delta else f"db[{source[j]}].rows")
             steps.append(("for", f"{_tuple(target)} in {rows}", tuple(new.values())))
             local.update(new)
             conds += checks
@@ -505,7 +505,14 @@ class Layer:
     every rule over the base; each later round joins, per body position,
     only the rows the previous round added there.  Its result equals the
     closure of ``gl_reduct(ground(p, base).program(), base)`` over the
-    base, and its constraint verdict the scan of that reduct's constraints.
+    base, and the verdict of ``holds`` on it the scan of that reduct's
+    constraints.
+
+    The fixpoint depends only on the base facts of ``rule_reads``, the
+    predicates below the layer that its rules read; the verdict depends on
+    the fixpoint and on the base facts of ``check_reads``, the predicates
+    below the layer that only its constraints read.  So a caller can
+    memoize each on just those facts.
     """
 
     def __init__(self, p: DProgram):
@@ -530,23 +537,35 @@ class Layer:
                 if a.pred in derived:
                     plan = _Plan(rule, layer=True, first=j)
                     self.deltas.append((a.pred, (head, plan)))
+        checked = {a.pred for r in p.rules if not r.head for a in r.body_pos + r.body_neg}
+        self.rule_reads = frozenset(a.pred for r in p.rules if r.head
+                                    for a in r.body_pos + r.body_neg) - derived
+        self.check_reads = frozenset(checked - derived - self.rule_reads)
+        self.checked_derived = checked & derived
+        self.checked_base = {pred: self.arities[pred] for pred in checked - derived}
 
-    def model(self, base: Iterable[Fact],
-              keep: Iterable[str]) -> tuple[frozenset[Fact], bool]:
+    def model(self, base: Iterable[Fact], keep: Iterable[str]
+              ) -> tuple[frozenset[Fact], dict[str, _Relation]]:
         """The facts of the ``keep`` predicates in the least model over
-        ``base`` (base facts included), and whether every constraint holds
-        there."""
+        ``base`` (base facts included), and the relations there of the
+        derived predicates that the constraints read, for ``holds``."""
         db: dict = _load(self.arities, base)
         added = self._round(db, self.full)
         while added:
             for pred, rows in added.items():
                 db[pred].extend(rows)
-                db[DELTA, pred] = _Relation(rows)
+                db[DELTA, pred] = rows
             added = self._round(db, [v for (pred, v) in self.deltas if pred in added])
-        ok = not any(plan.join(db, plan.keys, None) for plan in self.constraints)
         facts = frozenset((pred, row) for pred in keep if pred in db
                           for row in db[pred].rows)
-        return facts, ok
+        return facts, {pred: db[pred] for pred in self.checked_derived}
+
+    def holds(self, derived: Mapping[str, _Relation], base: Iterable[Fact]) -> bool:
+        """Whether every constraint holds in the least model whose derived
+        relations ``model`` returned, over ``base``."""
+        db = _load(self.checked_base, base)
+        db.update(derived)
+        return not any(plan.join(db, plan.keys, None) for plan in self.constraints)
 
     @staticmethod
     def _round(db: dict, variants) -> dict[str, list[Row]]:

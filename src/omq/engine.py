@@ -11,9 +11,16 @@ completion of its derived atoms (the answer atoms ``q`` among them).
 Evaluation backtracks over the choice atoms with unit propagation over
 those clauses, from a root propagated once, and reads each leaf's model
 off the value array.  The upper layers are compiled into ``datalog.Layer``
-join plans and evaluated semi-naively, in order, over each leaf's model,
-each one over the facts it reads and memoized on them; a branch whose
-upper layers violate a constraint is discarded.  Only the guess layer is
+join plans and evaluated semi-naively, in order, over each leaf's model;
+a branch whose upper layers violate a constraint is discarded.  A
+layer's fixpoint is memoized on the facts its rules read, and its
+constraints' verdict on those and the facts only the constraints read:
+in positive mode the marking rules read just the bit constants, so the
+marking fixpoint runs once per searcher.  When no upper rule has
+negation (the positive rewriting), the upper layers are monotone in the
+guess-layer facts, and a failing leaf becomes a learned clause: a
+deletion filter shrinks the leaf's facts to a subset that still fails,
+and no later branch may make all of them true.  Only the guess layer is
 ever ground.  The layering, the guess layer's plans and the ``Layer``s
 depend on the rewriting alone: they form its ``Evaluation``, built on
 the first evaluation and kept on the ``RewriteOutput``, so later calls
@@ -36,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 # ``ground``, ``gl_reduct`` and ``stratify`` are looked up through this module
 # by tracers that wrap them (perfbench/spans.py); keep the names here.
-from .datalog import (DAtom, DProgram, DRule, Fact, Layer, atom_of, fact_of,
+from .datalog import (DAtom, DProgram, DRule, Fact, Layer, Row, atom_of, fact_of,
                       gl_reduct, ground, is_stable_model, rule_of)
 from .query import individuals_of, OMQ
 from .rewrite import RewriteOutput, abox_facts, db_constant_facts
@@ -67,6 +74,7 @@ class AnswerReport:
     inconsistent: bool
     models_explored: int
     searches: int = 0
+    learned: int = 0
 
 
 def stratify(out: RewriteOutput) -> LayeredProgram:
@@ -102,21 +110,25 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
 class Evaluation:
     """The evaluation form of a rewriting: its layers, whose guess layer
     keeps the join plans of its first grounding (``DProgram.plans``), and
-    each upper layer compiled to a ``datalog.Layer`` with the predicates it
-    reads and those of its own facts that a higher layer reads, which it
-    hands up.  It depends on the rewriting only, never on the data:
-    ``RewriteOutput.evaluation`` builds it on first use and keeps it for the
-    rewriting's lifetime."""
+    each upper layer compiled to a ``datalog.Layer`` with those of its own
+    facts that a higher layer reads, which it hands up.  ``reads`` are the
+    predicates some upper layer reads, and ``monotone`` says whether no
+    upper rule has negation, so that more guess-layer facts can only add
+    upper-layer facts and constraint violations.  It depends on the
+    rewriting only, never on the data: ``RewriteOutput.evaluation`` builds
+    it on first use and keeps it for the rewriting's lifetime."""
 
     def __init__(self, out: RewriteOutput):
         self.layered = stratify(out)
         uppers = (self.layered.p2, self.layered.p3, self.layered.p4)
         reads = [{a.pred for r in p.rules for a in r.body_pos + r.body_neg} for p in uppers]
-        self.layers: list[tuple[Layer, set[str], tuple[str, ...]]] = []
+        self.layers: list[tuple[Layer, tuple[str, ...]]] = []
         for i, p in enumerate(uppers):
             own = {a.pred for r in p.rules for a in r.head}
             keep = tuple(sorted(own & set().union(*reads[i + 1:])))
-            self.layers.append((Layer(p), reads[i], keep))
+            self.layers.append((Layer(p), keep))
+        self.reads = frozenset().union(*reads)
+        self.monotone = not any(r.body_neg for p in uppers for r in p.rules)
 
 
 def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
@@ -240,9 +252,19 @@ class _Searcher:
             self.root[i] = TRUE if i in fact_ids else UNKNOWN if i in live else FALSE
         every = range(len(clauses))
         self.root_todo = [] if self._propagate(self.root, list(every)) else list(every)
+        # A search's goal clause has a slot of its own, so that retiring it
+        # keeps the clauses learned after it.
+        self.goal = len(clauses)
+        clauses.append(())
 
         self.layers = form.layers
-        self.memo: dict[tuple[int, frozenset[Fact]], tuple[frozenset[Fact], bool]] = {}
+        self.learning = form.monotone
+        self.reads = form.reads
+        self.root_facts = [f for f, v in zip(self.facts, self.root)
+                           if v == TRUE and f[0] in form.reads]
+        self.fixpoints: dict[tuple[int, frozenset[Fact]],
+                             tuple[frozenset[Fact], dict]] = {}
+        self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = {}
 
     def _intern(self, f: Fact) -> int:
         i = self.aid.get(f)
@@ -282,7 +304,8 @@ class _Searcher:
         only branches whose answer atoms omit at least one goal tuple: the
         clause ``not q(goal_1) or ... or not q(goal_m)``, which holds by
         itself when some ``q(goal_i)`` was not ground at all.  The clause is
-        added for this search only, so searches must not interleave."""
+        posted for this search only, so searches must not interleave; the
+        clauses learned on the way stay for every later search."""
         self.searches += 1
         val, todo = bytearray(self.root), list(self.root_todo)
         answer = self.ctx.table.answer
@@ -290,16 +313,16 @@ class _Searcher:
         if not qs or None in qs:
             yield from self._dfs(val, todo, with_marking)
             return
-        clause, goal = tuple(2 * q + 1 for q in qs), len(self.clauses)
-        self.clauses.append(clause)
+        clause, goal = tuple(2 * q + 1 for q in qs), self.goal
+        self.clauses[goal] = clause
         for lit in clause:
             self.occurs[lit].append(goal)
         try:
             yield from self._dfs(val, todo + [goal], with_marking)
         finally:
-            self.clauses.pop()
+            self.clauses[goal] = ()
             for lit in clause:
-                self.occurs[lit].pop()
+                self.occurs[lit].remove(goal)
 
     def first_branch(self, goals: Sequence[tuple[str, ...]] = (),
                      with_marking: bool = True) -> bytearray | None:
@@ -328,10 +351,15 @@ class _Searcher:
              with_marking: bool) -> Iterator[bytearray]:
         """Depth-first over the open families, FALSE before TRUE, on an
         explicit stack of (value array, clauses to propagate, first family
-        still open) triples."""
-        stack = [(val, todo, 0)]
+        still open, clause count at push) entries.  A popped entry also
+        propagates the clauses learned since it was pushed; with monotone
+        upper layers, each leaf that fails them adds one (``_learn``)."""
+        clauses = self.clauses
+        stack = [(val, todo, 0, self.goal + 1)]
         while stack:
-            val, todo, start = stack.pop()
+            val, todo, start, known = stack.pop()
+            if known < len(clauses):
+                todo.extend(range(known, len(clauses)))
             self.nodes += 1
             if self.nodes > self.branch_limit:
                 raise ResourceRefused(
@@ -341,13 +369,20 @@ class _Searcher:
             start, pos = self._pick(val, start)
             if pos is None:
                 self.leaves += 1
-                if not with_marking or self._upper_layers_ok(self._true(val)):
+                if not with_marking:
                     yield val
+                    continue
+                facts = self._true(val)
+                if self._upper_layers_ok(facts):
+                    yield val
+                elif self.learning:
+                    self._learn(facts)
                 continue
+            known = len(clauses)
             for lit in (2 * pos, 2 * pos + 1):  # FALSE is pushed last, so explored first
                 child = bytearray(val)
                 child[pos] = TRUE + (lit & 1)
-                stack.append((child, list(self.occurs[lit ^ 1]), start))
+                stack.append((child, list(self.occurs[lit ^ 1]), start, known))
 
     def _pick(self, val: bytearray, start: int) -> tuple[int, int | None]:
         """The positive atom of the first open family from ``start`` whose
@@ -375,19 +410,52 @@ class _Searcher:
 
     def _upper_layers_ok(self, facts: list[Fact]) -> bool:
         """Whether the guess-layer model ``facts`` extends through the upper
-        layers, in order, without violating a constraint.  Each layer runs
-        over the facts it reads, from the guess layer and from the facts the
-        layers below hand up; its result is memoized on those facts."""
-        for i, (layer, reads, keep) in enumerate(self.layers):
-            base = frozenset(f for f in facts if f[0] in reads)
-            result = self.memo.get((i, base))
-            if result is None:
-                result = self.memo[i, base] = layer.model(base, keep)
-            handed_up, ok = result
-            if not ok:
-                return False
+        layers, in order, without violating a constraint.  Each layer reads
+        the facts of the guess layer and those the layers below hand up.
+        Its fixpoint is memoized on the facts its rules read, and its
+        constraints' verdict on those and the facts only they read."""
+        for i, (layer, keep) in enumerate(self.layers):
+            base = frozenset(f for f in facts if f[0] in layer.rule_reads)
+            fixpoint = self.fixpoints.get((i, base))
+            if fixpoint is None:
+                fixpoint = self.fixpoints[i, base] = layer.model(base, keep)
+            handed_up, derived = fixpoint
+            if layer.constraints:
+                checked = frozenset(f for f in facts if f[0] in layer.check_reads)
+                ok = self.verdicts.get((i, base, checked))
+                if ok is None:
+                    ok = self.verdicts[i, base, checked] = layer.holds(derived, base | checked)
+                if not ok:
+                    return False
             facts = [*facts, *handed_up]
         return True
+
+    def _learn(self, facts: list[Fact]) -> None:
+        """Add a clause against the failed leaf ``facts``: not all of the
+        remaining facts are TRUE.  Start from the leaf's facts that some
+        upper layer reads and the root leaves open, and drop, first the
+        facts of one first argument (one individual) together, then single
+        facts, each that the upper layers still fail without, over the
+        root's TRUE facts and the rest.  The upper layers are monotone and
+        every branch makes the root's facts TRUE, so every branch making the
+        remaining facts TRUE fails too."""
+        kept = [f for f in facts if f[0] in self.reads and self.root[self.aid[f]] != TRUE]
+        groups: dict[Row, list[Fact]] = {}
+        for f in kept:
+            groups.setdefault(f[1][:1], []).append(f)
+        for drop in [*groups.values(), *([f] for f in kept)]:
+            rest = [f for f in kept if f not in drop]
+            if len(rest) < len(kept) and not self._upper_layers_ok(self.root_facts + rest):
+                kept = rest
+        clause = tuple(2 * self.aid[f] + 1 for f in kept)
+        for lit in clause:
+            self.occurs[lit].append(len(self.clauses))
+        self.clauses.append(clause)
+
+    @property
+    def learned(self) -> int:
+        """The number of clauses learned so far, all past the goal slot."""
+        return len(self.clauses) - self.goal - 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +484,14 @@ def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
     val = searcher.first_branch()
     if val is None:
         return AnswerReport(frozenset(candidates), True, searcher.leaves,
-                            searcher.searches)
+                            searcher.searches, searcher.learned)
     answer, aid = out.ctx.table.answer, searcher.aid
     remaining = [t for t in candidates if (answer, t) in aid]
     while val is not None:
         remaining = [t for t in remaining if val[aid[answer, t]] == TRUE]
         val = searcher.first_branch(remaining) if remaining else None
     return AnswerReport(frozenset(remaining), False, searcher.leaves,
-                        searcher.searches)
+                        searcher.searches, searcher.learned)
 
 
 def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],

@@ -231,10 +231,11 @@ def test_criterion_5_stable_model_kernel():
     print(f"\nPASS criterion 5: textbook cases + {agreements} random programs agree")
 
 
-def test_criterion_6_positive_variant_properties():
+def criterion_6_instances():
+    """The 50 random KBs and OMQs of criterion 6: nothing closed, and about
+    a third with an existential to the nominal ``n``."""
     rng = random.Random(66)
-    fixtures = 0
-    while fixtures < 50:
+    for _ in range(50):
         kb, o = _random_instance(rng)
         if kb.sigma:
             kb = KnowledgeBase.of(kb.tbox, (), kb.abox)
@@ -243,6 +244,12 @@ def test_criterion_6_positive_variant_properties():
             tbox = kb.tbox + (ConceptIncl(Name("A"), Exists(RoleExpr("r"), omq.Nominal("n"))),)
             kb = KnowledgeBase.of(tbox, (), kb.abox)
             o = build_omq(kb, o.query, allow_extra_abox_names=True)
+        yield kb, o
+
+
+def test_criterion_6_positive_variant_properties():
+    fixtures = 0
+    for kb, o in criterion_6_instances():
         fixtures += 1
         pos = rewrite_positive(o)
         assert not pos.program.has_negation(), f"fixture {fixtures}"

@@ -1,5 +1,7 @@
+import logging
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -236,6 +238,30 @@ def test_branch_limit_below_one_is_diagnostic(capsys, limit):
                        FIXTURES / "example1.kb", FIXTURES / "q_r1.cq")
     assert code == 1
     assert err.startswith("error: branch limit must be at least 1"), err
+
+
+@pytest.mark.parametrize("bound", ["-1", "-5"])
+def test_negative_bound_is_diagnostic(capsys, bound):
+    code, out, err = run(capsys, "oracle", "--bound", bound,
+                         FIXTURES / "intro.kb", FIXTURES / "q_attends.cq")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bound must be at least 0"), err
+
+
+def test_info_log_reports_learned_clauses(capsys, caplog, tmp_path):
+    kb = tmp_path / "positive.kb"
+    kb.write_text("tbox { A <= B or C; B <= D; C <= D; D <= exists r . D;"
+                  " D <= forall inv(r) . F; } abox { A(a); C(b); F(c); }")
+    query = tmp_path / "q.cq"
+    query.write_text("q(x) :- D(x).")
+    with caplog.at_level(logging.INFO, logger="omq"):
+        code, out, _ = run(capsys, "answer", "--positive", kb, query)
+    assert code == 0
+    assert out.splitlines() == ["a", "b"]
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "omq"]
+    assert re.fullmatch(r"explored [1-5] branches in 2 searches, learned [1-9]\d* clauses",
+                        line), line
 
 
 def test_unknown_log_level_is_diagnostic():

@@ -10,13 +10,15 @@ from omq import (Const, DAtom, DProgram, DRule, TypeContext, build_omq,
                  ground, parse_kb, parse_query, rewrite, rewrite_positive,
                  stable_models_bruteforce, stratify, validate_core,
                  verify_model)
-from omq.datalog import Layer, _Plan
-from omq.engine import StratifyError, _Searcher
+from omq.datalog import Layer, _Plan, fact_of
+from omq.engine import TRUE, StratifyError, _Searcher, ground_guess_layer
 from omq.rewrite import abox_facts
 from omq.typespace import mark_types
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 MICRO_KB = "tbox { top <= A or B; } abox { }"
+POSITIVE_TBOX = ("A <= B or C; B <= D; C <= D; D <= exists r . D;"
+                 " D <= forall inv(r) . F;")
 CHAIN_KB = ("tbox { A1 <= exists r . A2; A2 <= exists r . A3; A3 <= exists r . A4; }"
             " abox { A1(a); A2(b); r(a, b); } closed { A1; }")
 
@@ -288,14 +290,23 @@ def test_marking_layer_matches_mark_types(kb_text, query_text, positive, db_cons
 
     def marked_types(marked):
         return {bits(row) for (_, row) in marked}
-    marking, _, keep = searcher.layers[1]
+    marking, keep = searcher.layers[1]
     assert keep == ((t.marked,) if not positive else ())
-    memoized = [(base, up) for ((i, base), (up, _)) in searcher.memo.items() if i == 1]
-    assert memoized
-    for base, up in memoized:
-        # in positive mode no layer above reads ``marked``, so none is kept
-        marked = up if keep else marking.model(base, (t.marked,))[0]
-        types = frozenset(bits(row) for (pred, row) in base if pred == t.realizedtype)
+    fixpoints = {base: fixpoint for ((i, base), fixpoint) in searcher.fixpoints.items()
+                 if i == 1}
+    # positive marking rules read only the bit constants: one fixpoint
+    assert len(fixpoints) == 1 if positive else fixpoints
+    # the realized types met: in the base of each stable fixpoint, and in
+    # each verdict of the positive filter constraint, which alone reads them
+    met = [(base, base) for base in fixpoints] if keep else \
+        [(base, base | checked) for (i, base, checked) in searcher.verdicts if i == 1]
+    assert met
+    for base, facts in met:
+        up, derived = fixpoints[base]
+        # in positive mode no layer above reads ``marked``, so none is kept;
+        # the filter constraint reads its relation
+        marked = up if keep else {(t.marked, row) for row in derived[t.marked].rows}
+        types = frozenset(bits(row) for (pred, row) in facts if pred == t.realizedtype)
         assert marked_types(marked) == mark_types(out.ctx.types, types).marked
     for n in range(3 if k <= 4 else 2):  # pairs only while 2^k is small
         for types in combinations(range(1 << k), n):
@@ -306,30 +317,23 @@ def test_marking_layer_matches_mark_types(kb_text, query_text, positive, db_cons
 
 
 def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
-    """At every leaf of the fixture searches, the verdict of the memoized
+    """At every leaf of the fixture searches, and at every set of facts the
+    positive searches test while learning, the verdict of the memoized
     upper layers equals a fresh ``Layer`` evaluation of layers 2, 3 and 4
     over all the leaf's facts, each handing up every fact it derives.  No
     fixture leaf fails an upper layer, so two OMQs whose leaves fail the
     fringe filter (stable) and the filter constraint (positive) join them,
     with more branches enumerated, so that some leaves are decided from the
-    memo alone."""
+    memos alone."""
     real = _Searcher._upper_layers_ok
     fresh, leaves, memo_only, verdicts = [], 0, 0, set()
 
-    def fresh_verdict(facts):
-        for layer, p in fresh:
-            derived, ok = layer.model(facts, p.arities)
-            if not ok:
-                return False
-            facts = [*facts, *derived]
-        return True
-
     def checked(self, facts):
         nonlocal leaves, memo_only
-        before = len(self.memo)
+        before = len(self.fixpoints) + len(self.verdicts)
         got = real(self, facts)
-        memo_only += len(self.memo) == before
-        assert got == fresh_verdict(facts)
+        memo_only += len(self.fixpoints) + len(self.verdicts) == before
+        assert got == (not _layers_fail(fresh, facts))
         leaves += 1
         verdicts.add((self.ctx.mode, got))
         return got
@@ -337,18 +341,126 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
     runs = [(*fixture, 0) for fixture in _fixture_omqs()] + [
         (*_omq("tbox { A <= exists r . B;  B <= exists r . C;  C <= bot;  E <= top; }"
                " abox { E(a); }", "q(x) :- E(x)."), 20),
-        (*_omq("tbox { A <= B or C; B <= D; C <= D; D <= exists r . D;"
-               " D <= forall inv(r) . F; } abox { A(a); F(b); }", "q(x) :- D(x)."), 2)]
+        (*_omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); F(b); }}", "q(x) :- D(x)."), 2)]
     for kb, o, branches in runs:
         for out in _rewritings(o, omq.individuals_of(o, kb.abox)):
-            layered = stratify(out)
-            fresh[:] = [(Layer(p), p) for p in (layered.p2, layered.p3, layered.p4)]
+            fresh[:] = _fresh_layers(out)
             certain_answers(out, kb.abox)
             if branches:
                 enumerate_guess_models(out, kb.abox, limit=branches)
     assert leaves > memo_only > 0
     assert verdicts == {(mode, ok) for mode in (omq.MODE_STABLE, omq.MODE_POSITIVE)
                         for ok in (True, False)}
+
+
+def _fresh_layers(out):
+    """Layers 2, 3 and 4 of ``out`` compiled anew, each with its program."""
+    layered = stratify(out)
+    return [(Layer(p), p) for p in (layered.p2, layered.p3, layered.p4)]
+
+
+def _layers_fail(layers, facts):
+    """Whether closing ``facts`` through ``layers`` in order, each handing
+    up every fact it derives, violates a constraint."""
+    for layer, p in layers:
+        derived, relations = layer.model(facts, p.arities)
+        if not layer.holds(relations, facts):
+            return True
+        facts = [*facts, *derived]
+    return False
+
+
+def _recorded_searchers(monkeypatch):
+    """The searchers the engine builds from now on, in order."""
+    searchers = []
+
+    class Recorded(_Searcher):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searchers.append(self)
+    monkeypatch.setattr(omq.engine, "_Searcher", Recorded)
+    return searchers
+
+
+def test_learned_clauses_are_violated_by_their_atoms(monkeypatch):
+    """Each clause learned on the criterion-6 instances, with and without
+    nominals, and on the positive TBox over three individuals, alone and
+    with a nominal, negates atoms that, closed with the root's TRUE facts
+    through fresh layers 2-4, violate a constraint; so no branch that the
+    clause cuts off survives."""
+    from test_acceptance import criterion_6_instances
+    searchers = _recorded_searchers(monkeypatch)
+    learned = {False: 0, True: 0}  # by whether the TBox has a nominal
+    three = _omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); C(b); F(c); }}", "q(x) :- D(x).")
+    nominal = _omq(f"tbox {{ {POSITIVE_TBOX} A <= exists r . {{n}}; }} abox {{ A(a); C(b); }}",
+                   "q(x) :- D(x).")
+    for kb, o in [*criterion_6_instances(), three, nominal]:
+        out = rewrite_positive(o)
+        searchers.clear()
+        report = certain_answers(out, kb.abox)
+        (s,) = searchers
+        clauses = s.clauses[s.goal + 1:]
+        assert len(clauses) == report.learned
+        layers = _fresh_layers(out)
+        root = [f for f, v in zip(s.facts, s.root) if v == TRUE]
+        for clause in clauses:
+            assert all(lit & 1 for lit in clause)
+            assert _layers_fail(layers, root + [s.facts[lit >> 1] for lit in clause])
+        learned[bool(o.tbox.nominals)] += len(clauses)
+    assert learned[False] and learned[True]
+
+
+@pytest.mark.parametrize("abox, answers", [
+    ("A(a); C(b); F(c);", "ab"),
+    ("F(a); D(b); F(c);", "b"),
+    ("B(a); F(b); A(c); r(b, a);", "ac"),
+])
+def test_learning_leaves_few_positive_leaves(abox, answers):
+    """Almost every leaf of the positive TBox over three individuals fails
+    the filter constraint, for one type the choices realize: without
+    learning a call visits about 290 leaves, with it at most 5."""
+    kb, o = _omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ {abox} }}", "q(x) :- D(x).")
+    report = certain_answers(rewrite_positive(o), kb.abox)
+    assert report.answers == {(x,) for x in answers}
+    assert report.learned > 0
+    assert report.models_explored <= 5
+
+
+def test_unfiltered_positive_branches_are_the_guess_layer_models():
+    """Without the upper layers nothing is learned: the branches are all
+    stable models of the ground guess layer, 9 here.  With them, learned
+    clauses cut off no branch that the upper layers keep."""
+    kb, o = _omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); }}", "q(x) :- D(x).")
+    out = rewrite_positive(o)
+    facts = tuple(DRule((a,)) for a in abox_facts(out.ctx, kb.abox))
+    models = stable_models_bruteforce(
+        DProgram.of_safe(ground_guess_layer(out, kb.abox).rules + facts))
+    unfiltered = enumerate_guess_models(out, kb.abox, with_marking=False)
+    assert len(unfiltered) == 9
+    assert set(unfiltered) == set(models)
+    layers = _fresh_layers(out)
+    kept = {m for m in unfiltered if not _layers_fail(layers, list(map(fact_of, m)))}
+    assert 0 < len(kept) < 9
+    assert set(enumerate_guess_models(out, kb.abox)) == kept
+
+
+def test_stable_mode_learns_nothing(monkeypatch):
+    """Stable marking reads ``not realizedtype``, so the upper layers are
+    not monotone: no stable search learns, not even where leaves fail the
+    fringe filter."""
+    searchers = _recorded_searchers(monkeypatch)
+    runs = 0
+    for kb, o in _fixture_omqs():
+        for out in _rewritings(o, omq.individuals_of(o, kb.abox)):
+            if out.mode == omq.MODE_STABLE:
+                assert certain_answers(out, kb.abox).learned == 0
+                runs += 1
+    assert runs >= 9
+    kb, o = _omq("tbox { A <= exists r . B;  B <= exists r . C;  C <= bot;  E <= top; }"
+                 " abox { E(a); }", "q(x) :- E(x).")
+    models = enumerate_guess_models(rewrite(o), kb.abox, limit=20)
+    assert searchers[-1].leaves > len(models)  # some failed the fringe filter
+    assert all(s.learned == 0 and len(s.clauses) == s.goal + 1 for s in searchers)
 
 
 def test_only_the_guess_layer_is_ground(monkeypatch):
