@@ -26,13 +26,14 @@ depend on the rewriting alone: they form its ``Evaluation``, built on
 the first evaluation and kept on the ``RewriteOutput``, so later calls
 on the same rewriting stratify and compile nothing.
 Certain answers are the tuples reported by every surviving branch, found
-by cautious enumeration on one searcher: the candidates start as the
-answer tuples of the first surviving branch, each further search adds the
-clause that some remaining candidate's answer atom is false, and every
-branch it finds drops the candidates it falsifies, until a search finds
-no branch.  The answer tuples are read off each branch's value array;
-``DRule`` and ``DAtom`` objects are built only at the edge, for the
-callers that ask for rules or models.
+by cautious enumeration in one search: the candidates start as the
+answer tuples of the first surviving branch, every branch drops the
+candidates it falsifies, and after each branch the search goes on from
+its stack under the clause that some remaining candidate's answer atom is
+false, until no candidate remains or no branch is left.  The answer
+tuples are read off each branch's value array; ``DRule`` and ``DAtom``
+objects are built only at the edge, for the callers that ask for rules
+or models.
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ from .typespace import ResourceRefused
 
 UNKNOWN, TRUE, FALSE = 0, 1, 2
 
-# Search-node budget of ``enumerate_guess_models``, which walks every branch.
+# Search-node budget of ``enumerate_guess_models``, which walks every branch,
+# and the number of branches it may collect: each is a set of atoms, about
+# 12 KB on a two-individual KB, and the largest test collects 7,090.
 ENUMERATION_BRANCH_LIMIT = 2_000_000
+ENUMERATION_MODEL_LIMIT = 20_000
 
 
 class StratifyError(OmqError):
@@ -73,7 +77,6 @@ class AnswerReport:
     answers: frozenset[tuple[str, ...]]
     inconsistent: bool
     models_explored: int
-    searches: int = 0
     learned: int = 0
 
 
@@ -159,12 +162,11 @@ class _Searcher:
                  branch_limit: int = 500_000):
         if branch_limit < 1:
             raise OmqError(f"branch limit must be at least 1, got {branch_limit}")
-        self.ctx = out.ctx
         form = out.evaluation
         self.branch_limit = branch_limit
         self.leaves = 0
         self.nodes = 0
-        self.searches = 0
+        self.learned = 0
 
         inputs = _input_facts(out, abox)
         facts = list(map(fact_of, inputs))
@@ -243,19 +245,15 @@ class _Searcher:
                 self.occurs[lit].append(c)
         # At the root facts hold, and atoms with no fact, no family and no
         # support never do (for instance closed predicates beyond their ABox
-        # facts).  The root is propagated once; every search starts from a
-        # copy.  A root in conflict conflicts again when rescanned.
+        # facts).  The root is propagated once, over the ``compiled`` clauses;
+        # the search starts from a copy.  A root in conflict has no branch.
         fact_ids = {aid[f] for f in facts}
         live = fact_ids | set(supports) | {a for f in families for a in f[:2]}
         self.root = bytearray(n_vars)
         for i in range(len(self.facts)):
             self.root[i] = TRUE if i in fact_ids else UNKNOWN if i in live else FALSE
-        every = range(len(clauses))
-        self.root_todo = [] if self._propagate(self.root, list(every)) else list(every)
-        # A search's goal clause has a slot of its own, so that retiring it
-        # keeps the clauses learned after it.
-        self.goal = len(clauses)
-        clauses.append(())
+        self.compiled = len(clauses)
+        self.conflict = not self._propagate(self.root, list(range(len(clauses))))
 
         self.layers = form.layers
         self.learning = form.monotone
@@ -298,65 +296,30 @@ class _Searcher:
 
     # -- search ------------------------------------------------------------
 
-    def branches(self, goals: Sequence[tuple[str, ...]] = (),
-                 with_marking: bool = True) -> Iterator[bytearray]:
-        """Enumerate the value arrays of the surviving branches; with goals,
-        only branches whose answer atoms omit at least one goal tuple: the
-        clause ``not q(goal_1) or ... or not q(goal_m)``, which holds by
-        itself when some ``q(goal_i)`` was not ground at all.  The clause is
-        posted for this search only, so searches must not interleave; the
-        clauses learned on the way stay for every later search."""
-        self.searches += 1
-        val, todo = bytearray(self.root), list(self.root_todo)
-        answer = self.ctx.table.answer
-        qs = [self.aid.get((answer, t)) for t in goals]
-        if not qs or None in qs:
-            yield from self._dfs(val, todo, with_marking)
-            return
-        clause, goal = tuple(2 * q + 1 for q in qs), self.goal
-        self.clauses[goal] = clause
+    def add_clause(self, clause: tuple[int, ...]) -> None:
+        """Post ``clause``: every stack entry popped from now on propagates
+        it.  A clause that conflicts over a copy of the root holds in no
+        branch, so it ends the search (``conflict``)."""
+        c = len(self.clauses)
+        self.clauses.append(clause)
         for lit in clause:
-            self.occurs[lit].append(goal)
-        try:
-            yield from self._dfs(val, todo + [goal], with_marking)
-        finally:
-            self.clauses[goal] = ()
-            for lit in clause:
-                self.occurs[lit].remove(goal)
+            self.occurs[lit].append(c)
+        if not self._propagate(bytearray(self.root), [c]):
+            self.conflict = True
 
-    def first_branch(self, goals: Sequence[tuple[str, ...]] = (),
-                     with_marking: bool = True) -> bytearray | None:
-        """The value array of the first surviving branch, if any."""
-        search = self.branches(goals, with_marking)
-        try:
-            return next(search, None)
-        finally:
-            search.close()
-
-    def model_of(self, val: bytearray) -> frozenset[DAtom]:
-        """The TRUE atoms of a branch."""
-        return frozenset(map(atom_of, self._true(val)))
-
-    def models(self, goals: Sequence[tuple[str, ...]] = (),
-               with_marking: bool = True) -> Iterator[frozenset[DAtom]]:
-        """The TRUE atoms of each surviving branch."""
-        return map(self.model_of, self.branches(goals, with_marking))
-
-    def find_model(self, goals: Sequence[tuple[str, ...]] = (),
-                   with_marking: bool = True) -> frozenset[DAtom] | None:
-        val = self.first_branch(goals, with_marking)
-        return None if val is None else self.model_of(val)
-
-    def _dfs(self, val: bytearray, todo: list[int],
-             with_marking: bool) -> Iterator[bytearray]:
-        """Depth-first over the open families, FALSE before TRUE, on an
-        explicit stack of (value array, clauses to propagate, first family
+    def branches(self, with_marking: bool = True) -> Iterator[bytearray]:
+        """The value arrays of the surviving branches, in one search from
+        the root: depth-first over the open families, FALSE before TRUE, on
+        an explicit stack of (value array, clauses to propagate, first family
         still open, clause count at push) entries.  A popped entry also
-        propagates the clauses learned since it was pushed; with monotone
-        upper layers, each leaf that fails them adds one (``_learn``)."""
+        propagates the clauses posted since it was pushed, so a caller may
+        post clauses between branches and the search goes on under them;
+        with monotone upper layers, each leaf that fails them posts one
+        (``_learn``).  The search ends when the stack is empty or a posted
+        clause conflicts at the root."""
         clauses = self.clauses
-        stack = [(val, todo, 0, self.goal + 1)]
-        while stack:
+        stack = [(bytearray(self.root), [], 0, self.compiled)]
+        while stack and not self.conflict:
             val, todo, start, known = stack.pop()
             if known < len(clauses):
                 todo.extend(range(known, len(clauses)))
@@ -383,6 +346,10 @@ class _Searcher:
                 child = bytearray(val)
                 child[pos] = TRUE + (lit & 1)
                 stack.append((child, list(self.occurs[lit ^ 1]), start, known))
+
+    def model_of(self, val: bytearray) -> frozenset[DAtom]:
+        """The TRUE atoms of a branch."""
+        return frozenset(map(atom_of, self._true(val)))
 
     def _pick(self, val: bytearray, start: int) -> tuple[int, int | None]:
         """The positive atom of the first open family from ``start`` whose
@@ -447,15 +414,8 @@ class _Searcher:
             rest = [f for f in kept if f not in drop]
             if len(rest) < len(kept) and not self._upper_layers_ok(self.root_facts + rest):
                 kept = rest
-        clause = tuple(2 * self.aid[f] + 1 for f in kept)
-        for lit in clause:
-            self.occurs[lit].append(len(self.clauses))
-        self.clauses.append(clause)
-
-    @property
-    def learned(self) -> int:
-        """The number of clauses learned so far, all past the goal slot."""
-        return len(self.clauses) - self.goal - 1
+        self.learned += 1
+        self.add_clause(tuple(2 * self.aid[f] + 1 for f in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -465,33 +425,34 @@ class _Searcher:
 def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
                     branch_limit: int = 500_000) -> AnswerReport:
     """Intersection of the answer atoms over all surviving branches, by
-    cautious enumeration on one searcher.
+    cautious enumeration in one search.
 
     The candidates start as the tuples whose answer atom the first
-    surviving branch makes true.  Each further search asks for a branch
-    falsifying the answer atom of some remaining candidate, and drops the
-    candidates that branch falsifies; the first search that finds no branch
-    leaves the certain answers.  So there are at most 2 + |first branch's
-    tuples| - |answers| searches.  An inconsistent knowledge base (no
-    surviving branch at all) reports every tuple over the named individuals
-    as an answer."""
+    surviving branch makes true, and each branch drops the candidates it
+    falsifies.  After each branch the search goes on from its stack under
+    the clause ``not q(t_1) or ... or not q(t_m)`` over the remaining
+    candidates.  Each such clause is the previous one less the candidates
+    just dropped, so it implies the previous one: the part of the tree
+    already left holds no branch for it, since its one branch there, just
+    found, makes every remaining candidate true.  When no candidate remains
+    the clause is empty and the search ends; otherwise it ends with no
+    branch left, and the remaining candidates are the certain answers.  So
+    the search finds at most 1 + |first branch's tuples| - |answers|
+    branches.  An inconsistent knowledge base (no surviving branch at all)
+    reports every tuple over the named individuals as an answer."""
     abox = tuple(abox)
     searcher = _Searcher(out, abox, branch_limit)
     inds = individuals_of(OMQ(out.ctx.ntbox, out.ctx.sigma, out.query), abox)
-    arity = len(out.query.answer_vars)
-    candidates = list(product(inds, repeat=arity))
-
-    val = searcher.first_branch()
-    if val is None:
-        return AnswerReport(frozenset(candidates), True, searcher.leaves,
-                            searcher.searches, searcher.learned)
+    candidates = list(product(inds, repeat=len(out.query.answer_vars)))
     answer, aid = out.ctx.table.answer, searcher.aid
     remaining = [t for t in candidates if (answer, t) in aid]
-    while val is not None:
+    inconsistent = True
+    for val in searcher.branches():
+        inconsistent = False
         remaining = [t for t in remaining if val[aid[answer, t]] == TRUE]
-        val = searcher.first_branch(remaining) if remaining else None
-    return AnswerReport(frozenset(remaining), False, searcher.leaves,
-                        searcher.searches, searcher.learned)
+        searcher.add_clause(tuple(2 * aid[answer, t] + 1 for t in remaining))
+    return AnswerReport(frozenset(candidates if inconsistent else remaining), inconsistent,
+                        searcher.leaves, searcher.learned)
 
 
 def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],
@@ -499,9 +460,16 @@ def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],
                            limit: int | None = None) -> list[frozenset[DAtom]]:
     """Surviving guess-layer branches (optionally without the marking
     filter), for correspondence counting against core enumeration; with a
-    limit, enumeration stops once that many branches are collected."""
+    limit, enumeration stops once that many branches are collected.  More
+    than ``ENUMERATION_MODEL_LIMIT`` branches to collect is refused."""
     searcher = _Searcher(out, tuple(abox), ENUMERATION_BRANCH_LIMIT)
-    return list(islice(searcher.models(with_marking=with_marking), limit))
+    models = []
+    for val in islice(searcher.branches(with_marking), limit):
+        if len(models) == ENUMERATION_MODEL_LIMIT:
+            raise ResourceRefused(f"more than {ENUMERATION_MODEL_LIMIT} branches to "
+                                  "collect; enumeration refused")
+        models.append(searcher.model_of(val))
+    return models
 
 
 def core_of_model(out: RewriteOutput, model: Iterable[DAtom]):

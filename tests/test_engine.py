@@ -268,7 +268,8 @@ def test_search_depth_is_not_bounded_by_the_python_stack():
     (CHAIN_KB, "q(x) :- A2(x).", False, True),
     ((FIXTURES / "nominalfree.kb").read_text(), "q(x) :- C(x).", True, False),
 ], ids=["intro", "chain", "chain-db-constants", "nominalfree-positive"])
-def test_marking_layer_matches_mark_types(kb_text, query_text, positive, db_constants):
+def test_marking_layer_matches_mark_types(monkeypatch, kb_text, query_text, positive,
+                                          db_constants):
     """For every set of realized types the answer search meets, and for
     every set of at most two types (one when k > 4), the marked types evaluated from the
     emitted marking rules are those of ``typespace.mark_types``.  Vector
@@ -276,10 +277,9 @@ def test_marking_layer_matches_mark_types(kb_text, query_text, positive, db_cons
     the ``tt`` constant exactly when the bit is set."""
     kb, o = _omq(kb_text, query_text)
     out = (rewrite_positive if positive else rewrite)(o, db_constants=db_constants)
-    searcher = _Searcher(out, kb.abox)
-    inds = omq.individuals_of(o, kb.abox)
-    for goals in [[], *([t] for t in product(inds, repeat=len(out.query.answer_vars)))]:
-        searcher.find_model(goals)  # one search per candidate tuple
+    searchers = _recorded_searchers(monkeypatch)
+    certain_answers(out, kb.abox)
+    (searcher,) = searchers
     t, k = out.ctx.table, out.ctx.k
     bit_facts = [f for f in searcher.facts if f[0] in (t.tt, t.ff)]
     one = next(row[0] for (pred, row) in bit_facts if pred == t.tt)
@@ -326,7 +326,7 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
     with more branches enumerated, so that some leaves are decided from the
     memos alone."""
     real = _Searcher._upper_layers_ok
-    fresh, leaves, memo_only, verdicts = [], 0, 0, set()
+    fresh, leaves, memo_only, verdicts, mode = [], 0, 0, set(), None
 
     def checked(self, facts):
         nonlocal leaves, memo_only
@@ -335,7 +335,7 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
         memo_only += len(self.fixpoints) + len(self.verdicts) == before
         assert got == (not _layers_fail(fresh, facts))
         leaves += 1
-        verdicts.add((self.ctx.mode, got))
+        verdicts.add((mode, got))
         return got
     monkeypatch.setattr(_Searcher, "_upper_layers_ok", checked)
     runs = [(*fixture, 0) for fixture in _fixture_omqs()] + [
@@ -344,7 +344,7 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
         (*_omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); F(b); }}", "q(x) :- D(x)."), 2)]
     for kb, o, branches in runs:
         for out in _rewritings(o, omq.individuals_of(o, kb.abox)):
-            fresh[:] = _fresh_layers(out)
+            fresh[:], mode = _fresh_layers(out), out.mode
             certain_answers(out, kb.abox)
             if branches:
                 enumerate_guess_models(out, kb.abox, limit=branches)
@@ -382,6 +382,35 @@ def _recorded_searchers(monkeypatch):
     return searchers
 
 
+def _learned_clauses(monkeypatch):
+    """The clauses each searcher posts while learning, by searcher."""
+    learned = {}
+    real = _Searcher._learn
+
+    def recorded(self, facts):
+        n = len(self.clauses)
+        real(self, facts)
+        learned.setdefault(self, []).extend(self.clauses[n:])
+    monkeypatch.setattr(_Searcher, "_learn", recorded)
+    return learned
+
+
+def _branch_nodes(monkeypatch):
+    """For each search from now on, in order, the node count at each
+    branch it yields."""
+    searches = []
+    real = _Searcher.branches
+
+    def recorded(self, *args, **kwargs):
+        nodes = []
+        searches.append(nodes)
+        for val in real(self, *args, **kwargs):
+            nodes.append(self.nodes)
+            yield val
+    monkeypatch.setattr(_Searcher, "branches", recorded)
+    return searches
+
+
 def test_learned_clauses_are_violated_by_their_atoms(monkeypatch):
     """Each clause learned on the criterion-6 instances, with and without
     nominals, and on the positive TBox over three individuals, alone and
@@ -390,6 +419,7 @@ def test_learned_clauses_are_violated_by_their_atoms(monkeypatch):
     clause cuts off survives."""
     from test_acceptance import criterion_6_instances
     searchers = _recorded_searchers(monkeypatch)
+    posted = _learned_clauses(monkeypatch)
     learned = {False: 0, True: 0}  # by whether the TBox has a nominal
     three = _omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); C(b); F(c); }}", "q(x) :- D(x).")
     nominal = _omq(f"tbox {{ {POSITIVE_TBOX} A <= exists r . {{n}}; }} abox {{ A(a); C(b); }}",
@@ -399,7 +429,7 @@ def test_learned_clauses_are_violated_by_their_atoms(monkeypatch):
         searchers.clear()
         report = certain_answers(out, kb.abox)
         (s,) = searchers
-        clauses = s.clauses[s.goal + 1:]
+        clauses = posted.get(s, [])
         assert len(clauses) == report.learned
         layers = _fresh_layers(out)
         root = [f for f, v in zip(s.facts, s.root) if v == TRUE]
@@ -460,7 +490,10 @@ def test_stable_mode_learns_nothing(monkeypatch):
                  " abox { E(a); }", "q(x) :- E(x).")
     models = enumerate_guess_models(rewrite(o), kb.abox, limit=20)
     assert searchers[-1].leaves > len(models)  # some failed the fringe filter
-    assert all(s.learned == 0 and len(s.clauses) == s.goal + 1 for s in searchers)
+    # past the compiled clauses, only goal clauses over answer atoms
+    assert all(s.learned == 0 and all(s.facts[lit >> 1][0] == "q"
+                                      for c in s.clauses[s.compiled:] for lit in c)
+               for s in searchers)
 
 
 def test_only_the_guess_layer_is_ground(monkeypatch):
@@ -528,29 +561,62 @@ def test_enumerate_guess_models_honours_a_zero_limit(intro):
     assert len(enumerate_guess_models(out, kb.abox, limit=1)) == 1
 
 
+def test_enumeration_refuses_past_its_branch_budget(monkeypatch):
+    """With nothing closed, the stable rewriting of the positive TBox over
+    ``A(a); F(b)`` has 701,904 unfiltered branches; collecting them all
+    would take gigabytes.  Past ``ENUMERATION_MODEL_LIMIT`` (here lowered to
+    100) the enumeration refuses; a ``limit`` within the budget is kept."""
+    kb, o = _omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); F(b); }}", "q(x) :- D(x).")
+    out = rewrite(o)
+    monkeypatch.setattr(omq.engine, "ENUMERATION_MODEL_LIMIT", 100)
+    with pytest.raises(omq.ResourceRefused, match="more than 100 branches"):
+        enumerate_guess_models(out, kb.abox, with_marking=False)
+    assert len(enumerate_guess_models(out, kb.abox, with_marking=False, limit=100)) == 100
+
+
+def _first_model(out, abox):
+    """The TRUE atoms of the first surviving branch, or None."""
+    searcher = _Searcher(out, abox)
+    val = next(searcher.branches(), None)
+    return None if val is None else searcher.model_of(val)
+
+
 def _per_tuple_answers(out, abox, inds):
     """The rule cautious enumeration replaced: after one unconstrained
-    search, one search from the root per candidate tuple, under the unit
-    clause ``not q(tuple)``."""
-    searcher = _Searcher(out, abox)
+    search, one search per candidate tuple, on a fresh searcher, under the
+    unit clause ``not q(tuple)``; a tuple whose answer atom was never
+    ground is not certain."""
     candidates = list(product(inds, repeat=len(out.query.answer_vars)))
-    if searcher.find_model() is None:
+    if _first_model(out, abox) is None:
         return frozenset(candidates), True
-    return frozenset(t for t in candidates if searcher.find_model([t]) is None), False
+
+    def certain(t):
+        searcher = _Searcher(out, abox)
+        q = searcher.aid.get((out.ctx.table.answer, t))
+        if q is None:
+            return False
+        searcher.add_clause((2 * q + 1,))
+        return next(searcher.branches(), None) is None
+    return frozenset(filter(certain, candidates)), False
 
 
-def _check_against_per_tuple_rule(out, abox, inds):
-    """``certain_answers`` gives the per-tuple rule's answers within
-    2 + |answer tuples of the first branch| - |answers| searches."""
-    report = certain_answers(out, abox)
+def _check_against_per_tuple_rule(monkeypatch, out, abox, inds):
+    """``certain_answers`` gives the per-tuple rule's answers in one search
+    of at most 1 + |answer tuples of the first branch| - |answers|
+    branches: each branch after the first drops a candidate.  Returns the
+    report and the number of branches."""
+    with monkeypatch.context() as m:
+        searches = _branch_nodes(m)
+        report = certain_answers(out, abox)
+    (branches,) = map(len, searches)
     assert (report.answers, report.inconsistent) == _per_tuple_answers(out, abox, inds)
     if report.inconsistent:
-        assert report.searches == 1
+        assert branches == 0
     else:
-        first = _Searcher(out, abox).find_model()
+        first = _first_model(out, abox)
         first_tuples = [a for a in first if a.pred == out.ctx.table.answer]
-        assert 1 <= report.searches <= 2 + len(first_tuples) - len(report.answers)
-    return report
+        assert 1 <= branches <= 1 + len(first_tuples) - len(report.answers)
+    return report, branches
 
 
 def _rewritings(o, inds):
@@ -567,17 +633,17 @@ def _rewritings(o, inds):
     return outs
 
 
-def test_certain_answers_match_the_per_tuple_rule_on_fixtures():
+def test_certain_answers_match_the_per_tuple_rule_on_fixtures(monkeypatch):
     runs = 0
     for kb, o in _fixture_omqs():
         inds = omq.individuals_of(o, kb.abox)
         for out in _rewritings(o, inds):
-            _check_against_per_tuple_rule(out, kb.abox, inds)
+            _check_against_per_tuple_rule(monkeypatch, out, kb.abox, inds)
             runs += 1
     assert runs >= 18
 
 
-def test_certain_answers_match_the_per_tuple_rule_on_random_instances():
+def test_certain_answers_match_the_per_tuple_rule_on_random_instances(monkeypatch):
     from test_acceptance import _random_instance
     import random
     rng = random.Random(0xCA07)
@@ -586,28 +652,68 @@ def test_certain_answers_match_the_per_tuple_rule_on_random_instances():
         kb, o = _random_instance(rng)
         inds = omq.individuals_of(o, kb.abox)
         for out in _rewritings(o, inds):
-            report = _check_against_per_tuple_rule(out, kb.abox, inds)
+            report, _ = _check_against_per_tuple_rule(monkeypatch, out, kb.abox, inds)
             inconsistent += report.inconsistent
             answered += bool(report.answers) and not report.inconsistent
     assert inconsistent and answered  # the inconsistent path and real answers
 
 
-def test_cautious_enumeration_goes_on_past_a_certain_candidate():
+def test_cautious_enumeration_goes_on_past_a_certain_candidate(monkeypatch):
     """The first branch gives C to both individuals, but only ``a`` is
-    certain; the clause of the second search must leave ``b`` refutable."""
+    certain; the clause posted after it must leave ``b`` refutable."""
     kb, o = _omq("tbox { A <= B or C; } abox { A(b); C(a); }", "q(x) :- C(x).")
     out = rewrite(o)
-    assert len([a for a in _Searcher(out, kb.abox).find_model() if a.pred == "q"]) == 2
-    report = _check_against_per_tuple_rule(out, kb.abox, ("a", "b"))
+    assert len([a for a in _first_model(out, kb.abox) if a.pred == "q"]) == 2
+    report, _ = _check_against_per_tuple_rule(monkeypatch, out, kb.abox, ("a", "b"))
     assert report.answers == {("a",)}
 
 
-def test_cautious_enumeration_needs_fewer_searches_than_candidates(intro):
+def test_cautious_enumeration_needs_fewer_searches_than_candidates(monkeypatch, intro):
     kb, o = intro
     n = len(omq.individuals_of(o, kb.abox))
-    report = _check_against_per_tuple_rule(rewrite(o), kb.abox,
-                                           omq.individuals_of(o, kb.abox))
-    assert report.searches < 1 + n ** 2
+    _, branches = _check_against_per_tuple_rule(monkeypatch, rewrite(o), kb.abox,
+                                                omq.individuals_of(o, kb.abox))
+    assert branches < 1 + n ** 2
+
+
+def test_one_call_pops_each_search_node_once(monkeypatch):
+    """On the ``search`` TBox at n=12, one call is one search.  The value
+    array a popped node starts from holds the decisions on its path, so
+    distinct nodes start from distinct arrays: the number of distinct
+    starts equals ``nodes``.  A search restarted for each goal clause pops
+    the root again."""
+    from test_metamorphic import SEARCH_TBOX, _search_abox, _text
+    kb, o = _omq(f"tbox {{ {SEARCH_TBOX} }} abox {{ {_text(_search_abox(12))} }}"
+                 " closed { Course; }", "q(x, y) :- attends(x, y).")
+    searchers = _recorded_searchers(monkeypatch)
+    starts = {}
+    real = _Searcher._propagate
+
+    def recorded(self, val, todo):
+        starts.setdefault(self.nodes, bytes(val))  # the first call per pop
+        return real(self, val, todo)
+    monkeypatch.setattr(_Searcher, "_propagate", recorded)
+    report = certain_answers(rewrite(o), kb.abox)
+    assert len(report.answers) == 6
+    (s,) = searchers
+    del starts[0]  # the root's own propagation, before any pop
+    assert len(starts) == s.nodes
+    assert len(set(starts.values())) == s.nodes
+
+
+def test_answers_true_at_the_root_end_the_search_at_the_first_branch(monkeypatch):
+    """Over the k=6 chain with ``A1`` closed, the answer atom of the one
+    ``A1`` individual is TRUE at the root, so the clause posted after the
+    first branch conflicts there: the call pops no node after that branch."""
+    from test_metamorphic import CHAIN_TBOX
+    kb, o = _omq(f"tbox {{ {CHAIN_TBOX} }} abox {{ A1(a); A3(b); }} closed {{ A1; }}",
+                 "q(x) :- A1(x).")
+    searchers = _recorded_searchers(monkeypatch)
+    searches = _branch_nodes(monkeypatch)
+    report = certain_answers(rewrite(o), kb.abox)
+    assert report.answers == {("a",)}
+    (s,) = searchers
+    assert searches == [[s.nodes]]
 
 
 def test_pick_resumes_where_a_full_scan_would_pick(monkeypatch):
