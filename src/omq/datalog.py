@@ -4,9 +4,11 @@ The rewriting targets this IR.  One join core matches rule bodies: each
 rule is compiled once into a plan, generated Python source with a nested
 ``for`` per positive atom over relations of rows (tuples of constant
 symbols), each probing a hash index on the positions already bound, with
-the membership and ``!=`` tests inline.  No program symbol enters the
-source, so rules of one shape share one function.  Two evaluators run on
-it:
+the membership and ``!=`` tests inline.  An index catches up when a join
+asks for it, taking in the rows added since it was last asked for, so a
+row enters only the indexes that a join probes after it arrived.  No
+program symbol enters the source, so rules of one shape share one
+function.  Two evaluators run on it:
 
 * ``ground`` is relevance-driven: rule instances are produced by joining
   positive body atoms over the atoms derivable when negation is ignored,
@@ -168,39 +170,47 @@ def atom_of(f: Fact) -> DAtom:
 
 class _Relation:
     """The rows of one predicate in insertion order, with a member set and
-    hash indexes on argument positions.  An index is built on first use and
-    extended on every insert, each bucket in insertion order, so a loop over
-    a bucket sees rows added while it runs, as a loop over ``rows`` does."""
+    hash indexes on argument positions, each bucket in insertion order.
+
+    An index is built on first use and catches up when next asked for: it
+    counts the rows it holds and takes in the rows added since, so a row
+    enters an index only if a join asks for that index after the row
+    arrived.  ``extend`` leaves the indexes behind; it runs between
+    semi-naive rounds, and a generated join asks for its indexes once, at
+    the top.  ``add`` brings every index up to date, so a loop over a
+    bucket sees rows added while it runs, as a loop over ``rows`` does."""
 
     __slots__ = ("rows", "members", "indexes")
 
-    def __init__(self, rows: Sequence[Row] = ()) -> None:
-        self.rows: list[Row] = list(rows)
-        self.members: set[Row] = set(rows)
-        self.indexes: dict[tuple[int, ...], tuple[itemgetter, dict]] = {}
+    def __init__(self, rows: Iterable[Row] = ()) -> None:
+        self.rows: list[Row] = list(dict.fromkeys(rows))
+        self.members: set[Row] = set(self.rows)
+        # positions -> [key, buckets, number of rows taken in]
+        self.indexes: dict[tuple[int, ...], list] = {}
 
     def add(self, row: Row) -> bool:
         if row in self.members:
             return False
         self.extend((row,))
+        for positions in self.indexes:
+            self.index(positions)
         return True
 
     def extend(self, rows: Sequence[Row]) -> None:
         """Add rows that are not in the relation yet."""
         self.members.update(rows)
         self.rows += rows
-        for key, index in self.indexes.values():
-            for row in rows:
-                index.setdefault(key(row), []).append(row)
 
     def index(self, positions: tuple[int, ...]) -> dict:
-        got = self.indexes.get(positions)
-        if got is None:
-            key, index = itemgetter(*positions), {}
-            for row in self.rows:
-                index.setdefault(key(row), []).append(row)
-            self.indexes[positions] = got = (key, index)
-        return got[1]
+        entry = self.indexes.get(positions)
+        if entry is None:
+            entry = self.indexes[positions] = [itemgetter(*positions), {}, 0]
+        key, buckets, done = entry
+        if done < len(self.rows):
+            for row in self.rows[done:]:
+                buckets.setdefault(key(row), []).append(row)
+            entry[2] = len(self.rows)
+        return buckets
 
 
 # CPython refuses more than 20 statically nested blocks in one function;
@@ -397,11 +407,11 @@ def _render(preamble: list[str], steps: list[tuple[str, str, tuple[str, ...]]],
 def _load(arities: Mapping[str, int], facts: Iterable[Fact]) -> dict[str, _Relation]:
     """Relations for the predicates of ``arities``; facts of other
     predicates, or of another arity, can match no atom and are dropped."""
-    db = {pred: _Relation() for pred in arities}
+    rows: dict[str, list[Row]] = {pred: [] for pred in arities}
     for (pred, row) in facts:
         if arities.get(pred) == len(row):
-            db[pred].add(row)
-    return db
+            rows[pred].append(row)
+    return {pred: _Relation(part) for pred, part in rows.items()}
 
 
 # ---------------------------------------------------------------------------

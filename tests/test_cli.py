@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import os
 import pathlib
@@ -19,6 +20,21 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_answer_output_is_pinned(capsys):
+    """``omq answer`` and ``omq answer --emit-ground`` print, byte for byte,
+    what they printed when the digests in ``fixtures/answer.sha256`` were
+    recorded: one line per fixture KB x query x mode x ``--db-constants``
+    run, with the SHA-256 of stdout (of stderr when the run fails) and the
+    exit status.  The grounding's instance order is part of the pin."""
+    lines = (FIXTURES / "answer.sha256").read_text().splitlines()
+    assert len(lines) == 72
+    for line in lines:
+        digest, code, kb, query, *flags = line.split()
+        got, out, err = run(capsys, "answer", FIXTURES / kb, FIXTURES / query, *flags)
+        text = out if got == 0 else err
+        assert (got, hashlib.sha256(text.encode()).hexdigest()) == (int(code), digest), line
 
 
 def test_answer_running_example_lacks_reflexive_pair(capsys):

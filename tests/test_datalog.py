@@ -6,7 +6,8 @@ import omq
 from omq import (Const, DAtom, DProgram, DRule, Var, emit_text, gl_reduct,
                  ground, ground_full, is_stable_model, parse_ground_atoms,
                  stable_models_bruteforce)
-from omq.datalog import Layer, atom_of, closure, fact_of
+from omq import datalog
+from omq.datalog import Layer, _Relation, atom_of, closure, fact_of
 from omq.syntax import OmqError
 from omq.typespace import ResourceRefused
 
@@ -71,6 +72,21 @@ def test_ground_reruns_rules_listed_before_their_inputs():
         [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]}
     assert {h for h in heads if h.pred == "reach"} == {
         A("reach", "b"), A("reach", "c"), A("reach", "d")}
+
+
+def test_ground_loops_see_the_rows_they_add():
+    """A bucket loop of ``ground`` sees the rows its own rule adds while it
+    runs, so one run follows each chain to its end before the next chain
+    starts.  The instance order fixes the engine's interning and branching
+    order; with rows held back until the next run, the chains interleave."""
+    p = DProgram.of([rule([A("q", "X", "X")], [A("a", "X")]),
+                     rule([A("q", "X", "Z")], [A("a", "X"), A("q", "X", "Y"),
+                                               A("e", "Y", "Z")])])
+    facts = [A("a", "n0"), A("a", "m0")] + [A("e", f"{c}{i}", f"{c}{i + 1}")
+                                            for c in "nm" for i in range(3)]
+    heads = [heads[0][1] for (heads, _, _) in ground(p, facts).rules]
+    assert heads == [("n0", "n0"), ("m0", "m0"), ("n0", "n1"), ("n0", "n2"),
+                     ("n0", "n3"), ("m0", "m1"), ("m0", "m2"), ("m0", "m3")]
 
 
 def test_closure_fires_a_rule_whose_support_comes_later():
@@ -195,6 +211,66 @@ def test_bodies_past_the_loop_nesting_python_allows():
         got, derived = layer.model(map(fact_of, edges), ["q"])
         ok = layer.holds(derived, map(fact_of, edges))
         assert (set(map(atom_of, got)), ok) == (ends, not ends)
+
+
+@pytest.mark.parametrize("edges, paths", [
+    ([(i, i + 1) for i in range(40)], 41 * 40 // 2),
+    ([(i, (i + 1) % 20) for i in range(20)], 20 * 20),
+], ids=["chain-40", "cycle-20"])
+def test_delta_joins_see_the_rows_added_after_an_index_was_built(edges, paths):
+    """The first round builds both indexes of ``path``, while it is empty:
+    on position 0 for ``path(X, Y), path(Y, Z)`` and on position 1 for
+    ``edge(Y, W), path(X, Y)``.  Every later round probes them with the
+    previous round's new rows, so they must hold the rows added since.  The
+    layer equals the closure of the ground reduct."""
+    p = DProgram.of([
+        rule([A("path", "X", "Y")], [A("edge", "X", "Y")]),
+        rule([A("path", "X", "Z")], [A("path", "X", "Y"), A("path", "Y", "Z")]),
+        rule([A("entered", "Y")], [A("edge", "Y", "W"), A("path", "X", "Y")]),
+    ])
+    base = frozenset(A("edge", f"a{x}", f"a{y}") for (x, y) in edges)
+    got, _ = Layer(p).model(map(fact_of, base), ["path", "entered"])
+    red = gl_reduct(ground(p, base).program(), base)
+    model = closure([(r.head[0], r.body_pos) for r in red.rules], base)
+    assert set(map(atom_of, got)) == model - base
+    assert sum(pred == "path" for (pred, _) in got) == paths
+
+
+def test_relation_rows_are_deduplicated_in_first_occurrence_order():
+    """A repeated row is kept once, where it first occurs, and a generator
+    is read once, into both the rows and the member set."""
+    rows = [("b",), ("a",), ("b",), ("c",), ("a",)]
+    for given in (rows, (row for row in rows)):
+        rel = _Relation(given)
+        assert rel.rows == [("b",), ("a",), ("c",)]
+        assert rel.members == {("a",), ("b",), ("c",)}
+        assert not rel.add(("a",)) and rel.add(("d",))
+        assert list(rel.index((0,))) == ["b", "a", "c", "d"]
+
+
+def test_one_answer_call_indexes_a_fraction_of_the_marking_rows(monkeypatch):
+    """A row enters an index only when a join asks for that index after the
+    row arrived, not on every insert.  On the k=6 chain with ``A1`` closed,
+    one ``certain_answers`` call keeps fewer than 2,000 rows in all its
+    relation indexes together (21,783 when each insert updated every
+    index), of about 18,000 rows in its relations."""
+    made = []
+
+    class Recorded(_Relation):
+        __slots__ = ()
+
+        def __init__(self, rows=()):
+            super().__init__(rows)
+            made.append(self)
+    monkeypatch.setattr(datalog, "_Relation", Recorded)
+    chain = "; ".join(f"A{i} <= exists r . A{i + 1}" for i in range(1, 6))
+    kb = omq.parse_kb(f"tbox {{ {chain}; }} abox {{ A1(a); A3(b); }} closed {{ A1; }}")
+    out = omq.rewrite(omq.build_omq(kb, omq.parse_query("q(x) :- A1(x).")))
+    assert omq.certain_answers(out, kb.abox).answers == {("a",)}
+    indexed = sum(len(bucket) for rel in made for entry in rel.indexes.values()
+                  for bucket in entry[1].values())
+    assert sum(len(rel.rows) for rel in made) > 17_000
+    assert indexed <= 2_000
 
 
 def test_layer_refuses_disjunctive_heads():

@@ -78,3 +78,24 @@ def test_stable_and_positive_rewritings_agree_with_nothing_closed(abox, query):
     on queries whose candidates the search must refute."""
     stable = _answers(POSITIVE_TBOX, abox, "", query)
     assert stable == _answers(POSITIVE_TBOX, abox, "", query, rewrite_positive)
+
+
+@pytest.mark.parametrize("tbox, abox, closed, query, rw", [
+    (SEARCH_TBOX, _text(_search_abox(12)), "Course;", "q(x, y) :- attends(x, y).", rewrite),
+    (CHAIN_TBOX, _text(CHAIN_ABOX), "A1; A3;", "q(x, y) :- r(x, y).", rewrite),
+    (POSITIVE_TBOX, "A(a); F(b); F(c); D(d); r(d, a); C(e);", "", "q(x) :- D(x).",
+     rewrite),
+    (POSITIVE_TBOX, "A(a); F(b); F(c); D(d); r(d, a); C(e);", "", "q(x) :- D(x).",
+     rewrite_positive),
+], ids=["search-n12", "chain-k6", "positive-stable", "positive-positive"])
+def test_bit_constants_from_the_data_keep_the_answers(tbox, abox, closed, query, rw):
+    """With ``db_constants`` the two bit constants enter as base facts
+    instead of program constants; the answers stay the same."""
+    def answers(db_constants):
+        kb = parse_kb(f"tbox {{ {tbox} }} abox {{ {abox} }} closed {{ {closed} }}")
+        out = rw(build_omq(kb, parse_query(query)), db_constants=db_constants)
+        report = certain_answers(out, kb.abox)
+        return report.answers, report.inconsistent
+    plain = answers(False)
+    assert plain[0] and not plain[1]
+    assert answers(True) == plain
