@@ -92,8 +92,8 @@ def cmd_answer(args) -> int:
     else:
         for tup in sorted(report.answers):
             print(" ".join(tup))
-    log.info("explored %d branches, learned %d clauses",
-             report.models_explored, report.learned)
+    log.info("explored %d branches, learned %d clauses, ran %d layer fixpoints",
+             report.models_explored, report.learned, report.fixpoints)
     return 0
 
 

@@ -379,29 +379,29 @@ def _render(preamble: list[str], steps: list[tuple[str, str, tuple[str, ...]]],
             sink: list[str], kind: tuple[list[str], list[str], list[str]]) -> str:
     """The source of ``join`` running ``steps`` nested, then ``sink``.  Past
     ``_MAX_LOOPS`` loops, ``join`` calls ``join1`` with the variables bound
-    so far, and so on."""
+    so far, and so on; the source lists the last of them first."""
     start, end, call = kind
     functions = []
-
-    def function(n: int, first: int, params: tuple[str, ...]) -> None:
+    n, first, params = 0, 0, ()
+    while first is not None:
         lines, depth, loops, bound = [*preamble, *start], 0, 0, params
         for i in range(first, len(steps)):
             op, text, names = steps[i]
             if op == "for" and loops == _MAX_LOOPS:
                 further = f"join{n + 1}(db, K, out{''.join(', ' + v for v in bound)})"
                 lines += ["    " * depth + line.format(further) for line in call]
-                function(n + 1, i, bound)
+                first = i
                 break
             lines.append("    " * depth + f"{op} {text}:")
             depth, loops, bound = depth + 1, loops + (op == "for"), bound + names
         else:
             lines += ["    " * depth + line for line in sink]
+            first = None
         lines += end
         signature = f"def join{n or ''}(db, K, out{''.join(', ' + v for v in params)}):"
         functions.append("\n".join([signature, *("    " + line for line in lines)]))
-
-    function(0, 0, ())
-    return "\n\n".join(functions)
+        n, params = n + 1, bound
+    return "\n\n".join(reversed(functions))
 
 
 def _load(arities: Mapping[str, int], facts: Iterable[Fact]) -> dict[str, _Relation]:

@@ -14,17 +14,21 @@ off the value array.  The upper layers are compiled into ``datalog.Layer``
 join plans and evaluated semi-naively, in order, over each leaf's model;
 a branch whose upper layers violate a constraint is discarded.  A
 layer's fixpoint is memoized on the facts its rules read, and its
-constraints' verdict on those and the facts only the constraints read:
-in positive mode the marking rules read just the bit constants, so the
-marking fixpoint runs once per searcher.  When no upper rule has
-negation (the positive rewriting), the upper layers are monotone in the
-guess-layer facts, and a failing leaf becomes a learned clause: a
-deletion filter shrinks the leaf's facts to a subset that still fails,
-and no later branch may make all of them true.  Only the guess layer is
-ever ground.  The layering, the guess layer's plans and the ``Layer``s
+constraints' verdict on those and the facts only the constraints read.
+The marking layer reads the realized types and the bit constants, and no
+other individual, so its fixpoint runs once per set of realized types (in
+positive mode its rules read just the bit constants: once in all).  When
+no upper rule has negation (the positive rewriting), the upper layers
+are monotone in the guess-layer facts, and a failing leaf becomes a
+learned clause: a deletion filter shrinks the leaf's facts to a subset
+that still fails, and no later branch may make all of them true.  Only
+the guess layer is ever ground.  The layering, the guess layer's plans and the ``Layer``s
 depend on the rewriting alone: they form its ``Evaluation``, built on
 the first evaluation and kept on the ``RewriteOutput``, so later calls
-on the same rewriting stratify and compile nothing.
+on the same rewriting stratify and compile nothing.  The layer memo is
+kept there too, bounded by ``LAYER_MEMO_LIMIT`` entries, so a later call,
+on any ABox, runs no fixpoint whose facts an earlier call met while the
+memo still holds them.  One rewriting is not meant for concurrent calls.
 Certain answers are the tuples reported by every surviving branch, found
 by cautious enumeration in one search: the candidates start as the
 answer tuples of the first surviving branch, every branch drops the
@@ -59,6 +63,13 @@ UNKNOWN, TRUE, FALSE = 0, 1, 2
 ENUMERATION_BRANCH_LIMIT = 2_000_000
 ENUMERATION_MODEL_LIMIT = 20_000
 
+# Entries each layer memo of an ``Evaluation`` keeps before it drops its
+# oldest.  Layer-2 and layer-4 keys name individuals, so a rewriting that
+# serves many ABoxes would otherwise grow it without bound.  An entry holds
+# about 1-20 KB on the benchmark's instances and on a 60-individual search;
+# no test fills more than 113 entries, and no benchmark rewriting 27.
+LAYER_MEMO_LIMIT = 256
+
 
 class StratifyError(OmqError):
     """The program does not match the layered shape of this rewriting."""
@@ -78,6 +89,7 @@ class AnswerReport:
     inconsistent: bool
     models_explored: int
     learned: int = 0
+    fixpoints: int = 0
 
 
 def stratify(out: RewriteOutput) -> LayeredProgram:
@@ -118,8 +130,15 @@ class Evaluation:
     predicates some upper layer reads, and ``monotone`` says whether no
     upper rule has negation, so that more guess-layer facts can only add
     upper-layer facts and constraint violations.  It depends on the
-    rewriting only, never on the data: ``RewriteOutput.evaluation`` builds
-    it on first use and keeps it for the rewriting's lifetime."""
+    rewriting only, plus a bounded memo keyed on facts: ``fixpoints`` maps
+    (layer, facts its rules read) to the layer's ``Layer.model``, and
+    ``verdicts`` maps (layer, those facts, facts only its constraints read)
+    to its ``Layer.holds``.  Both are pure functions of their keys, so the
+    memo serves every later call, on any ABox; each holds at most
+    ``LAYER_MEMO_LIMIT`` entries and drops its oldest on insert.
+    ``RewriteOutput.evaluation`` builds it on first use and keeps it for
+    the rewriting's lifetime.  One rewriting is not meant for concurrent
+    calls: they would share the memo unguarded."""
 
     def __init__(self, out: RewriteOutput):
         self.layered = stratify(out)
@@ -132,6 +151,18 @@ class Evaluation:
             self.layers.append((Layer(p), keep))
         self.reads = frozenset().union(*reads)
         self.monotone = not any(r.body_neg for p in uppers for r in p.rules)
+        self.fixpoints: dict[tuple[int, frozenset[Fact]],
+                             tuple[frozenset[Fact], dict]] = {}
+        self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = {}
+
+
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key``, first dropping the oldest entry when
+    ``memo`` holds ``LAYER_MEMO_LIMIT`` of them; returns ``value``."""
+    if len(memo) >= LAYER_MEMO_LIMIT:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
@@ -167,6 +198,7 @@ class _Searcher:
         self.leaves = 0
         self.nodes = 0
         self.learned = 0
+        self.fixpoints = 0  # Layer.model runs
 
         inputs = _input_facts(out, abox)
         facts = list(map(fact_of, inputs))
@@ -255,14 +287,10 @@ class _Searcher:
         self.compiled = len(clauses)
         self.conflict = not self._propagate(self.root, list(range(len(clauses))))
 
-        self.layers = form.layers
+        self.form = form
         self.learning = form.monotone
-        self.reads = form.reads
         self.root_facts = [f for f, v in zip(self.facts, self.root)
                            if v == TRUE and f[0] in form.reads]
-        self.fixpoints: dict[tuple[int, frozenset[Fact]],
-                             tuple[frozenset[Fact], dict]] = {}
-        self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = {}
 
     def _intern(self, f: Fact) -> int:
         i = self.aid.get(f)
@@ -380,18 +408,22 @@ class _Searcher:
         layers, in order, without violating a constraint.  Each layer reads
         the facts of the guess layer and those the layers below hand up.
         Its fixpoint is memoized on the facts its rules read, and its
-        constraints' verdict on those and the facts only they read."""
-        for i, (layer, keep) in enumerate(self.layers):
+        constraints' verdict on those and the facts only they read, in the
+        memo of the rewriting's ``Evaluation``."""
+        fixpoints, verdicts = self.form.fixpoints, self.form.verdicts
+        for i, (layer, keep) in enumerate(self.form.layers):
             base = frozenset(f for f in facts if f[0] in layer.rule_reads)
-            fixpoint = self.fixpoints.get((i, base))
+            fixpoint = fixpoints.get((i, base))
             if fixpoint is None:
-                fixpoint = self.fixpoints[i, base] = layer.model(base, keep)
+                self.fixpoints += 1
+                fixpoint = _remember(fixpoints, (i, base), layer.model(base, keep))
             handed_up, derived = fixpoint
             if layer.constraints:
                 checked = frozenset(f for f in facts if f[0] in layer.check_reads)
-                ok = self.verdicts.get((i, base, checked))
+                ok = verdicts.get((i, base, checked))
                 if ok is None:
-                    ok = self.verdicts[i, base, checked] = layer.holds(derived, base | checked)
+                    ok = _remember(verdicts, (i, base, checked),
+                                   layer.holds(derived, base | checked))
                 if not ok:
                     return False
             facts = [*facts, *handed_up]
@@ -406,7 +438,8 @@ class _Searcher:
         root's TRUE facts and the rest.  The upper layers are monotone and
         every branch makes the root's facts TRUE, so every branch making the
         remaining facts TRUE fails too."""
-        kept = [f for f in facts if f[0] in self.reads and self.root[self.aid[f]] != TRUE]
+        kept = [f for f in facts
+                if f[0] in self.form.reads and self.root[self.aid[f]] != TRUE]
         groups: dict[Row, list[Fact]] = {}
         for f in kept:
             groups.setdefault(f[1][:1], []).append(f)
@@ -452,7 +485,7 @@ def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
         remaining = [t for t in remaining if val[aid[answer, t]] == TRUE]
         searcher.add_clause(tuple(2 * aid[answer, t] + 1 for t in remaining))
     return AnswerReport(frozenset(candidates if inconsistent else remaining), inconsistent,
-                        searcher.leaves, searcher.learned)
+                        searcher.leaves, searcher.learned, searcher.fixpoints)
 
 
 def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],

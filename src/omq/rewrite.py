@@ -227,6 +227,7 @@ def _neq(x: DTerm, y: DTerm) -> Lit:
 
 
 B0, B1 = Var("B0"), Var("B1")
+ZERO, ONE = Const("0"), Const("1")
 
 
 def _rule(head: Sequence[DAtom], lits: Sequence[Lit]) -> DRule | None:
@@ -267,6 +268,7 @@ class _Emitter:
         self.t = ctx.table
         self.rules: list[DRule] = []
         self._bit_preds = {B0: self.t.ff, B1: self.t.tt}
+        self._vecs: dict[str, tuple[Var, ...]] = {}
 
     def add(self, head: Sequence[DAtom], *lits: Lit) -> None:
         if self.ctx.db_constants:
@@ -286,10 +288,10 @@ class _Emitter:
     # ff/tt, whose single fact is injected from the data side.
 
     def zero(self) -> DTerm:
-        return B0 if self.ctx.db_constants else Const("0")
+        return B0 if self.ctx.db_constants else ZERO
 
     def one(self) -> DTerm:
-        return B1 if self.ctx.db_constants else Const("1")
+        return B1 if self.ctx.db_constants else ONE
 
     # -- literals ----------------------------------------------------------
 
@@ -341,7 +343,11 @@ class _Emitter:
     # -- bit-vector helpers ------------------------------------------------
 
     def vec(self, prefix: str) -> tuple[Var, ...]:
-        return tuple(Var(f"{prefix}{i}") for i in range(1, self.ctx.k + 1))
+        vec = self._vecs.get(prefix)
+        if vec is None:
+            vec = self._vecs[prefix] = tuple(Var(f"{prefix}{i}")
+                                             for i in range(1, self.ctx.k + 1))
+        return vec
 
     def bit_true(self, vec: tuple[Var, ...], b: Basic) -> Lit:
         if isinstance(b, Top):
@@ -537,8 +543,8 @@ def _marking_rules(e: _Emitter) -> None:
 
     # (V) clause-violation marking.
     if not ctx.db_constants:
-        e.add([DAtom(t.tt, (Const("1"),))])
-        e.add([DAtom(t.ff, (Const("0"),))])
+        e.add([DAtom(t.tt, (ONE,))])
+        e.add([DAtom(t.ff, (ZERO,))])
     for ax in ctx.ntbox.clauses:
         lits = [_pos(DAtom(t.type_pred, xs))]
         lits += [e.bit_true(xs, b) for b in _sorted_basics(ax.lhs)]

@@ -276,7 +276,8 @@ def test_info_log_reports_learned_clauses(capsys, caplog, tmp_path):
     assert code == 0
     assert out.splitlines() == ["a", "b"]
     (line,) = [r.getMessage() for r in caplog.records if r.name == "omq"]
-    assert re.fullmatch(r"explored [1-5] branches, learned [1-9]\d* clauses", line), line
+    assert re.fullmatch(r"explored [1-5] branches, learned [1-9]\d* clauses,"
+                        r" ran [1-9]\d* layer fixpoints", line), line
 
 
 def test_unknown_log_level_is_diagnostic():

@@ -1,5 +1,7 @@
+import gc
 import pathlib
 import sys
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -293,16 +295,17 @@ def test_marking_layer_matches_mark_types(monkeypatch, kb_text, query_text, posi
 
     def marked_types(marked):
         return {bits(row) for (_, row) in marked}
-    marking, keep = searcher.layers[1]
+    form = out.evaluation
+    marking, keep = form.layers[1]
     assert keep == ((t.marked,) if not positive else ())
-    fixpoints = {base: fixpoint for ((i, base), fixpoint) in searcher.fixpoints.items()
+    fixpoints = {base: fixpoint for ((i, base), fixpoint) in form.fixpoints.items()
                  if i == 1}
     # positive marking rules read only the bit constants: one fixpoint
     assert len(fixpoints) == 1 if positive else fixpoints
     # the realized types met: in the base of each stable fixpoint, and in
     # each verdict of the positive filter constraint, which alone reads them
     met = [(base, base) for base in fixpoints] if keep else \
-        [(base, base | checked) for (i, base, checked) in searcher.verdicts if i == 1]
+        [(base, base | checked) for (i, base, checked) in form.verdicts if i == 1]
     assert len(met) >= sets
     for base, facts in met:
         up, derived = fixpoints[base]
@@ -333,9 +336,9 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
 
     def checked(self, facts):
         nonlocal leaves, memo_only
-        before = len(self.fixpoints) + len(self.verdicts)
+        before = len(self.form.fixpoints) + len(self.form.verdicts)
         got = real(self, facts)
-        memo_only += len(self.fixpoints) + len(self.verdicts) == before
+        memo_only += len(self.form.fixpoints) + len(self.form.verdicts) == before
         assert got == (not _layers_fail(fresh, facts))
         leaves += 1
         verdicts.add((mode, got))
@@ -537,7 +540,8 @@ def test_the_answer_path_builds_no_rule_objects(monkeypatch):
 def test_the_evaluation_form_is_built_once(monkeypatch):
     """The layers, plans and ``Layer``s depend on the rewriting alone: a
     second ``certain_answers`` on it stratifies nothing and compiles no
-    join plan or layer, and answers the same."""
+    join plan or layer, and answers the same; the layer memo answers every
+    fixpoint it asks for."""
     kb, o = _omq((FIXTURES / "intro.kb").read_text(), "q(x, y) :- attends(x, y).")
     out = rewrite(o)
     abox = kb.abox + (omq.ConceptAssert("Course", "c3"),)
@@ -553,8 +557,92 @@ def test_the_evaluation_form_is_built_once(monkeypatch):
     real_stratify = omq.engine.stratify
     monkeypatch.setattr(omq.engine, "stratify",
                         lambda out: built.append("stratify") or real_stratify(out))
-    assert certain_answers(out, abox) == first
+    assert first.fixpoints > 0
+    assert certain_answers(out, abox) == replace(first, fixpoints=0)
     assert built == []
+
+
+def _renamed(abox, new):
+    """``abox`` with each individual ``x`` renamed to ``new[x]``."""
+    return tuple(replace(a, individual=new[a.individual]) if isinstance(a, omq.ConceptAssert)
+                 else replace(a, subject=new[a.subject], object=new[a.object])
+                 for a in abox)
+
+
+@pytest.mark.parametrize("kb_text, query_text, rw", [
+    (CHAIN_KB, "q(x) :- A2(x).", rewrite),
+    (f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); C(b); F(c); }}", "q(x) :- D(x).",
+     rewrite_positive),
+], ids=["chain-stable", "positive"])
+def test_a_renamed_abox_reuses_the_marking_fixpoint(monkeypatch, kb_text, query_text, rw):
+    """The marking layer reads the realized types and the bit constants,
+    never an individual: after one call, a call on the same rewriting with
+    every individual renamed (into the reverse order) runs the other
+    layers again but not the marking layer, and answers the renamed
+    tuples."""
+    kb, o = _omq(kb_text, query_text)
+    out = rw(o)
+    first = certain_answers(out, kb.abox)
+    assert first.answers and first.fixpoints
+    runs = []
+    real = Layer.model
+
+    def counted(self, *args):
+        runs.append(self)
+        return real(self, *args)
+    monkeypatch.setattr(Layer, "model", counted)
+    names = sorted(omq.individuals_of(o, kb.abox))
+    new = dict(zip(names, (f"i{99 - n}" for n in range(len(names)))))
+    second = certain_answers(out, _renamed(kb.abox, new))
+    assert second.answers == {tuple(new[x] for x in t) for t in first.answers}
+    assert second.fixpoints == len(runs) > 0
+    assert out.evaluation.layers[1][0] not in runs
+
+
+def test_a_memo_of_one_entry_keeps_the_answers(monkeypatch):
+    """With room for one entry, each memo drops an entry on almost every
+    insert, and the answers stay those of the full memo, on the fixtures
+    and on OMQs whose leaves fail the upper layers, over two calls per
+    rewriting; neither memo ever holds more than one entry."""
+    runs = [*_fixture_omqs(),
+            _omq("tbox { A <= exists r . B;  B <= exists r . C;  C <= bot;  E <= top; }"
+                 " abox { E(a); }", "q(x) :- E(x)."),
+            _omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); C(b); F(c); }}", "q(x) :- D(x).")]
+    expected = [[certain_answers(out, kb.abox).answers
+                 for out in _rewritings(o, omq.individuals_of(o, kb.abox))]
+                for kb, o in runs]
+    monkeypatch.setattr(omq.engine, "LAYER_MEMO_LIMIT", 1)
+    real = _Searcher._upper_layers_ok
+    sizes = set()
+
+    def checked(self, facts):
+        got = real(self, facts)
+        sizes.update((len(self.form.fixpoints), len(self.form.verdicts)))
+        return got
+    monkeypatch.setattr(_Searcher, "_upper_layers_ok", checked)
+    for (kb, o), answers in zip(runs, expected):
+        outs = _rewritings(o, omq.individuals_of(o, kb.abox))
+        for _ in range(2):
+            assert [certain_answers(out, kb.abox).answers for out in outs] == answers
+    assert max(sizes) == 1
+
+
+def test_first_evaluation_leaves_no_render_garbage():
+    """Building a rewriting's evaluation form generates the source of
+    every join plan; that leaves no reference cycle for the collector."""
+    kb, o = _omq(CHAIN_KB, "q(x) :- A2(x).")
+    out = rewrite(o)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        certain_answers(out, kb.abox)
+        gc.collect()
+        garbage = [g for g in gc.garbage
+                   if "_render.<locals>" in getattr(g, "__qualname__", "")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_enumerate_guess_models_honours_a_zero_limit(intro):

@@ -6,6 +6,7 @@ the engine where only the closed-form answers of the benchmark shapes
 did before."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -99,3 +100,37 @@ def test_bit_constants_from_the_data_keep_the_answers(tbox, abox, closed, query,
     plain = answers(False)
     assert plain[0] and not plain[1]
     assert answers(True) == plain
+
+
+POSITIVE_ABOXES = ["A(a); C(b); F(c); B(d); A(e);",
+                   "A(a); F(b); F(c); D(d); r(d, a); C(e);",
+                   "A(a); A(b); B(c); r(a, b); r(b, c); r(c, d); F(e);",
+                   "A(c); C(a); F(e); B(b); A(d);"]
+CHAIN_ABOXES = [_text(CHAIN_ABOX),
+                _text([(p, tuple("n" + x[::-1] for x in args)) for p, args in CHAIN_ABOX]),
+                _text(CHAIN_ABOX[:3] + CHAIN_ABOX[4:]),
+                "A2(b1); A3(c1); r(b1, c1);"]
+
+
+@pytest.mark.parametrize("db_constants", [False, True], ids=["plain", "db-constants"])
+@pytest.mark.parametrize("tbox, closed, query, aboxes, rw", [
+    (POSITIVE_TBOX, "", "q(x) :- D(x).", POSITIVE_ABOXES, rewrite),
+    (POSITIVE_TBOX, "", "q(x) :- D(x).", POSITIVE_ABOXES, rewrite_positive),
+    (CHAIN_TBOX, "A1; A3;", "q(x, y) :- r(x, y).", CHAIN_ABOXES, rewrite),
+], ids=["positive-stable", "positive-positive", "chain-stable"])
+def test_one_rewriting_answers_interleaved_aboxes_as_fresh_ones(tbox, closed, query,
+                                                               aboxes, rw, db_constants):
+    """A rewriting keeps its layer memo from call to call.  Calls over
+    several ABoxes on one rewriting, twice in turn, report what a fresh
+    rewriting per ABox reports: the same answers, leaves and learned
+    clauses."""
+    kbs = [parse_kb(f"tbox {{ {tbox} }} abox {{ {abox} }} closed {{ {closed} }}")
+           for abox in aboxes]
+    omqs = [build_omq(kb, parse_query(query)) for kb in kbs]
+    fresh = [replace(certain_answers(rw(o, db_constants=db_constants), kb.abox), fixpoints=0)
+             for kb, o in zip(kbs, omqs)]
+    shared = rw(omqs[0], db_constants=db_constants)
+    for _ in range(2):
+        got = [replace(certain_answers(shared, kb.abox), fixpoints=0) for kb in kbs]
+        assert got == fresh
+    assert any(report.answers for report in fresh)
