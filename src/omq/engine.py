@@ -15,20 +15,20 @@ join plans and evaluated semi-naively, in order, over each leaf's model;
 a branch whose upper layers violate a constraint is discarded.  A
 layer's fixpoint is memoized on the facts its rules read, and its
 constraints' verdict on those and the facts only the constraints read.
-The marking layer reads the realized types and the bit constants, and no
-other individual, so its fixpoint runs once per set of realized types (in
-positive mode its rules read just the bit constants: once in all).  When
-no upper rule has negation (the positive rewriting), the upper layers
-are monotone in the guess-layer facts, and a failing leaf becomes a
-learned clause: a deletion filter shrinks the leaf's facts to a subset
-that still fails, and no later branch may make all of them true.  Only
-the guess layer is ever ground.  The layering, the guess layer's plans and the ``Layer``s
-depend on the rewriting alone: they form its ``Evaluation``, built on
-the first evaluation and kept on the ``RewriteOutput``, so later calls
-on the same rewriting stratify and compile nothing.  The layer memo is
-kept there too, bounded by ``LAYER_MEMO_LIMIT`` entries, so a later call,
-on any ABox, runs no fixpoint whose facts an earlier call met while the
-memo still holds them.  One rewriting is not meant for concurrent calls.
+Layers 2 and 4 read individuals, so their memo lasts one call.  The
+marking layer reads the realized types and the bit constants, and no
+other individual: its memo is kept with the rewriting, so it runs once
+per set of realized types a call meets that an earlier call did not (in
+positive mode its rules read just the bit constants).  When no upper
+rule has negation (the positive rewriting), the upper layers are
+monotone in the guess-layer facts, and a failing leaf becomes a learned
+clause: a deletion filter shrinks the leaf's facts to a subset that
+still fails, and no later branch may make all of them true.  Only the
+guess layer is ever ground.  The layering, the guess layer's plans, the
+``Layer``s and the marking memo form the rewriting's ``Evaluation``,
+built on the first evaluation and kept on the ``RewriteOutput``, so
+later calls on the same rewriting stratify and compile nothing.  One
+rewriting is not meant for concurrent calls.
 Certain answers are the tuples reported by every surviving branch, found
 by cautious enumeration in one search: the candidates start as the
 answer tuples of the first surviving branch, every branch drops the
@@ -42,7 +42,7 @@ or models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -63,11 +63,14 @@ UNKNOWN, TRUE, FALSE = 0, 1, 2
 ENUMERATION_BRANCH_LIMIT = 2_000_000
 ENUMERATION_MODEL_LIMIT = 20_000
 
-# Entries each layer memo of an ``Evaluation`` keeps before it drops its
-# oldest.  Layer-2 and layer-4 keys name individuals, so a rewriting that
-# serves many ABoxes would otherwise grow it without bound.  An entry holds
-# about 1-20 KB on the benchmark's instances and on a 60-individual search;
-# no test fills more than 113 entries, and no benchmark rewriting 27.
+# Index of the marking layer in ``Evaluation.layers``, and the entries each
+# of its memos keeps before it drops the least recently used.  Its keys
+# are sets of realized types, and under --db-constants they also name the
+# two individuals that stand for the bit constants, so a rewriting that
+# serves many ABoxes would otherwise grow them without bound.  A fixpoint
+# holds about 8 KB at k=6 and 29 KB at k=8, and a verdict well under 1 KB,
+# so a full memo stays within about 8 MB at k=8.
+MARKING = 1
 LAYER_MEMO_LIMIT = 256
 
 
@@ -89,7 +92,7 @@ class AnswerReport:
     inconsistent: bool
     models_explored: int
     learned: int = 0
-    fixpoints: int = 0
+    fixpoints: int = field(default=0, compare=False)  # Layer.model runs
 
 
 def stratify(out: RewriteOutput) -> LayeredProgram:
@@ -130,12 +133,13 @@ class Evaluation:
     predicates some upper layer reads, and ``monotone`` says whether no
     upper rule has negation, so that more guess-layer facts can only add
     upper-layer facts and constraint violations.  It depends on the
-    rewriting only, plus a bounded memo keyed on facts: ``fixpoints`` maps
-    (layer, facts its rules read) to the layer's ``Layer.model``, and
-    ``verdicts`` maps (layer, those facts, facts only its constraints read)
-    to its ``Layer.holds``.  Both are pure functions of their keys, so the
-    memo serves every later call, on any ABox; each holds at most
-    ``LAYER_MEMO_LIMIT`` entries and drops its oldest on insert.
+    rewriting only, plus the marking layer's memo, keyed on facts:
+    ``fixpoints`` maps (``MARKING``, facts its rules read) to its
+    ``Layer.model``, and ``verdicts`` maps (``MARKING``, those facts, facts
+    only its constraints read) to its ``Layer.holds``.  Both are pure
+    functions of their keys, and the keys name no individual but the bit
+    constants, so the memo serves every later call, on any ABox; each
+    holds at most ``LAYER_MEMO_LIMIT`` entries (``_Recent``).
     ``RewriteOutput.evaluation`` builds it on first use and keeps it for
     the rewriting's lifetime.  One rewriting is not meant for concurrent
     calls: they would share the memo unguarded."""
@@ -152,17 +156,25 @@ class Evaluation:
         self.reads = frozenset().union(*reads)
         self.monotone = not any(r.body_neg for p in uppers for r in p.rules)
         self.fixpoints: dict[tuple[int, frozenset[Fact]],
-                             tuple[frozenset[Fact], dict]] = {}
-        self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = {}
+                             tuple[frozenset[Fact], dict]] = _Recent()
+        self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = _Recent()
 
 
-def _remember(memo: dict, key, value):
-    """Store ``value`` under ``key``, first dropping the oldest entry when
-    ``memo`` holds ``LAYER_MEMO_LIMIT`` of them; returns ``value``."""
-    if len(memo) >= LAYER_MEMO_LIMIT:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
+class _Recent(dict):
+    """A memo of at most ``LAYER_MEMO_LIMIT`` entries, in order of last
+    use: ``get`` moves a hit to the end, and storing a new key in a full
+    memo first drops the entry at the front, the least recently used."""
+
+    def get(self, key):
+        value = self.pop(key, None)
+        if value is not None:
+            super().__setitem__(key, value)
+        return value
+
+    def __setitem__(self, key, value):
+        if key not in self and len(self) >= LAYER_MEMO_LIMIT:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
 
 
 def _input_facts(out: RewriteOutput, abox: Sequence[Assertion]) -> list[DAtom]:
@@ -198,7 +210,7 @@ class _Searcher:
         self.leaves = 0
         self.nodes = 0
         self.learned = 0
-        self.fixpoints = 0  # Layer.model runs
+        self.runs = 0  # Layer.model runs
 
         inputs = _input_facts(out, abox)
         facts = list(map(fact_of, inputs))
@@ -291,6 +303,12 @@ class _Searcher:
         self.learning = form.monotone
         self.root_facts = [f for f, v in zip(self.facts, self.root)
                            if v == TRUE and f[0] in form.reads]
+        # Layers 2 and 4 read individuals: their memo lasts this call.
+        self.fixpoints: dict[tuple[int, frozenset[Fact]],
+                             tuple[frozenset[Fact], dict]] = {}
+        self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = {}
+        self.memos = [(self.fixpoints, self.verdicts)] * len(form.layers)
+        self.memos[MARKING] = (form.fixpoints, form.verdicts)
 
     def _intern(self, f: Fact) -> int:
         i = self.aid.get(f)
@@ -408,22 +426,22 @@ class _Searcher:
         layers, in order, without violating a constraint.  Each layer reads
         the facts of the guess layer and those the layers below hand up.
         Its fixpoint is memoized on the facts its rules read, and its
-        constraints' verdict on those and the facts only they read, in the
-        memo of the rewriting's ``Evaluation``."""
-        fixpoints, verdicts = self.form.fixpoints, self.form.verdicts
+        constraints' verdict on those and the facts only they read: the
+        marking layer's in the memo of the rewriting's ``Evaluation``, the
+        others' in this searcher's."""
         for i, (layer, keep) in enumerate(self.form.layers):
+            fixpoints, verdicts = self.memos[i]
             base = frozenset(f for f in facts if f[0] in layer.rule_reads)
             fixpoint = fixpoints.get((i, base))
             if fixpoint is None:
-                self.fixpoints += 1
-                fixpoint = _remember(fixpoints, (i, base), layer.model(base, keep))
+                self.runs += 1
+                fixpoint = fixpoints[i, base] = layer.model(base, keep)
             handed_up, derived = fixpoint
             if layer.constraints:
                 checked = frozenset(f for f in facts if f[0] in layer.check_reads)
                 ok = verdicts.get((i, base, checked))
                 if ok is None:
-                    ok = _remember(verdicts, (i, base, checked),
-                                   layer.holds(derived, base | checked))
+                    ok = verdicts[i, base, checked] = layer.holds(derived, base | checked)
                 if not ok:
                     return False
             facts = [*facts, *handed_up]
@@ -485,7 +503,7 @@ def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
         remaining = [t for t in remaining if val[aid[answer, t]] == TRUE]
         searcher.add_clause(tuple(2 * aid[answer, t] + 1 for t in remaining))
     return AnswerReport(frozenset(candidates if inconsistent else remaining), inconsistent,
-                        searcher.leaves, searcher.learned, searcher.fixpoints)
+                        searcher.leaves, searcher.learned, searcher.runs)
 
 
 def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],

@@ -336,9 +336,9 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
 
     def checked(self, facts):
         nonlocal leaves, memo_only
-        before = len(self.form.fixpoints) + len(self.form.verdicts)
+        before = _memo_size(self)
         got = real(self, facts)
-        memo_only += len(self.form.fixpoints) + len(self.form.verdicts) == before
+        memo_only += _memo_size(self) == before
         assert got == (not _layers_fail(fresh, facts))
         leaves += 1
         verdicts.add((mode, got))
@@ -357,6 +357,14 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
     assert leaves > memo_only > 0
     assert verdicts == {(mode, ok) for mode in (omq.MODE_STABLE, omq.MODE_POSITIVE)
                         for ok in (True, False)}
+
+
+def _memo_size(searcher):
+    """The entries of the memos a searcher reads: its own and the marking
+    layer's on the evaluation form."""
+    form = searcher.form
+    return sum(map(len, (searcher.fixpoints, searcher.verdicts, form.fixpoints,
+                         form.verdicts)))
 
 
 def _fresh_layers(out):
@@ -540,8 +548,7 @@ def test_the_answer_path_builds_no_rule_objects(monkeypatch):
 def test_the_evaluation_form_is_built_once(monkeypatch):
     """The layers, plans and ``Layer``s depend on the rewriting alone: a
     second ``certain_answers`` on it stratifies nothing and compiles no
-    join plan or layer, and answers the same; the layer memo answers every
-    fixpoint it asks for."""
+    join plan or layer, and answers the same."""
     kb, o = _omq((FIXTURES / "intro.kb").read_text(), "q(x, y) :- attends(x, y).")
     out = rewrite(o)
     abox = kb.abox + (omq.ConceptAssert("Course", "c3"),)
@@ -558,7 +565,7 @@ def test_the_evaluation_form_is_built_once(monkeypatch):
     monkeypatch.setattr(omq.engine, "stratify",
                         lambda out: built.append("stratify") or real_stratify(out))
     assert first.fixpoints > 0
-    assert certain_answers(out, abox) == replace(first, fixpoints=0)
+    assert certain_answers(out, abox) == first
     assert built == []
 
 
@@ -600,10 +607,10 @@ def test_a_renamed_abox_reuses_the_marking_fixpoint(monkeypatch, kb_text, query_
 
 
 def test_a_memo_of_one_entry_keeps_the_answers(monkeypatch):
-    """With room for one entry, each memo drops an entry on almost every
-    insert, and the answers stay those of the full memo, on the fixtures
-    and on OMQs whose leaves fail the upper layers, over two calls per
-    rewriting; neither memo ever holds more than one entry."""
+    """With room for one entry, each marking memo drops an entry on almost
+    every insert, and the answers stay those of the full memo, on the
+    fixtures and on OMQs whose leaves fail the upper layers, over two calls
+    per rewriting; neither memo ever holds more than one entry."""
     runs = [*_fixture_omqs(),
             _omq("tbox { A <= exists r . B;  B <= exists r . C;  C <= bot;  E <= top; }"
                  " abox { E(a); }", "q(x) :- E(x)."),
@@ -625,6 +632,48 @@ def test_a_memo_of_one_entry_keeps_the_answers(monkeypatch):
         for _ in range(2):
             assert [certain_answers(out, kb.abox).answers for out in outs] == answers
     assert max(sizes) == 1
+
+
+def test_the_marking_memo_drops_the_least_recently_used_entry(monkeypatch):
+    """A hit moves an entry to the end, so a full memo drops the entry
+    used longest ago, not the one stored first."""
+    monkeypatch.setattr(omq.engine, "LAYER_MEMO_LIMIT", 2)
+    memo = omq.engine._Recent()
+    memo["a"], memo["b"] = 1, False
+    assert memo.get("a") == 1 and memo.get("b") is False and memo.get("a") == 1
+    memo["c"] = 3
+    assert list(memo) == ["a", "c"]
+    memo["a"] = 4
+    assert memo == {"c": 3, "a": 4} and memo.get("b") is None
+
+
+def test_the_marking_layer_runs_once_across_many_leaves(monkeypatch):
+    """With room for two entries in each marking memo, one positive call
+    over many leaves, and calls over two more ABoxes after it, run the
+    marking fixpoint once in all: its one key, the bit constants, stays
+    in use while the filter verdicts come and go."""
+    monkeypatch.setattr(omq.engine, "LAYER_MEMO_LIMIT", 2)
+    kb, o = _omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); C(b); F(c); D(d); r(d, a); }}",
+                 "q(x) :- D(x).")
+    out = rewrite_positive(o)
+    marking = out.evaluation.layers[omq.engine.MARKING][0]
+    runs, leaves = [], []
+    real_model, real_ok = Layer.model, _Searcher._upper_layers_ok
+
+    def counted(self, *args):
+        runs.append(self)
+        return real_model(self, *args)
+
+    def checked(self, facts):
+        leaves.append(facts)
+        return real_ok(self, facts)
+    monkeypatch.setattr(Layer, "model", counted)
+    monkeypatch.setattr(_Searcher, "_upper_layers_ok", checked)
+    certain_answers(out, kb.abox)
+    certain_answers(out, kb.abox[:3])
+    certain_answers(out, _renamed(kb.abox, {x: x + "2" for x in "abcd"}))
+    assert len(out.evaluation.verdicts) == 2 and len(leaves) > 10
+    assert runs.count(marking) == 1
 
 
 def test_first_evaluation_leaves_no_render_garbage():
