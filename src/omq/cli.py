@@ -92,8 +92,8 @@ def cmd_answer(args) -> int:
     else:
         for tup in sorted(report.answers):
             print(" ".join(tup))
-    log.info("explored %d branches, learned %d clauses, ran %d layer fixpoints",
-             report.models_explored, report.learned, report.fixpoints)
+    log.info("explored %d branches in %d nodes, learned %d clauses, ran %d layer fixpoints",
+             report.models_explored, report.nodes, report.learned, report.fixpoints)
     return 0
 
 
@@ -295,6 +295,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except RecursionError:
         print("refused: input nested too deeply for the Python stack", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("refused: out of memory; result undecided", file=sys.stderr)
         return 2
     except (OmqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ function.  Two evaluators run on it:
 * ``ground`` is relevance-driven: rule instances are produced by joining
   positive body atoms over the atoms derivable when negation is ignored,
   which keeps the ground program proportional to the derivable atoms
-  instead of the full substitution space; the instances are tuples of
-  ``(predicate, row)`` facts, and ``DRule``s are built only on request;
-  a program keeps its plans (``DProgram.plans``) for the next grounding;
+  instead of the full substitution space; each fact is numbered in an id
+  table when first met, the instances are triples of atom-id tuples, and
+  ``DRule``s are built only on request; a program keeps its plans
+  (``DProgram.plans``) for the next grounding;
 * ``Layer`` evaluates a layer of definite rules whose negation reads only
   the base below it, by semi-naive rounds that join each rule once per
   body position against the previous round's new rows, building and
@@ -191,7 +192,8 @@ class _Relation:
     def add(self, row: Row) -> bool:
         if row in self.members:
             return False
-        self.extend((row,))
+        self.members.add(row)
+        self.rows.append(row)
         for positions in self.indexes:
             self.index(positions)
         return True
@@ -263,9 +265,11 @@ class _Plan:
     source: the constants and sources are ``keys``, so rules of one shape
     share one function.  At each match:
 
-    * for ``ground`` (``layer`` false) the instance is put in the dict
-      ``out`` and its heads are added to ``db``; the call returns whether
-      some head was new;
+    * for ``ground`` (``layer`` false) ``out`` is ``(instances, ids, n)``:
+      the instance, a triple of atom-id tuples looked up in the id table
+      ``ids`` (heads, then positive body, then negated body), is put in the
+      dict ``instances`` with value ``n``, and its heads are added to
+      ``db``; the call returns whether some head was new;
     * for a ``Layer`` rule the negated atoms are tested against ``db``,
       then the head row is put in the dict ``out`` unless ``db`` has it;
     * for a ``Layer`` constraint the negated atoms are tested, and the call
@@ -354,12 +358,13 @@ class _Plan:
         if not layer:
             kind = _INSTANCE
             heads = [key(a.pred) for a in rule.head]
+            ids = hoist("out[1]")
             sink = [f"f{i} = {row(a)}" for i, a in enumerate(rule.head)]
-            parts = ([f"({k}, f{i})" for i, k in enumerate(heads)],
-                     [f"({source[j]}, {row(a)})" for j, a in enumerate(rule.body_pos)],
-                     [f"({key(a.pred)}, {row(a)})" for a in rule.body_neg])
-            sink.append(f"{hoist('out.setdefault')}"
-                        f"(({', '.join(_tuple(part) for part in parts)}), None)")
+            parts = ([f"{ids}[{k}, f{i}]" for i, k in enumerate(heads)],
+                     [f"{ids}[{source[j]}, {row(a)}]" for j, a in enumerate(rule.body_pos)],
+                     [f"{ids}[{key(a.pred)}, {row(a)}]" for a in rule.body_neg])
+            sink.append(f"{hoist('out[0].setdefault')}"
+                        f"(({', '.join(_tuple(part) for part in parts)}), {hoist('out[2]')})")
             for i, k in enumerate(heads):
                 sink += [f"if {hoist(f'db[{k}].add')}(f{i}):", "    ch = True"]
         elif rule.head:
@@ -418,25 +423,35 @@ def _load(arities: Mapping[str, int], facts: Iterable[Fact]) -> dict[str, _Relat
 # Grounding
 
 
-GroundRule = tuple[tuple[Fact, ...], tuple[Fact, ...], tuple[Fact, ...]]
+GroundRule = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def rule_of(rule: GroundRule) -> DRule:
-    """The ``DRule`` of a ground rule given as (heads, positive body,
-    negated body) fact tuples."""
-    return DRule(*(tuple(map(atom_of, part)) for part in rule))
+class _Ids(dict):
+    """Atom ids by fact: looking up a new fact gives it the next id."""
+
+    def __missing__(self, fact: Fact) -> int:
+        i = self[fact] = len(self)
+        return i
 
 
 @dataclass(frozen=True)
 class Grounding:
-    """A ground program in fact form: each rule instance is a triple of fact
-    tuples (heads, positive body, negated body)."""
+    """A ground program over numbered atoms: ``ids`` maps each fact to its
+    atom id, in order of the ids (so ``list(ids)`` is the fact of each id),
+    and the first ``inputs`` atoms are the input facts.  Each rule instance is a triple of atom-id tuples (heads,
+    positive body, negated body), and ``origins[n]`` is the index in the
+    program of the rule that instance ``n`` instantiates."""
     rules: tuple[GroundRule, ...]
+    origins: tuple[int, ...]
+    ids: dict[Fact, int]
+    inputs: int
     arities: Mapping[str, int]
 
     def program(self) -> DProgram:
         """The same instances as a program of ``DRule``s."""
-        return DProgram(tuple(map(rule_of, self.rules)), dict(self.arities))
+        atoms = [atom_of(f) for f in self.ids]
+        return DProgram(tuple(DRule(*(tuple(atoms[i] for i in part) for part in rule))
+                              for rule in self.rules), dict(self.arities))
 
 
 def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
@@ -446,16 +461,21 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
     the atoms derivable when negated literals are ignored; the result has
     the same stable models as the textbook full grounding (together with
     the facts).  Inequality literals are evaluated away.  Each instance is
-    recorded as fact tuples, once, in the order first derived; no rule or
-    atom objects are built (``Grounding.program`` builds them).  The rules
-    are compiled once per program, into ``p.plans``.
+    recorded once, in the order first derived, as atom ids: the input facts
+    are numbered first, then each fact where it first occurs (heads, then
+    positive body, then negated body).  No rule or atom objects are built
+    (``Grounding.program`` builds them).  The rules are compiled once per
+    program, into ``p.plans``.
 
     Rows are only ever appended to a relation, so a rule whose body
     predicates have the same row counts as when it last started can derive
     nothing new and is not run again.
     """
-    db = _load(p.arities, map(fact_of, facts))
-    instances: dict[GroundRule, None] = {}
+    inputs = list(map(fact_of, facts))
+    ids = _Ids((f, i) for i, f in enumerate(dict.fromkeys(inputs)))
+    given = len(ids)
+    db = _load(p.arities, inputs)
+    instances: dict[GroundRule, int] = {}
     seen: list[tuple[int, ...] | None] = [None] * len(p.rules)
     changed = True
     while changed:
@@ -465,9 +485,10 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
             if sizes == seen[n]:
                 continue
             seen[n] = sizes
-            if plan.join(db, plan.keys, instances):
+            if plan.join(db, plan.keys, (instances, ids, n)):
                 changed = True
-    return Grounding(tuple(instances), dict(p.arities))
+    return Grounding(tuple(instances), tuple(instances.values()), ids, given,
+                     dict(p.arities))
 
 
 def ground_full(p: DProgram, facts: Iterable[DAtom]) -> DProgram:

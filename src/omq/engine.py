@@ -4,10 +4,14 @@ The rewriting declares a layer per predicate: a guess layer over the
 named individuals (at most two variables per rule), the realized-type
 layer, the marking layer and the fringe filter.  Lower layers never
 depend on higher ones, and negation in a layer only mentions predicates
-settled below it.  The guess layer is ground once, straight to
-``(predicate, row)`` facts; these are interned to ints and compiled into
-clauses: one group per choice family, the constraints, and the
-completion of its derived atoms (the answer atoms ``q`` among them).
+settled below it.  The guess layer is ground once, straight to numbered
+atoms: the grounder gives each fact an id as it first meets it, and
+records each rule instance as atom-id tuples.  The instances are
+compiled into clauses by the role of their rule, which the rewriting's
+``Evaluation`` settles once: one group per choice family (its guess rules
+are absorbed there), the constraints and the clauses that force a choice
+atom, and the completion of its derived atoms (the answer atoms ``q``
+among them).
 Evaluation backtracks over the choice atoms with unit propagation over
 those clauses, from a root propagated once, and reads each leaf's model
 off the value array.  The upper layers are compiled into ``datalog.Layer``
@@ -24,11 +28,11 @@ rule has negation (the positive rewriting), the upper layers are
 monotone in the guess-layer facts, and a failing leaf becomes a learned
 clause: a deletion filter shrinks the leaf's facts to a subset that
 still fails, and no later branch may make all of them true.  Only the
-guess layer is ever ground.  The layering, the guess layer's plans, the
-``Layer``s and the marking memo form the rewriting's ``Evaluation``,
-built on the first evaluation and kept on the ``RewriteOutput``, so
-later calls on the same rewriting stratify and compile nothing.  One
-rewriting is not meant for concurrent calls.
+guess layer is ever ground.  The layering, the guess layer's plans and
+rule roles, the ``Layer``s and the marking memo form the rewriting's
+``Evaluation``, built on the first evaluation and kept on the
+``RewriteOutput``, so later calls on the same rewriting stratify and
+compile nothing.  One rewriting is not meant for concurrent calls.
 Certain answers are the tuples reported by every surviving branch, found
 by cautious enumeration in one search: the candidates start as the
 answer tuples of the first surviving branch, every branch drops the
@@ -43,13 +47,13 @@ or models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import islice, product
 from typing import Iterable, Iterator, Sequence
 
 # ``ground``, ``gl_reduct`` and ``stratify`` are looked up through this module
 # by tracers that wrap them (perfbench/spans.py); keep the names here.
-from .datalog import (DAtom, DProgram, DRule, Fact, Layer, Row, atom_of, fact_of,
-                      gl_reduct, ground, is_stable_model, rule_of)
+from .datalog import (DAtom, DProgram, DRule, Fact, Layer, Row, atom_of, gl_reduct,
+                      ground, is_stable_model)
 from .query import individuals_of, OMQ
 from .rewrite import RewriteOutput, abox_facts, db_constant_facts
 from .syntax import Assertion, OmqError
@@ -73,6 +77,11 @@ ENUMERATION_MODEL_LIMIT = 20_000
 MARKING = 1
 LAYER_MEMO_LIMIT = 256
 
+# Roles of the guess layer's rules in ``_Searcher``'s clauses: a guess rule,
+# absorbed into its choice family; a plain clause; a clause that forces a
+# choice atom; a support of a derived atom.
+GUESS, CLAUSE, FORCE, SUPPORT = range(4)
+
 
 class StratifyError(OmqError):
     """The program does not match the layered shape of this rewriting."""
@@ -93,6 +102,7 @@ class AnswerReport:
     models_explored: int
     learned: int = 0
     fixpoints: int = field(default=0, compare=False)  # Layer.model runs
+    nodes: int = field(default=0, compare=False)  # search nodes popped
 
 
 def stratify(out: RewriteOutput) -> LayeredProgram:
@@ -132,7 +142,11 @@ class Evaluation:
     facts that a higher layer reads, which it hands up.  ``reads`` are the
     predicates some upper layer reads, and ``monotone`` says whether no
     upper rule has negation, so that more guess-layer facts can only add
-    upper-layer facts and constraint violations.  It depends on the
+    upper-layer facts and constraint violations.  ``choices`` maps the
+    positive predicate of each choice family to its negative one and its
+    guard, and ``roles`` gives the role of each guess-layer rule in the
+    searcher's clauses (``GUESS``, ``CLAUSE``, ``FORCE`` or ``SUPPORT``);
+    a support with negation is a ``StratifyError``.  It depends on the
     rewriting only, plus the marking layer's memo, keyed on facts:
     ``fixpoints`` maps (``MARKING``, facts its rules read) to its
     ``Layer.model``, and ``verdicts`` maps (``MARKING``, those facts, facts
@@ -146,6 +160,9 @@ class Evaluation:
 
     def __init__(self, out: RewriteOutput):
         self.layered = stratify(out)
+        families = out.ctx.table.families
+        self.choices = {pos: (neg, guard) for (pos, neg, guard) in families}
+        self.roles = _roles(self.layered.p1, set(self.choices) | {n for (_, n, _) in families})
         uppers = (self.layered.p2, self.layered.p3, self.layered.p4)
         reads = [{a.pred for r in p.rules for a in r.body_pos + r.body_neg} for p in uppers]
         self.layers: list[tuple[Layer, tuple[str, ...]]] = []
@@ -158,6 +175,25 @@ class Evaluation:
         self.fixpoints: dict[tuple[int, frozenset[Fact]],
                              tuple[frozenset[Fact], dict]] = _Recent()
         self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = _Recent()
+
+
+def _roles(p1: DProgram, choice: set[str]) -> list[int]:
+    """The role of each rule of the guess layer, from its predicates:
+    ``choice`` holds both predicates of every choice family.  A guess rule
+    is an even loop (stable mode) or a disjunction (positive mode)."""
+    roles = []
+    for rule in p1.rules:
+        head = [a.pred for a in rule.head]
+        if head and head[0] in choice:
+            loop = len(head) == 1 and any(a.pred in choice for a in rule.body_neg)
+            roles.append(GUESS if loop or len(head) == 2 else FORCE)
+        elif not head:
+            roles.append(CLAUSE)
+        elif rule.body_neg:
+            raise StratifyError(f"unexpected negation in support rule {rule}")
+        else:
+            roles.append(SUPPORT)
+    return roles
 
 
 class _Recent(dict):
@@ -194,12 +230,14 @@ class _Searcher:
     """Backtracking enumeration of the guess layer's stable models, each
     checked against the upper layers.
 
-    The grounder's facts are interned in order of first occurrence:
-    ``facts[i]`` is the fact of atom ``i`` and ``aid`` maps it back.  The
-    ground guess layer is compiled once into clauses over int literals
-    ``2 * atom + negated``; the value array ``val`` holds one of UNKNOWN,
-    TRUE and FALSE per atom (and per auxiliary atom past ``facts``), so
-    literal ``l`` is true when ``val[l >> 1] == TRUE + (l & 1)``."""
+    The grounding's atom table is the searcher's: ``aid`` maps a fact to
+    its atom id, and gives a fact it lacks the next id, as it does for the
+    choice atoms that no instance has; ``facts[i]`` is the fact of atom
+    ``i``.  The ground guess layer is compiled once into clauses over int
+    literals ``2 * atom + negated``; the value array ``val`` holds one of
+    UNKNOWN, TRUE and FALSE per atom (and per auxiliary atom past
+    ``facts``), so literal ``l`` is true when
+    ``val[l >> 1] == TRUE + (l & 1)``."""
 
     def __init__(self, out: RewriteOutput, abox: Sequence[Assertion],
                  branch_limit: int = 500_000):
@@ -212,28 +250,18 @@ class _Searcher:
         self.learned = 0
         self.runs = 0  # Layer.model runs
 
-        inputs = _input_facts(out, abox)
-        facts = list(map(fact_of, inputs))
-        rules = ground(form.layered.p1, inputs).rules
-
-        # Intern every ground fact in sight, in order of first occurrence.
-        self.facts: list[Fact] = list(dict.fromkeys(
-            chain(facts, chain.from_iterable(chain.from_iterable(rules)))))
-        self.aid: dict[Fact, int] = {f: i for i, f in enumerate(self.facts)}
-
-        specs = out.ctx.table.families
-        spec_by_pos = {pos: (neg, guard) for (pos, neg, guard) in specs}
-        spec_preds = set(spec_by_pos) | {n for (_, n, _) in specs}
+        grounding = ground(form.layered.p1, _input_facts(out, abox))
+        aid = self.aid = grounding.ids
 
         # Choice families (pos, neg, guard) present in the grounding; a
         # guard is the fringe-presence atom the pair depends on.
         families = []
-        for (pred, row) in self.facts[:]:
-            if pred in spec_by_pos:
-                neg_pred, guard_pred = spec_by_pos[pred]
-                families.append((self.aid[pred, row], self._intern((neg_pred, row)),
-                                 None if guard_pred is None
-                                 else self._intern((guard_pred, row))))
+        for (pred, row) in list(aid):
+            if pred in form.choices:
+                neg_pred, guard_pred = form.choices[pred]
+                families.append((aid[pred, row], aid[neg_pred, row],
+                                 None if guard_pred is None else aid[guard_pred, row]))
+        self.facts: list[Fact] = list(aid)
         families.sort(key=lambda f: self.facts[f[0]])
         self.families = [(p, g) for (p, _, g) in families]
 
@@ -246,26 +274,17 @@ class _Searcher:
                 clauses.append((2 * p, 2 * n))
             else:
                 clauses += [(2 * g + 1, 2 * p, 2 * n), (2 * p + 1, 2 * g), (2 * n + 1, 2 * g)]
-        # Headless rules and rules forcing a choice atom are plain clauses;
-        # every other rule is a support of a derived atom.
+        # Each other instance is a clause, a clause with its choice head, or
+        # a support of its derived head, by the role of its rule.
         supports: dict[int, list[tuple[int, ...]]] = {}
-        aid = self.aid
-        for rule in rules:
-            head, pos, neg = rule
-            if len(head) == 1 and head[0][0] in spec_preds and \
-                    any(f[0] in spec_preds for f in neg):
-                continue  # even-loop guess rule
-            if len(head) == 2 and head[0][0] in spec_preds:
-                continue  # disjunctive guess rule (positive mode)
-            body = tuple([2 * aid[f] + 1 for f in pos] + [2 * aid[f] for f in neg])
-            if not head:
-                clauses.append(body)
-            elif head[0][0] in spec_preds:
-                clauses.append(body + (2 * aid[head[0]],))
-            elif neg:
-                raise StratifyError(f"unexpected negation in support rule {rule_of(rule)}")
-            else:
-                supports.setdefault(aid[head[0]], []).append(tuple([aid[f] for f in pos]))
+        roles = form.roles
+        for (head, pos, neg), n in zip(grounding.rules, grounding.origins):
+            role = roles[n]
+            if role == SUPPORT:
+                supports.setdefault(head[0], []).append(pos)
+            elif role != GUESS:
+                body = tuple([2 * a + 1 for a in pos] + [2 * a for a in neg])
+                clauses.append(body if role == CLAUSE else body + (2 * head[0],))
         # Completion of a derived atom d: each support implies d, and d
         # implies some support, through an auxiliary atom per support of
         # two or more atoms.  The derived predicates are not recursive, so
@@ -287,15 +306,18 @@ class _Searcher:
         for c, clause in enumerate(clauses):
             for lit in clause:
                 self.occurs[lit].append(c)
-        # At the root facts hold, and atoms with no fact, no family and no
-        # support never do (for instance closed predicates beyond their ABox
-        # facts).  The root is propagated once, over the ``compiled`` clauses;
-        # the search starts from a copy.  A root in conflict has no branch.
-        fact_ids = {aid[f] for f in facts}
-        live = fact_ids | set(supports) | {a for f in families for a in f[:2]}
+        # At the root the input facts hold, and atoms with no fact, no family
+        # and no support never do (for instance closed predicates beyond
+        # their ABox facts).  The root is propagated once, over the
+        # ``compiled`` clauses; the search starts from a copy.  A root in
+        # conflict has no branch.
         self.root = bytearray(n_vars)
-        for i in range(len(self.facts)):
-            self.root[i] = TRUE if i in fact_ids else UNKNOWN if i in live else FALSE
+        self.root[:len(self.facts)] = bytes([FALSE]) * len(self.facts)
+        for a in supports:
+            self.root[a] = UNKNOWN
+        for (p, n, _) in families:
+            self.root[p] = self.root[n] = UNKNOWN
+        self.root[:grounding.inputs] = bytes([TRUE]) * grounding.inputs
         self.compiled = len(clauses)
         self.conflict = not self._propagate(self.root, list(range(len(clauses))))
 
@@ -309,13 +331,6 @@ class _Searcher:
         self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = {}
         self.memos = [(self.fixpoints, self.verdicts)] * len(form.layers)
         self.memos[MARKING] = (form.fixpoints, form.verdicts)
-
-    def _intern(self, f: Fact) -> int:
-        i = self.aid.get(f)
-        if i is None:
-            i = self.aid[f] = len(self.facts)
-            self.facts.append(f)
-        return i
 
     # -- unit propagation --------------------------------------------------
 
@@ -503,7 +518,7 @@ def certain_answers(out: RewriteOutput, abox: Iterable[Assertion],
         remaining = [t for t in remaining if val[aid[answer, t]] == TRUE]
         searcher.add_clause(tuple(2 * aid[answer, t] + 1 for t in remaining))
     return AnswerReport(frozenset(candidates if inconsistent else remaining), inconsistent,
-                        searcher.leaves, searcher.learned, searcher.runs)
+                        searcher.leaves, searcher.learned, searcher.runs, searcher.nodes)
 
 
 def enumerate_guess_models(out: RewriteOutput, abox: Iterable[Assertion],

@@ -276,8 +276,8 @@ def test_info_log_reports_learned_clauses(capsys, caplog, tmp_path):
     assert code == 0
     assert out.splitlines() == ["a", "b"]
     (line,) = [r.getMessage() for r in caplog.records if r.name == "omq"]
-    assert re.fullmatch(r"explored [1-5] branches, learned [1-9]\d* clauses,"
-                        r" ran [1-9]\d* layer fixpoints", line), line
+    assert re.fullmatch(r"explored [1-5] branches in [1-9]\d* nodes, learned [1-9]\d*"
+                        r" clauses, ran [1-9]\d* layer fixpoints", line), line
 
 
 def test_unknown_log_level_is_diagnostic():
@@ -290,3 +290,25 @@ def test_unknown_log_level_is_diagnostic():
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: OMQ_LOG: unknown log level 'BOGUS'"), done.stderr
+
+
+def test_a_negated_guess_layer_support_is_a_diagnostic(capsys, monkeypatch):
+    """A rewriting whose guess layer has a support rule with negation ends
+    ``omq answer`` in ``error:`` and exit 1, with no traceback."""
+    from test_engine import _with_negated_support
+    real = omq.cli.rewrite
+    monkeypatch.setattr(omq.cli, "rewrite", lambda o, **kw: _with_negated_support(real(o, **kw)))
+    code, out, err = run(capsys, "answer", FIXTURES / "intro.kb", FIXTURES / "q_attends.cq")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unexpected negation in support rule"), err
+
+
+def test_running_out_of_memory_is_a_refusal(capsys, monkeypatch):
+    """A ``MemoryError`` on the answer path ends in ``refused:`` and exit 2,
+    never in a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(omq.cli, "certain_answers", exhausted)
+    code, out, err = run(capsys, "answer", FIXTURES / "intro.kb", FIXTURES / "q_attends.cq")
+    assert (code, out) == (2, "")
+    assert err == "refused: out of memory; result undecided\n"

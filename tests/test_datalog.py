@@ -84,9 +84,33 @@ def test_ground_loops_see_the_rows_they_add():
                                                A("e", "Y", "Z")])])
     facts = [A("a", "n0"), A("a", "m0")] + [A("e", f"{c}{i}", f"{c}{i + 1}")
                                             for c in "nm" for i in range(3)]
-    heads = [heads[0][1] for (heads, _, _) in ground(p, facts).rules]
+    g = ground(p, facts)
+    atoms = list(g.ids)
+    heads = [atoms[heads[0]][1] for (heads, _, _) in g.rules]
     assert heads == [("n0", "n0"), ("m0", "m0"), ("n0", "n1"), ("n0", "n2"),
                      ("n0", "n3"), ("m0", "m1"), ("m0", "m2"), ("m0", "m3")]
+
+
+def test_ground_numbers_atoms_inputs_first_then_by_first_occurrence():
+    """The input facts take the first ids, in their order and once each,
+    whatever their predicate; every other atom is numbered where it first
+    occurs, heads before the positive body before the negated body.  Each
+    instance names the rule it instantiates, and ``program`` maps the ids
+    back to atoms."""
+    p = DProgram.of([rule([A("p", "X")], [A("e", "X", "Y")], [A("r", "Y")]),
+                     rule([A("s", "Y")], [A("p", "X"), A("e", "X", "Y")], [A("t", "X")])])
+    facts = [A("e", "a", "b"), A("z", "c"), A("e", "a", "b"), A("e", "b", "c")]
+    g = ground(p, facts)
+    assert g.inputs == 3
+    assert list(g.ids) == [("e", ("a", "b")), ("z", ("c",)), ("e", ("b", "c")),
+                       ("p", ("a",)), ("r", ("b",)), ("p", ("b",)), ("r", ("c",)),
+                       ("s", ("b",)), ("t", ("a",)), ("s", ("c",)), ("t", ("b",))]
+    assert list(g.ids.values()) == list(range(11))
+    assert g.rules == (((3,), (0,), (4,)), ((5,), (2,), (6,)),
+                       ((7,), (3, 0), (8,)), ((9,), (5, 2), (10,)))
+    assert g.origins == (0, 0, 1, 1)
+    assert g.program().rules[2] == rule([A("s", "b")], [A("p", "a"), A("e", "a", "b")],
+                                        [A("t", "a")])
 
 
 def test_closure_fires_a_rule_whose_support_comes_later():

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 import omq
-from omq import (Const, DAtom, DProgram, DRule, TypeContext, build_omq,
+from omq import (Const, DAtom, DProgram, DRule, TypeContext, Var, build_omq,
                  certain_answers, core_of_model, enumerate_guess_models,
                  ground, parse_kb, parse_query, rewrite, rewrite_positive,
                  stable_models_bruteforce, stratify, validate_core,
@@ -836,6 +836,8 @@ def test_one_call_pops_each_search_node_once(monkeypatch):
     report = certain_answers(rewrite(o), kb.abox)
     assert len(report.answers) == 6
     (s,) = searchers
+    assert report.nodes == s.nodes
+    assert report == replace(report, nodes=0)  # as fixpoints, not compared
     del starts[0]  # the root's own propagation, before any pop
     assert len(starts) == s.nodes
     assert len(set(starts.values())) == s.nodes
@@ -873,3 +875,65 @@ def test_pick_resumes_where_a_full_scan_would_pick(monkeypatch):
     monkeypatch.setattr(_Searcher, "_pick", checked)
     _per_tuple_answers(rewrite(o), kb.abox, omq.individuals_of(o, kb.abox))
     assert max(calls) > 0
+
+
+def _fixture_runs():
+    """The fixture KB x query x mode x ``--db-constants`` runs pinned in
+    ``fixtures/answer.sha256``, as (kb, query, flags, recorded exit code)."""
+    for line in (FIXTURES / "answer.sha256").read_text().splitlines():
+        _, code, kb, query, *flags = line.split()
+        if "--emit-ground" not in flags:
+            yield kb, query, flags, int(code)
+
+
+def test_the_atom_table_is_the_inputs_then_the_instances_in_order(monkeypatch):
+    """On every fixture run, the searcher's atoms are the input facts, each
+    once, then the atoms of the guess layer's instances in order of first
+    occurrence (heads, positive body, negated body), then the choice atoms
+    no instance has.  Learned clauses and ``--emit-ground`` follow this
+    order."""
+    runs = 0
+    for kb_name, query_name, flags, code in _fixture_runs():
+        kb, o = _omq((FIXTURES / kb_name).read_text(), (FIXTURES / query_name).read_text())
+        rw = rewrite_positive if "--positive" in flags else rewrite
+        try:
+            out = rw(o, db_constants="--db-constants" in flags)
+        except omq.OmqError:
+            assert code == 1
+            continue
+        searchers = _recorded_searchers(monkeypatch)
+        certain_answers(out, kb.abox)
+        (s,) = searchers
+        atoms = [*omq.engine._input_facts(out, kb.abox)]
+        for r in ground_guess_layer(out, kb.abox).rules:
+            atoms += [*r.head, *r.body_pos, *r.body_neg]
+        expected = list(map(fact_of, dict.fromkeys(atoms)))
+        assert s.facts[:len(expected)] == expected, (kb_name, query_name, flags)
+        choices = out.evaluation.choices
+        families = {f for (neg, guard) in choices.values() for f in (neg, guard)}
+        assert all(pred in families for (pred, _) in s.facts[len(expected):])
+        assert s.aid == {f: i for i, f in enumerate(s.facts)}
+        runs += 1
+    assert runs == 24  # the other 12 are positive runs of KBs with closed predicates
+
+
+def _with_negated_support(out):
+    """``out`` with one more guess-layer rule, a support of the answer atom
+    with a negated body literal, which the rewriter never emits."""
+    t = out.ctx.table
+    X, Y = Var("X"), Var("Y")
+    concept = sorted(t.concept.values())[0]
+    extra = DRule((DAtom(t.answer, (X, Y)),), (DAtom(t.ind, (X,)), DAtom(t.ind, (Y,))),
+                  (DAtom(concept, (X,)),))
+    assert {t.layer[a.pred] for a in extra.head + extra.body_pos + extra.body_neg} == {1}
+    program = DProgram.of(out.program.rules + (extra,))
+    return omq.RewriteOutput(program, out.answer_pred, out.mode, out.ctx, out.query)
+
+
+def test_a_guess_layer_support_with_negation_is_a_stratify_error():
+    """The guess layer's supports are definite: a support rule with a
+    negated literal is refused when the evaluation form is built."""
+    kb, o = _omq((FIXTURES / "intro.kb").read_text(), "q(x, y) :- attends(x, y).")
+    bad = _with_negated_support(rewrite(o))
+    with pytest.raises(StratifyError, match="unexpected negation in support rule"):
+        certain_answers(bad, kb.abox)
