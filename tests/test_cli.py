@@ -37,6 +37,22 @@ def test_answer_output_is_pinned(capsys):
         assert (got, hashlib.sha256(text.encode()).hexdigest()) == (int(code), digest), line
 
 
+def test_oracle_output_is_pinned(capsys):
+    """``omq oracle --dump-countermodel`` prints, byte for byte, what it
+    printed when the digests in ``fixtures/oracle.sha256`` were recorded:
+    one line per fixture KB x query pair, with the SHA-256 of stdout (of
+    stderr when the run fails) and the exit status.  ``intro.kb`` with
+    ``q_r1.cq`` is left out: its core enumeration takes over ten seconds."""
+    lines = (FIXTURES / "oracle.sha256").read_text().splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        digest, code, kb, query = line.split()
+        got, out, err = run(capsys, "oracle", "--dump-countermodel",
+                            FIXTURES / kb, FIXTURES / query)
+        text = out if got == 0 else err
+        assert (got, hashlib.sha256(text.encode()).hexdigest()) == (int(code), digest), line
+
+
 def test_answer_running_example_lacks_reflexive_pair(capsys):
     code, out, _ = run(capsys, "answer", FIXTURES / "example1.kb", FIXTURES / "q_r1.cq")
     assert code == 0
