@@ -11,8 +11,7 @@ enumeration, arbitrate the whole chain at desk scale.
 from .syntax import (And, Assertion, Axiom, Bot, Concept, ConceptAssert,
                      ConceptIncl, Exists, Forall, KnowledgeBase, Name, Nominal,
                      Not, OmqError, Or, RoleAssert, RoleExpr, RoleHierarchy,
-                     RoleIncl, Signature, Top, role_closure, signature_of,
-                     subsumed_by_closed)
+                     RoleIncl, Top, role_closure, subsumed_by_closed)
 from .parser import (ConceptAtom, ConjunctiveQuery, ParseError, RoleAtom,
                      SourceSpan, kb_to_text, parse_kb, parse_query,
                      query_to_text)
@@ -29,9 +28,7 @@ from .datalog import (Const, DAtom, DProgram, DRule, Var, emit_text,
                       gl_reduct, ground, ground_full, is_stable_model,
                       parse_ground_atoms, stable_models_bruteforce)
 from .rewrite import (MODE_POSITIVE, MODE_STABLE, PredTable, RewriteContext,
-                      RewriteOutput, abox_facts, build_core_program,
-                      build_filter_program, build_marking_program, rewrite,
-                      rewrite_positive)
+                      RewriteOutput, abox_facts, rewrite, rewrite_positive)
 from .engine import (AnswerReport, certain_answers, core_of_model,
                      enumerate_guess_models, ground_guess_layer, stratify,
                      verify_model)

@@ -325,7 +325,7 @@ def normalize(tbox: Iterable[Axiom], extra_concept_names: Iterable[str] = (),
     out = tuple(norm.axioms)
     concepts.update(norm.fresh_names)
     role_axioms = [ax for ax in out if isinstance(ax, RoleIncl)]
-    hierarchy = _closure(roles, role_axioms)
+    hierarchy = role_closure(role_axioms, roles)
     return NormalTBox(
         axioms=out,
         clauses=tuple(ax for ax in out if isinstance(ax, ClauseAxiom)),
@@ -339,15 +339,6 @@ def normalize(tbox: Iterable[Axiom], extra_concept_names: Iterable[str] = (),
         hierarchy=hierarchy,
         basis=make_basis(concepts, nominals),
     )
-
-
-def _closure(role_names: set[str], incls: list[RoleIncl]) -> RoleHierarchy:
-    fake: list[Axiom] = list(incls)
-    # role_closure extracts names from axioms; roles mentioned only in
-    # concept axioms or supplied externally need their reflexive pairs too.
-    for p in role_names:
-        fake.append(RoleIncl(RoleExpr(p), RoleExpr(p)))
-    return role_closure(fake)
 
 
 def is_normal(axiom: Axiom) -> bool:

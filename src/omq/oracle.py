@@ -20,11 +20,11 @@ from typing import Iterator, Sequence
 
 from .normalize import NormalTBox
 from .parser import ConceptAtom, ConjunctiveQuery
-from .query import OMQ, CSafe, classify
+from .query import OMQ, CSafe, classify, individuals_of
 from .syntax import (Assertion, ConceptAssert, Name, Nominal, OmqError,
                      RoleAssert, RoleExpr)
 from .typespace import (Core, FringeId, MAX_BASIS_BITS, ResourceRefused,
-                        TypeContext, TypeVec, mark_types, satisfies_clauses)
+                        TypeContext, TypeVec, mark_types, realized_types, type_of)
 
 
 @dataclass(frozen=True)
@@ -151,33 +151,14 @@ def bounded_model_search(kb: NormalKB, goal: Assertion | None,
             (goal.concept, goal.individual) not in fact_c:
         goal = None  # a closed concept without the fact is false everywhere
 
-    valid_types = [t for t in range(1 << k) if satisfies_clauses(t, ctx)]
+    def goal_mask(e: str) -> int:
+        if isinstance(goal, ConceptAssert) and goal.individual == e \
+                and Name(goal.concept) in ctx.bit_of:
+            return 1 << ctx.bit_of[Name(goal.concept)]
+        return 0
 
-    def candidates_for(e: str | None) -> list[TypeVec]:
-        required, forbidden = 0, 0
-        for j, b in enumerate(ctx.basis):
-            bit = 1 << j
-            if isinstance(b, Nominal):
-                if e is not None and e == b.individual:
-                    required |= bit
-                else:
-                    forbidden |= bit
-            elif b.name in kb.sigma:
-                if e is not None and (b.name, e) in fact_c:
-                    required |= bit
-                else:
-                    forbidden |= bit
-            elif e is not None and (b.name, e) in fact_c:
-                required |= bit
-        if e is not None and isinstance(goal, ConceptAssert) and goal.individual == e:
-            b = Name(goal.concept)
-            if b in ctx.bit_of:
-                forbidden |= 1 << ctx.bit_of[b]
-        return [t for t in valid_types
-                if t & required == required and not t & forbidden]
-
-    ind_candidates = [candidates_for(e) for e in inds]
-    anon_candidates = candidates_for(None)
+    ind_candidates = [ctx.types_of(e, fact_c, goal_mask(e)) for e in inds]
+    anon_candidates = ctx.types_of(None, fact_c)
 
     budget = MAX_ASSIGNMENTS
     for size in range(max(1, len(inds)), max_size + 1):
@@ -186,9 +167,6 @@ def bounded_model_search(kb: NormalKB, goal: Assertion | None,
             continue
         anon = [f"_a{j + 1}" for j in range(m)]
         elements = list(inds) + anon
-        count = 1
-        for c in ind_candidates:
-            count *= max(1, len(c))
         for assignment in product(*ind_candidates) if ind_candidates else [()]:
             for anon_types in combinations_with_replacement(anon_candidates, m):
                 budget -= 1
@@ -219,22 +197,14 @@ def _close_roles(kb: NormalKB, ctx: TypeContext, elements: list[str],
     """Maximal role extensions compatible with the type assignment, minus
     the edges that would imply the goal; None if the axioms cannot hold."""
     hierarchy = kb.tbox.hierarchy
-    bit_of = ctx.bit_of
-
-    def has(b, e: str) -> bool:
-        if isinstance(b, Nominal):
-            return e == b.individual
-        if isinstance(b, Name):
-            return bool(types[e] >> bit_of[b] & 1)
-        return type(b).__name__ == "Top"
 
     def edge_ok(p: str, d: str, e: str) -> bool:
         for ax in kb.tbox.universals:
             if hierarchy.subsumed(RoleExpr(p), ax.role):
-                if has(ax.lhs, d) and not has(ax.filler, e):
+                if ctx.has(types[d], ax.lhs) and not ctx.has(types[e], ax.filler):
                     return False
             if hierarchy.subsumed(RoleExpr(p, True), ax.role):
-                if has(ax.lhs, e) and not has(ax.filler, d):
+                if ctx.has(types[e], ax.lhs) and not ctx.has(types[d], ax.filler):
                     return False
         for s in hierarchy.subsumers(RoleExpr(p)):
             if s.name in kb.sigma:
@@ -261,19 +231,12 @@ def _close_roles(kb: NormalKB, ctx: TypeContext, elements: list[str],
                 return None
             role_ext[p] = frozenset(pairs)
 
-    interp = FiniteInterp(
-        domain=tuple(elements),
-        concept_ext={
-            a: frozenset(e for e in elements
-                         if Name(a) in bit_of and types[e] >> bit_of[Name(a)] & 1)
-            for a in kb.tbox.concept_names},
-        role_ext=role_ext,
-    )
+    interp = FiniteInterp(tuple(elements), ctx.extensions(types), role_ext)
     for ax in kb.tbox.existentials:
         succ = interp.pairs(ax.role)
         for e in elements:
-            if has(ax.lhs, e) and \
-                    not any(has(ax.filler, y) for (x, y) in succ if x == e):
+            if ctx.has(types[e], ax.lhs) and \
+                    not any(ctx.has(types[y], ax.filler) for (x, y) in succ if x == e):
                 return None
     return interp
 
@@ -320,43 +283,10 @@ class _CoreSpace:
                 f"core space of {free_bits} free individual bits exceeds "
                 f"the budget of {max_bits}")
 
-        valid = [t for t in range(1 << ctx.k) if satisfies_clauses(t, ctx)]
-        self.ind_types: list[list[TypeVec]] = []
-        for e in self.inds:
-            required, forbidden = 0, 0
-            for j, b in enumerate(ctx.basis):
-                bit = 1 << j
-                if isinstance(b, Nominal):
-                    required |= bit if e == b.individual else 0
-                    forbidden |= bit if e != b.individual else 0
-                elif b.name in ctx.sigma:
-                    if (b.name, e) in self.fact_c:
-                        required |= bit
-                    else:
-                        forbidden |= bit
-                elif (b.name, e) in self.fact_c:
-                    required |= bit
-            self.ind_types.append(
-                [t for t in valid if t & required == required and not t & forbidden])
-        nominal_or_closed = 0
-        for j, b in enumerate(ctx.basis):
-            if isinstance(b, Nominal) or b.name in ctx.sigma:
-                nominal_or_closed |= 1 << j
-        self.fringe_types = [t for t in valid if not t & nominal_or_closed]
-        # (c3.4): a fringe element may never trigger an existential whose
-        # role is subsumed by a closed role.
-        closed_trigger = 0
-        for ax in ctx.ntbox.existentials:
-            if ctx.role_closed(ax.role):
-                closed_trigger |= 1 << ctx.bit_of[ax.lhs]
-        self.fringe_types = [t for t in self.fringe_types if not t & closed_trigger]
-
-    # -- helpers over type bits -----------------------------------------
-
-    def _has(self, t: TypeVec, b) -> bool:
-        if isinstance(b, (Name, Nominal)):
-            return bool(t >> self.ctx.bit_of[b] & 1)
-        return type(b).__name__ == "Top"
+        self.ind_types = [ctx.types_of(e, self.fact_c) for e in self.inds]
+        # A fringe element takes no c-type: no nominal, no closed concept,
+        # and (c3.4) no trigger of an existential over a closed role.
+        self.fringe_types = [t for t in ctx.valid_types if not t & ctx.ctype_mask]
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -423,8 +353,8 @@ class _CoreSpace:
                     for ax in ntbox.universals:
                         for fwd in ((True,) if same else (True, False)):
                             (u, v) = (d, e) if fwd else (e, d)
-                            if edge(ax.role, fwd) and self._has(types[u], ax.lhs) \
-                                    and not self._has(types[v], ax.filler):
+                            if edge(ax.role, fwd) and self.ctx.has(types[u], ax.lhs) \
+                                    and not self.ctx.has(types[v], ax.filler):
                                 ok = False
                                 break
                         if not ok:
@@ -478,24 +408,25 @@ class _CoreSpace:
         if self.goal is None:
             return False
         query, answers = self.goal
-        partial = self._partial_core(types, edges)
+        partial = self._core(types, edges, {})
         return cq_matches(partial, query, answers)
 
-    def _partial_core(self, types, edges) -> Core:
+    def _core(self, types, edges, fringe) -> Core:
+        """The core that the types, the edges between individuals and the
+        fringe choices spell out; with no fringe, its individual part."""
         ctx = self.ctx
-        concept_ext: dict[str, set] = {a: set() for a in ctx.ntbox.concept_names}
-        for e, t in types.items():
-            for j, b in enumerate(ctx.basis):
-                if isinstance(b, Name) and t >> j & 1:
-                    concept_ext[b.name].add(e)
+        typed: dict = dict(types)
         role_ext: dict[str, set] = {p: set() for p in ctx.ntbox.role_names}
         for p, pairs in edges.items():
             role_ext[p].update(pairs)
         for (p, x, y) in self.fact_r:
-            if p in ctx.sigma:
+            if p in ctx.sigma and p in role_ext:
                 role_ext[p].add((x, y))
-        return Core(self.inds, frozenset(),
-                    {a: frozenset(s) for a, s in concept_ext.items()},
+        for fid, (ftype, chosen) in fringe.items():
+            typed[fid] = ftype
+            for (p, fwd) in chosen:
+                role_ext[p].add((fid.parent, fid) if fwd else (fid, fid.parent))
+        return Core(self.inds, frozenset(fringe), ctx.extensions(typed),
                     {p: frozenset(s) for p, s in role_ext.items()})
 
     def _named_witnesses_ok(self, types: dict[str, TypeVec],
@@ -506,9 +437,9 @@ class _CoreSpace:
             if self._fringe_can_witness(ax):
                 continue
             for e in self.inds:
-                if not self._has(types[e], ax.lhs):
+                if not self.ctx.has(types[e], ax.lhs):
                     continue
-                if not any(x == e and self._has(types[y], ax.filler)
+                if not any(x == e and self.ctx.has(types[y], ax.filler)
                            for (x, y) in self._expr_pairs(edges, ax.role)):
                     return False
         return True
@@ -546,8 +477,8 @@ class _CoreSpace:
                         for ax in ntbox.universals:
                             for fwd in (True, False):
                                 (tu, tv) = (ptype, ftype) if fwd else (ftype, ptype)
-                                if edge(ax.role, fwd) and self._has(tu, ax.lhs) \
-                                        and not self._has(tv, ax.filler):
+                                if edge(ax.role, fwd) and self.ctx.has(tu, ax.lhs) \
+                                        and not self.ctx.has(tv, ax.filler):
                                     ok = False
                                     break
                             if not ok:
@@ -562,9 +493,9 @@ class _CoreSpace:
             """Every existential triggered at the individual e is witnessed,
             by a named successor or one of e's own fringe elements."""
             for ax in ntbox.existentials:
-                if not self._has(types[e], ax.lhs):
+                if not self.ctx.has(types[e], ax.lhs):
                     continue
-                if any(x == e and self._has(types[y], ax.filler)
+                if any(x == e and self.ctx.has(types[y], ax.filler)
                        for (x, y) in self._expr_pairs(edges, ax.role)):
                     continue
                 if not self._fringe_can_witness(ax):
@@ -576,7 +507,7 @@ class _CoreSpace:
                         continue
                     ftype, chosen = opt
                     want = True if not ax.role.inverted else False
-                    if (ax.role.name, want) in chosen and self._has(ftype, ax.filler):
+                    if (ax.role.name, want) in chosen and self.ctx.has(ftype, ax.filler):
                         found = True
                         break
                 if not found:
@@ -609,35 +540,9 @@ class _CoreSpace:
         yield from rec(0, {})
 
     def _build_core(self, types, edges, fringe) -> Core | None:
-        ctx = self.ctx
-        concept_ext: dict[str, set] = {a: set() for a in ctx.ntbox.concept_names}
-        for e, t in types.items():
-            for j, b in enumerate(ctx.basis):
-                if isinstance(b, Name) and t >> j & 1:
-                    concept_ext[b.name].add(e)
-        for fid, (ftype, _) in fringe.items():
-            for j, b in enumerate(ctx.basis):
-                if isinstance(b, Name) and ftype >> j & 1:
-                    concept_ext[b.name].add(fid)
-        role_ext: dict[str, set] = {p: set() for p in ctx.ntbox.role_names}
-        for p, pairs in edges.items():
-            role_ext[p].update(pairs)
-        for p in ctx.sigma:
-            if p in role_ext:
-                role_ext[p].update(
-                    (x, y) for (q, x, y) in self.fact_r if q == p)
-        for fid, (_, chosen) in fringe.items():
-            for (p, fwd) in chosen:
-                role_ext[p].add((fid.parent, fid) if fwd else (fid, fid.parent))
-
-        core = Core(
-            individuals=self.inds,
-            fringe=frozenset(fringe),
-            concept_ext={a: frozenset(s) for a, s in concept_ext.items()},
-            role_ext={p: frozenset(s) for p, s in role_ext.items()},
-        )
+        core = self._core(types, edges, fringe)
         # (c5)/(c3.4): every individual must witness every existential.
-        for ax in ctx.ntbox.existentials:
+        for ax in self.ctx.ntbox.existentials:
             succ = core.pairs(ax.role)
             for e in self.inds:
                 if core.satisfies_basic(ax.lhs, e) and \
@@ -650,7 +555,6 @@ class _CoreSpace:
 def iter_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40) -> Iterator[Core]:
     """Every valid core of the instance, within the free-bit budget on the
     individual-level guesses and a search-node budget on the whole walk."""
-    from .query import individuals_of
     ctx = TypeContext(omq.tbox, omq.sigma)
     inds = individuals_of(omq, abox)
     space = _CoreSpace(ctx, abox, inds, max_bits)
@@ -706,21 +610,10 @@ def core_extends(kb: NormalKB, core: Core, extra: int) -> bool:
     is complete for a fixed type assignment by the same argument as the
     countermodel search."""
     ctx = TypeContext(kb.tbox, kb.sigma)
-    from .typespace import type_of
     core_elems = list(core.domain())
     core_types = {e: type_of(e, core, ctx) for e in core_elems}
-    valid = [t for t in range(1 << ctx.k) if satisfies_clauses(t, ctx)]
-    nominal_or_closed = 0
-    for j, b in enumerate(ctx.basis):
-        if isinstance(b, Nominal) or b.name in kb.sigma:
-            nominal_or_closed |= 1 << j
-    anon_candidates = [t for t in valid if not t & nominal_or_closed]
+    anon_candidates = ctx.types_of(None, ())
     hierarchy = kb.tbox.hierarchy
-
-    def has_bits(t: TypeVec, b) -> bool:
-        if isinstance(b, (Name, Nominal)):
-            return bool(t >> ctx.bit_of[b] & 1)
-        return type(b).__name__ == "Top"
 
     for m in range(extra + 1):
         anon = [f"_a{j + 1}" for j in range(m)]
@@ -734,10 +627,10 @@ def core_extends(kb: NormalKB, core: Core, extra: int) -> bool:
                     return False  # closed predicates gain no new pairs
                 for ax in kb.tbox.universals:
                     if hierarchy.subsumed(RoleExpr(p), ax.role):
-                        if has_bits(types[d], ax.lhs) and not has_bits(types[e], ax.filler):
+                        if ctx.has(types[d], ax.lhs) and not ctx.has(types[e], ax.filler):
                             return False
                     if hierarchy.subsumed(RoleExpr(p, True), ax.role):
-                        if has_bits(types[e], ax.lhs) and not has_bits(types[d], ax.filler):
+                        if ctx.has(types[e], ax.lhs) and not ctx.has(types[d], ax.filler):
                             return False
                 for s in hierarchy.subsumers(RoleExpr(p)):
                     if s.name in kb.sigma:
@@ -763,12 +656,12 @@ def core_extends(kb: NormalKB, core: Core, extra: int) -> bool:
                     break
                 pname, inverted = ax.role.name, ax.role.inverted
                 for e in elements:
-                    if not has_bits(types[e], ax.lhs):
+                    if not ctx.has(types[e], ax.lhs):
                         continue
                     found = False
                     for (x, y) in role_ext[pname]:
                         (u, v) = (y, x) if inverted else (x, y)
-                        if u == e and has_bits(types[v], ax.filler):
+                        if u == e and ctx.has(types[v], ax.filler):
                             found = True
                             break
                     if not found:
@@ -787,8 +680,6 @@ def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],
         raise OmqError("core enumeration requires a c-safe query (fold it first)")
     ctx = TypeContext(omq.tbox, omq.sigma)
     mark_memo: dict[frozenset[TypeVec], frozenset[TypeVec]] = {}
-    from .query import individuals_of
-    from .typespace import realized_types, type_of
 
     space = _CoreSpace(ctx, abox, individuals_of(omq, abox), max_bits)
     space.goal = (omq.query, answers)

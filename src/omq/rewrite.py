@@ -665,18 +665,6 @@ def _program(ctx: RewriteContext, *groups: Callable[[_Emitter], None]) -> DProgr
     return DProgram.of(e.rules)
 
 
-def build_core_program(ctx: RewriteContext) -> DProgram:
-    return _program(ctx, _core_rules)
-
-
-def build_marking_program(ctx: RewriteContext) -> DProgram:
-    return _program(ctx, _marking_rules)
-
-
-def build_filter_program(ctx: RewriteContext) -> DProgram:
-    return _program(ctx, _filter_rules)
-
-
 # ---------------------------------------------------------------------------
 # Whole-query rewriting
 

@@ -1,8 +1,8 @@
 """Abstract syntax for ALCHOI knowledge bases with closed predicates.
 
 Concepts and roles are immutable trees; knowledge bases bundle a TBox,
-a set of closed predicate names and an ABox.  This module also computes
-signatures (with a deterministic basis ordering) and the reflexive,
+a set of closed predicate names and an ABox.  This module also collects
+the names of a TBox, orders its basis, and computes the reflexive,
 inversion- and composition-closed role hierarchy.
 """
 
@@ -193,7 +193,7 @@ class KnowledgeBase:
 
 
 # ---------------------------------------------------------------------------
-# Signature extraction
+# Names of a TBox
 
 
 def _walk(c: Concept) -> Iterator[Concept]:
@@ -233,43 +233,12 @@ def tbox_names(tbox: Iterable[Axiom]) -> tuple[set[str], set[str], set[str]]:
     return concepts, roles, nominals
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Deterministically ordered name sets of a knowledge base.
-
-    ``basis`` is the ordered list of basic concepts of the TBox (concept
-    names first, then nominals, each block sorted lexicographically);
-    top and bot are excluded because every type implicitly contains top
-    and never bot.
-    """
-
-    individuals: tuple[str, ...]
-    concept_names: tuple[str, ...]
-    role_names: tuple[str, ...]
-    basis: tuple[Basic, ...]
-
-
 def make_basis(concept_names: Iterable[str], nominals: Iterable[str]) -> tuple[Basic, ...]:
+    """Concept names, then nominals, each block sorted.  Top and bot stay
+    out: every type holds top and none holds bot."""
     out: list[Basic] = [Name(n) for n in sorted(set(concept_names))]
     out.extend(Nominal(i) for i in sorted(set(nominals)))
     return tuple(out)
-
-
-def signature_of(kb: KnowledgeBase) -> Signature:
-    concepts, roles, nominals = tbox_names(kb.tbox)
-    individuals = set(nominals)
-    for a in kb.abox:
-        if isinstance(a, ConceptAssert):
-            individuals.add(a.individual)
-        else:
-            individuals.add(a.subject)
-            individuals.add(a.object)
-    return Signature(
-        individuals=tuple(sorted(individuals)),
-        concept_names=tuple(sorted(concepts)),
-        role_names=tuple(sorted(roles)),
-        basis=make_basis(concepts, nominals),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +260,13 @@ class RoleHierarchy:
         return (r, s) in self.pairs
 
 
-def role_closure(tbox: Iterable[Axiom]) -> RoleHierarchy:
+def role_closure(tbox: Iterable[Axiom], role_names: Iterable[str] = ()) -> RoleHierarchy:
+    """The hierarchy of ``tbox``, reflexive on its roles and on
+    ``role_names``."""
     axioms = list(tbox)
     incls = [(ax.lhs, ax.rhs) for ax in axioms if isinstance(ax, RoleIncl)]
     _, roles, _ = tbox_names(axioms)
+    roles.update(role_names)
     pairs: set[tuple[RoleExpr, RoleExpr]] = set()
     for p in roles:
         pairs.add((RoleExpr(p), RoleExpr(p)))

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Container, Iterable, Mapping, Union
 
 from .normalize import ExistsAxiom, NormalTBox
 from .syntax import (Assertion, Basic, ConceptAssert, Name, Nominal, OmqError,
-                     RoleAssert, RoleExpr, subsumed_by_closed)
+                     RoleAssert, RoleExpr, Top, subsumed_by_closed)
 
 TypeVec = int
 
@@ -115,6 +115,45 @@ class TypeContext:
     def clause_masks(self) -> tuple[tuple[int, int], ...]:
         return tuple((self.mask(c.lhs), self.mask(c.rhs)) for c in self.ntbox.clauses)
 
+    @cached_property
+    def valid_types(self) -> tuple[TypeVec, ...]:
+        """The types that satisfy every clause axiom, in increasing order."""
+        return tuple(t for t in range(1 << self.k) if satisfies_clauses(t, self))
+
+    def has(self, t: TypeVec, b: Basic) -> bool:
+        """Does type ``t`` contain ``b``?  Top is in every type, bot in none."""
+        if isinstance(b, (Name, Nominal)):
+            return bool(t >> self.bit_of[b] & 1)
+        return isinstance(b, Top)
+
+    def types_of(self, e: str | None, asserted: Container[tuple[str, str]],
+                 exclude: int = 0) -> list[TypeVec]:
+        """The valid types individual ``e`` may take given the asserted
+        ``(concept, individual)`` pairs: its own nominal and its asserted
+        concepts are in, other nominals and unasserted closed concepts are
+        out.  An anonymous element (``e`` None) takes no nominal and no
+        closed concept.  Types meeting the ``exclude`` mask are left out."""
+        required, forbidden = 0, exclude
+        for j, b in enumerate(self.basis):
+            if isinstance(b, Nominal):
+                holds = e == b.individual
+            else:
+                holds = e is not None and (b.name, e) in asserted
+                if not holds and b.name not in self.sigma:
+                    continue
+            if holds:
+                required |= 1 << j
+            else:
+                forbidden |= 1 << j
+        return [t for t in self.valid_types
+                if t & required == required and not t & forbidden]
+
+    def extensions(self, types: Mapping[Element, TypeVec]) -> dict[str, frozenset[Element]]:
+        """The extension of every concept name when each element of
+        ``types`` has its type."""
+        return {b.name: frozenset(e for e, t in types.items() if self.has(t, b))
+                for b in self.basis if isinstance(b, Name)}
+
     def role_closed(self, role: RoleExpr) -> bool:
         return subsumed_by_closed(role, self.ntbox.hierarchy, self.sigma)
 
@@ -123,9 +162,7 @@ class TypeContext:
         """Bits whose presence makes a type realizable only by individuals."""
         m = 0
         for i, b in enumerate(self.basis):
-            if isinstance(b, Nominal):
-                m |= 1 << i
-            elif b.name in self.sigma:
+            if isinstance(b, Nominal) or b.name in self.sigma:
                 m |= 1 << i
         for ax in self.ntbox.existentials:
             if self.role_closed(ax.role):
@@ -152,7 +189,7 @@ class TypeContext:
         return fwd, bwd
 
     def names_of(self, t: TypeVec) -> tuple[str, ...]:
-        return tuple(str(b) for i, b in enumerate(self.basis) if t >> i & 1)
+        return tuple(str(b) for b in self.basis if self.has(t, b))
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +377,9 @@ def mark_types(ctx: TypeContext, realized: frozenset[TypeVec]) -> MarkResult:
         raise ResourceRefused(
             f"basis of {k} concepts exceeds the {MAX_BASIS_BITS}-bit type-space budget")
     total = 1 << k
-    marked = bytearray(total)
-
-    for t in range(total):
-        if not satisfies_clauses(t, ctx):
-            marked[t] = 1
+    marked = bytearray([1]) * total
+    for t in ctx.valid_types:
+        marked[t] = 0
     cmask = ctx.ctype_mask
     for t in range(total):
         if not marked[t] and (t & cmask) and t not in realized:

@@ -4,6 +4,7 @@ import pathlib
 import omq
 
 SRC = pathlib.Path(omq.__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Imported for the tracer in perfbench/spans.py, which wraps it there.
 UNUSED_ON_PURPOSE = {("engine.py", "gl_reduct")}
 
@@ -42,3 +43,24 @@ def test_every_module_level_import_is_used():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unused |= {(path.name, name) for name in _module_imports(tree) - _used_names(tree)}
     assert unused == UNUSED_ON_PURPOSE
+
+
+def test_every_module_level_function_and_class_is_used():
+    """Each function and class defined at module level in ``omq`` is read
+    somewhere other than its own body and ``__init__``'s re-exports: in
+    ``src``, ``tests``, ``demos`` or ``perfbench``."""
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set()
+    for folder in (SRC, ROOT / "tests", ROOT / "demos", ROOT / "perfbench"):
+        for path in sorted(folder.rglob("*.py")):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                names = _used_names(ast.Module([node], []))
+                names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.discard(node.name)
+                used |= names
+    assert {(module, name) for (module, name) in defined if name not in used} == set()

@@ -133,3 +133,43 @@ def test_one_rewriting_answers_interleaved_aboxes_as_fresh_ones(tbox, closed, qu
         got = [certain_answers(shared, kb.abox) for kb in kbs]
         assert got == fresh
     assert any(report.answers for report in fresh)
+
+
+# POSITIVE_TBOX plus a disjointness, so that some unions are inconsistent.
+MONOTONE_TBOX = POSITIVE_TBOX + " F and C <= bot;"
+MONOTONE_QUERIES = ["q(x) :- D(x).", "q(x) :- F(x).", "q(x) :- r(x, y), D(y).",
+                    "q(x, y) :- r(x, y), D(y)."]
+
+
+def _random_abox(rng, size):
+    out = []
+    for _ in range(size):
+        if rng.random() < 0.7:
+            out.append((rng.choice("ABCDF"), (rng.choice("abcd"),)))
+        else:
+            out.append(("r", (rng.choice("abcd"), rng.choice("abcd"))))
+    return out
+
+
+@pytest.mark.parametrize("rw", [rewrite, rewrite_positive], ids=["stable", "positive"])
+def test_adding_assertions_keeps_every_answer_with_nothing_closed(rw):
+    """Open-world monotonicity: with nothing closed, a certain answer over
+    an ABox A stays certain over A together with more assertions B.  Both
+    are drawn at random over at most four individuals; the draws also
+    make answers appear, and unions turn inconsistent."""
+    def kb(abox):
+        return parse_kb(f"tbox {{ {MONOTONE_TBOX} }} abox {{ {_text(abox)} }}")
+
+    rng = random.Random(1)
+    grew = inconsistent = 0
+    for query in MONOTONE_QUERIES:
+        out = rw(build_omq(kb([]), parse_query(query)))
+        for _ in range(10):
+            a = _random_abox(rng, rng.randint(1, 4))
+            b = _random_abox(rng, rng.randint(1, 3))
+            before = certain_answers(out, kb(a).abox)
+            after = certain_answers(out, kb(a + b).abox)
+            assert before.answers <= after.answers, (query, a, b)
+            grew += before.answers < after.answers
+            inconsistent += after.inconsistent and not before.inconsistent
+    assert grew and inconsistent

@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+import re
 
 import pytest
 
@@ -186,13 +187,19 @@ def test_rewrite_rejects_unsupported():
         rewrite(o)
 
 
+def _fringe_preds(tbox):
+    kb = parse_kb(f"tbox {{ {tbox} }} abox {{ A(a); }}")
+    program = rewrite(build_omq(kb, parse_query("q(x) :- B(x)."))).program
+    return {a.pred for r in program.rules for a in r.head + r.body_pos + r.body_neg
+            if a.pred == "fringetype" or re.fullmatch(r"hastype\d+_e\d+", a.pred)}
+
+
 def test_filter_program_empty_without_existentials():
-    kb = parse_kb("tbox { A <= B; } abox { A(a); }")
-    o = build_omq(kb, parse_query("q(x) :- B(x)."))
-    from omq.rewrite import RewriteContext, build_filter_program, build_pred_table
-    table = build_pred_table(o.tbox, o.sigma, MODE_STABLE)
-    ctx = RewriteContext(o.tbox, o.sigma, table, MODE_STABLE)
-    assert build_filter_program(ctx).rules == ()
+    """Without existential axioms there are no fringe elements, so no rule
+    of the rewriting mentions ``fringetype`` or a fringe copy
+    ``hastype<i>_e<j>``; one existential brings both in."""
+    assert _fringe_preds("A <= B;") == set()
+    assert {"fringetype", "hastype1_e0"} <= _fringe_preds("A <= B; A <= exists r . B;")
 
 
 def test_positive_nominal_subsumption_agrees_and_detects_inconsistency():

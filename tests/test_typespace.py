@@ -25,6 +25,31 @@ def test_type_of_elements(example1_ctx, core1):
     assert names_of(ctx, type_of("c", core1, ctx)) == {"{c}"}
 
 
+def test_types_an_element_may_take(example1_ctx, example1, core1):
+    """An individual takes its own nominal and its asserted concepts, and a
+    closed concept (A1, A4) only where asserted; an anonymous element takes
+    no nominal and no closed concept.  The concept extensions of the core's
+    types are the core's own."""
+    ctx = example1_ctx
+    kb, _ = example1
+    asserted = {(a.concept, a.individual) for a in kb.abox
+                if isinstance(a, omq.ConceptAssert)}
+    for e, inside, outside in [("a", {"A1", "A4"}, {"{c}"}),
+                               ("b", {"A1", "A3"}, {"A4", "{c}"}),
+                               ("c", {"{c}"}, {"A1", "A4"}),
+                               (None, set(), {"A1", "A4", "{c}"})]:
+        types = ctx.types_of(e, asserted)
+        assert types and all(inside <= names_of(ctx, t) and not outside & names_of(ctx, t)
+                             for t in types), e
+        assert set(types) <= set(ctx.valid_types)
+    a2 = type_by_names(ctx, {"A2"})
+    assert ctx.types_of("a", asserted, exclude=a2) == [
+        t for t in ctx.types_of("a", asserted) if not t & a2]
+    assert ctx.types_of("a", asserted, exclude=type_by_names(ctx, {"A1"})) == []
+    typed = {e: type_of(e, core1, ctx) for e in core1.domain()}
+    assert ctx.extensions(typed) == core1.concept_ext
+
+
 def test_is_c_type(example1_ctx):
     ctx = example1_ctx
     assert is_c_type(type_by_names(ctx, {"A1", "A4"}), ctx)
