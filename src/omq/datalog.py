@@ -534,16 +534,13 @@ class Layer:
     atom of a predicate the layer derives, with that atom matched first.
     ``model`` runs semi-naive rounds over a base: the first round joins
     every rule over the base; each later round joins, per body position,
-    only the rows the previous round added there.  Its result equals the
-    closure of ``gl_reduct(ground(p, base).program(), base)`` over the
-    base, and the verdict of ``holds`` on it the scan of that reduct's
-    constraints.
-
-    The fixpoint depends only on the base facts of ``rule_reads``, the
-    predicates below the layer that its rules read; the verdict depends on
-    the fixpoint and on the base facts of ``check_reads``, the predicates
-    below the layer that only its constraints read.  So a caller can
-    memoize each on just those facts.
+    only the rows the previous round added there; then it scans the
+    constraints over the fixpoint.  Its result equals the closure of
+    ``gl_reduct(ground(p, base).program(), base)`` over the base, and its
+    verdict the scan of that reduct's constraints.  Both depend only on
+    the base facts of ``reads``, the predicates below the layer that its
+    rules and constraints read, so a caller can memoize them on just those
+    facts.
     """
 
     def __init__(self, p: DProgram):
@@ -568,18 +565,12 @@ class Layer:
                 if a.pred in derived:
                     plan = _Plan(rule, layer=True, first=j)
                     self.deltas.append((a.pred, (head, plan)))
-        checked = {a.pred for r in p.rules if not r.head for a in r.body_pos + r.body_neg}
-        self.rule_reads = frozenset(a.pred for r in p.rules if r.head
-                                    for a in r.body_pos + r.body_neg) - derived
-        self.check_reads = frozenset(checked - derived - self.rule_reads)
-        self.checked_derived = checked & derived
-        self.checked_base = {pred: self.arities[pred] for pred in checked - derived}
+        self.reads = frozenset(a.pred for r in p.rules for a in r.body_pos + r.body_neg) - derived
 
-    def model(self, base: Iterable[Fact], keep: Iterable[str]
-              ) -> tuple[frozenset[Fact], dict[str, _Relation]]:
+    def model(self, base: Iterable[Fact], keep: Iterable[str]) -> tuple[frozenset[Fact], bool]:
         """The facts of the ``keep`` predicates in the least model over
-        ``base`` (base facts included), and the relations there of the
-        derived predicates that the constraints read, for ``holds``."""
+        ``base`` (base facts included), and whether every constraint holds
+        there."""
         db: dict = _load(self.arities, base)
         added = self._round(db, self.full)
         while added:
@@ -589,14 +580,7 @@ class Layer:
             added = self._round(db, [v for (pred, v) in self.deltas if pred in added])
         facts = frozenset((pred, row) for pred in keep if pred in db
                           for row in db[pred].rows)
-        return facts, {pred: db[pred] for pred in self.checked_derived}
-
-    def holds(self, derived: Mapping[str, _Relation], base: Iterable[Fact]) -> bool:
-        """Whether every constraint holds in the least model whose derived
-        relations ``model`` returned, over ``base``."""
-        db = _load(self.checked_base, base)
-        db.update(derived)
-        return not any(plan.join(db, plan.keys, None) for plan in self.constraints)
+        return facts, not any(plan.join(db, plan.keys, None) for plan in self.constraints)
 
     @staticmethod
     def _round(db: dict, variants) -> dict[str, list[Row]]:

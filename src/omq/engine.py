@@ -16,23 +16,26 @@ Evaluation backtracks over the choice atoms with unit propagation over
 those clauses, from a root propagated once, and reads each leaf's model
 off the value array.  The upper layers are compiled into ``datalog.Layer``
 join plans and evaluated semi-naively, in order, over each leaf's model;
-a branch whose upper layers violate a constraint is discarded.  A
-layer's fixpoint is memoized on the facts its rules read, and its
-constraints' verdict on those and the facts only the constraints read.
-Layers 2 and 4 read individuals, so their memo lasts one call.  The
-marking layer reads the realized types and the bit constants, and no
-other individual: its memo is kept with the rewriting, so it runs once
-per set of realized types a call meets that an earlier call did not (in
-positive mode its rules read just the bit constants).  When no upper
-rule has negation (the positive rewriting), the upper layers are
-monotone in the guess-layer facts, and a failing leaf becomes a learned
-clause: a deletion filter shrinks the leaf's facts to a subset that
-still fails, and no later branch may make all of them true.  Only the
-guess layer is ever ground.  The layering, the guess layer's plans and
-rule roles, the ``Layer``s and the marking memo form the rewriting's
-``Evaluation``, built on the first evaluation and kept on the
-``RewriteOutput``, so later calls on the same rewriting stratify and
-compile nothing.  One rewriting is not meant for concurrent calls.
+a branch whose upper layers violate a constraint is discarded.  Every
+constraint over the upper layers sits in the last one: in stable mode no
+fringe element takes a marked type, in positive mode no realized type is
+marked.  A layer's facts handed up and its verdict are memoized together,
+on the facts it reads.  Layer 2, and layer 4 in stable mode, read
+individuals, so their memo lasts one call.  The others read no
+guess-layer fact but the bit constants, and their memos are kept with
+the rewriting: the marking layer runs once per set of realized types a
+call meets that an earlier call did not (in positive mode its rules read
+just the bit constants), and the positive filter once per set of realized
+and marked types.  When no upper rule has negation (the positive
+rewriting), the upper layers are monotone in the guess-layer facts, and a
+failing leaf becomes a learned clause: a deletion filter shrinks the
+leaf's facts to a subset that still fails, and no later branch may make
+all of them true.  Only the guess layer is ever ground.  The layering,
+the guess layer's plans and rule roles, the ``Layer``s and the memos
+kept with the rewriting form its ``Evaluation``, built on the first
+evaluation and kept on the ``RewriteOutput``, so later calls on the same
+rewriting stratify and compile nothing.  One rewriting is not meant for
+concurrent calls.
 Certain answers are the tuples reported by every surviving branch, found
 by cautious enumeration in one search: the candidates start as the
 answer tuples of the first surviving branch, every branch drops the
@@ -67,14 +70,12 @@ UNKNOWN, TRUE, FALSE = 0, 1, 2
 ENUMERATION_BRANCH_LIMIT = 2_000_000
 ENUMERATION_MODEL_LIMIT = 20_000
 
-# Index of the marking layer in ``Evaluation.layers``, and the entries each
-# of its memos keeps before it drops the least recently used.  Its keys
-# are sets of realized types, and under --db-constants they also name the
-# two individuals that stand for the bit constants, so a rewriting that
-# serves many ABoxes would otherwise grow them without bound.  A fixpoint
-# holds about 8 KB at k=6 and 29 KB at k=8, and a verdict well under 1 KB,
-# so a full memo stays within about 8 MB at k=8.
-MARKING = 1
+# The entries a layer memo kept on the rewriting holds before it drops the
+# least recently used.  Its keys are sets of realized types (and of marked
+# types), and under --db-constants they also name the two individuals that
+# stand for the bit constants, so a rewriting that serves many ABoxes would
+# otherwise grow them without bound.  A marking fixpoint holds about 8 KB
+# at k=6 and 29 KB at k=8, so a full memo stays within about 8 MB at k=8.
 LAYER_MEMO_LIMIT = 256
 
 # Roles of the guess layer's rules in ``_Searcher``'s clauses: a guess rule,
@@ -121,8 +122,8 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
             head_layers = {layer_of[a.pred] for a in rule.head}
             if len(head_layers) != 1:
                 raise StratifyError(f"rule {rule} mixes layers in its head")
-        else:
-            lay = max((layer_of[p] for p in preds), default=1)
+        else:  # a constraint over the upper layers goes last
+            lay = 1 if all(layer_of[p] == 1 for p in preds) else 4
         body_max = max((layer_of[a.pred] for a in rule.body_pos + rule.body_neg),
                        default=1)
         if rule.head and body_max > lay:
@@ -138,43 +139,42 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
 class Evaluation:
     """The evaluation form of a rewriting: its layers, whose guess layer
     keeps the join plans of its first grounding (``DProgram.plans``), and
-    each upper layer compiled to a ``datalog.Layer`` with those of its own
-    facts that a higher layer reads, which it hands up.  ``reads`` are the
-    predicates some upper layer reads, and ``monotone`` says whether no
-    upper rule has negation, so that more guess-layer facts can only add
-    upper-layer facts and constraint violations.  ``choices`` maps the
-    positive predicate of each choice family to its negative one and its
-    guard, and ``roles`` gives the role of each guess-layer rule in the
-    searcher's clauses (``GUESS``, ``CLAUSE``, ``FORCE`` or ``SUPPORT``);
-    a support with negation is a ``StratifyError``.  It depends on the
-    rewriting only, plus the marking layer's memo, keyed on facts:
-    ``fixpoints`` maps (``MARKING``, facts its rules read) to its
-    ``Layer.model``, and ``verdicts`` maps (``MARKING``, those facts, facts
-    only its constraints read) to its ``Layer.holds``.  Both are pure
-    functions of their keys, and the keys name no individual but the bit
-    constants, so the memo serves every later call, on any ABox; each
-    holds at most ``LAYER_MEMO_LIMIT`` entries (``_Recent``).
-    ``RewriteOutput.evaluation`` builds it on first use and keeps it for
-    the rewriting's lifetime.  One rewriting is not meant for concurrent
-    calls: they would share the memo unguarded."""
+    per upper layer, in ``layers``, its ``datalog.Layer``, those of its own
+    predicates that a higher layer reads, which it hands up, and its memo.
+    ``reads`` are the predicates some upper layer reads, and ``monotone``
+    says whether no upper rule has negation, so that more guess-layer facts
+    can only add upper-layer facts and constraint violations.  ``choices``
+    maps the positive predicate of each choice family to its negative one
+    and its guard, and ``roles`` gives the role of each guess-layer rule in
+    the searcher's clauses (``GUESS``, ``CLAUSE``, ``FORCE`` or
+    ``SUPPORT``); a support with negation is a ``StratifyError``.  It
+    depends on the rewriting only, plus the memo of each upper layer that
+    reads no guess-layer predicate but ``tt`` and ``ff``: it maps the facts
+    the layer reads to its ``Layer.model``, a pure function of them that
+    names no individual but the bit constants, so the memo serves every
+    later call, on any ABox, and holds at most ``LAYER_MEMO_LIMIT`` entries
+    (``_Recent``).  A layer that reads individuals has no memo here
+    (``None``); each call keeps its own.  ``RewriteOutput.evaluation``
+    builds it on first use and keeps it for the rewriting's lifetime.  One
+    rewriting is not meant for concurrent calls: they would share the
+    memos unguarded."""
 
     def __init__(self, out: RewriteOutput):
+        t = out.ctx.table
         self.layered = stratify(out)
-        families = out.ctx.table.families
-        self.choices = {pos: (neg, guard) for (pos, neg, guard) in families}
-        self.roles = _roles(self.layered.p1, set(self.choices) | {n for (_, n, _) in families})
+        self.choices = {pos: (neg, guard) for (pos, neg, guard) in t.families}
+        self.roles = _roles(self.layered.p1, set(self.choices) | {n for (_, n, _) in t.families})
+        individual = {pred for pred, lay in t.layer.items() if lay == 1} - {t.tt, t.ff}
         uppers = (self.layered.p2, self.layered.p3, self.layered.p4)
-        reads = [{a.pred for r in p.rules for a in r.body_pos + r.body_neg} for p in uppers]
-        self.layers: list[tuple[Layer, tuple[str, ...]]] = []
-        for i, p in enumerate(uppers):
+        layers = [Layer(p) for p in uppers]
+        self.layers: list[tuple[Layer, tuple[str, ...], _Recent | None]] = []
+        for i, (p, layer) in enumerate(zip(uppers, layers)):
             own = {a.pred for r in p.rules for a in r.head}
-            keep = tuple(sorted(own & set().union(*reads[i + 1:])))
-            self.layers.append((Layer(p), keep))
-        self.reads = frozenset().union(*reads)
+            keep = own & set().union(*(above.reads for above in layers[i + 1:]))
+            memo = None if layer.reads & individual else _Recent()
+            self.layers.append((layer, tuple(sorted(keep)), memo))
+        self.reads = frozenset().union(*(layer.reads for layer in layers))
         self.monotone = not any(r.body_neg for p in uppers for r in p.rules)
-        self.fixpoints: dict[tuple[int, frozenset[Fact]],
-                             tuple[frozenset[Fact], dict]] = _Recent()
-        self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = _Recent()
 
 
 def _roles(p1: DProgram, choice: set[str]) -> list[int]:
@@ -325,12 +325,9 @@ class _Searcher:
         self.learning = form.monotone
         self.root_facts = [f for f, v in zip(self.facts, self.root)
                            if v == TRUE and f[0] in form.reads]
-        # Layers 2 and 4 read individuals: their memo lasts this call.
-        self.fixpoints: dict[tuple[int, frozenset[Fact]],
-                             tuple[frozenset[Fact], dict]] = {}
-        self.verdicts: dict[tuple[int, frozenset[Fact], frozenset[Fact]], bool] = {}
-        self.memos = [(self.fixpoints, self.verdicts)] * len(form.layers)
-        self.memos[MARKING] = (form.fixpoints, form.verdicts)
+        # A layer that reads individuals keeps its memo for this call only.
+        self.memos: list[dict[frozenset[Fact], tuple[frozenset[Fact], bool]]] = \
+            [{} if memo is None else memo for (_, _, memo) in form.layers]
 
     # -- unit propagation --------------------------------------------------
 
@@ -440,25 +437,18 @@ class _Searcher:
         """Whether the guess-layer model ``facts`` extends through the upper
         layers, in order, without violating a constraint.  Each layer reads
         the facts of the guess layer and those the layers below hand up.
-        Its fixpoint is memoized on the facts its rules read, and its
-        constraints' verdict on those and the facts only they read: the
-        marking layer's in the memo of the rewriting's ``Evaluation``, the
-        others' in this searcher's."""
-        for i, (layer, keep) in enumerate(self.form.layers):
-            fixpoints, verdicts = self.memos[i]
-            base = frozenset(f for f in facts if f[0] in layer.rule_reads)
-            fixpoint = fixpoints.get((i, base))
-            if fixpoint is None:
+        Its facts handed up and its verdict are memoized on the facts it
+        reads: on the rewriting's ``Evaluation`` where the layer reads no
+        individual, and in this searcher otherwise."""
+        for (layer, keep, _), memo in zip(self.form.layers, self.memos):
+            base = frozenset(f for f in facts if f[0] in layer.reads)
+            result = memo.get(base)
+            if result is None:
                 self.runs += 1
-                fixpoint = fixpoints[i, base] = layer.model(base, keep)
-            handed_up, derived = fixpoint
-            if layer.constraints:
-                checked = frozenset(f for f in facts if f[0] in layer.check_reads)
-                ok = verdicts.get((i, base, checked))
-                if ok is None:
-                    ok = verdicts[i, base, checked] = layer.holds(derived, base | checked)
-                if not ok:
-                    return False
+                result = memo[base] = layer.model(base, keep)
+            handed_up, ok = result
+            if not ok:
+                return False
             facts = [*facts, *handed_up]
         return True
 

@@ -287,6 +287,11 @@ class _CoreSpace:
         # A fringe element takes no c-type: no nominal, no closed concept,
         # and (c3.4) no trigger of an existential over a closed role.
         self.fringe_types = [t for t in ctx.valid_types if not t & ctx.ctype_mask]
+        # The existentials no fringe element can witness: over a closed role
+        # (no fringe edges), or with a nominal or closed filler.
+        self.named_only = [ax for ax in ntbox.existentials
+                           if ax.role.name in ctx.sigma or ctx.role_closed(ax.role)
+                           or not isinstance(ax.filler, Name) or ax.filler.name in ctx.sigma]
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -395,14 +400,6 @@ class _CoreSpace:
             return ((y, x) for (x, y) in base)
         return base
 
-    def _fringe_can_witness(self, ax) -> bool:
-        """Can a fringe element ever serve as the successor for this
-        existential?  Not when the role is closed (no fringe edges), nor
-        when the filler is a nominal or a closed concept."""
-        if ax.role.name in self.ctx.sigma or self.ctx.role_closed(ax.role):
-            return False
-        return isinstance(ax.filler, Name) and ax.filler.name not in self.ctx.sigma
-
     def _goal_already_matched(self, types: dict[str, TypeVec],
                               edges: dict[str, set[tuple[str, str]]]) -> bool:
         if self.goal is None:
@@ -433,9 +430,7 @@ class _CoreSpace:
                             edges: dict[str, set[tuple[str, str]]]) -> bool:
         """Prune role assignments that already doom an existential whose
         witness must be a named individual."""
-        for ax in self.ctx.ntbox.existentials:
-            if self._fringe_can_witness(ax):
-                continue
+        for ax in self.named_only:
             for e in self.inds:
                 if not self.ctx.has(types[e], ax.lhs):
                     continue
@@ -498,7 +493,7 @@ class _CoreSpace:
                 if any(x == e and self.ctx.has(types[y], ax.filler)
                        for (x, y) in self._expr_pairs(edges, ax.role)):
                     continue
-                if not self._fringe_can_witness(ax):
+                if ax in self.named_only:
                     return False
                 found = False
                 for i in range(self.n_exist):

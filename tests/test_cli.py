@@ -2,6 +2,7 @@ import hashlib
 import logging
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -328,3 +329,81 @@ def test_running_out_of_memory_is_a_refusal(capsys, monkeypatch):
     code, out, err = run(capsys, "answer", FIXTURES / "intro.kb", FIXTURES / "q_attends.cq")
     assert (code, out) == (2, "")
     assert err == "refused: out of memory; result undecided\n"
+
+
+FUZZ_CONCEPTS, FUZZ_ROLES, FUZZ_INDIVIDUALS = ("A", "B", "C"), ("r", "s"), ("a", "b", "c")
+FUZZ_QUERIES = ("q(x) :- A(x).", "q(x, y) :- r(x, y).", "q(x) :- r(x, y), B(y).",
+                "q() :- C(x).")
+
+
+def _fuzz_role(rng):
+    role = rng.choice(FUZZ_ROLES)
+    return f"inv({role})" if rng.random() < 0.3 else role
+
+
+def _fuzz_concept(rng, depth):
+    """A random concept of at most ``depth`` nested constructors."""
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice([*FUZZ_CONCEPTS, "top", "bot", f"{{{rng.choice(FUZZ_INDIVIDUALS)}}}"])
+    kind = rng.randrange(5)
+    if kind == 0:
+        return f"not {_fuzz_concept(rng, depth - 1)}"
+    if kind < 3:
+        return (f"({_fuzz_concept(rng, depth - 1)} {('and', 'or')[kind - 1]}"
+                f" {_fuzz_concept(rng, depth - 1)})")
+    return f"{('exists', 'forall')[kind - 3]} {_fuzz_role(rng)} . {_fuzz_concept(rng, depth - 1)}"
+
+
+def _fuzz_kb(rng):
+    """Random KB text: nested concept inclusions, a role inclusion, a small
+    ABox and up to two closed names of the TBox; one in five has one
+    character replaced."""
+    tbox = [f"{_fuzz_concept(rng, 2)} <= {_fuzz_concept(rng, 2)};"
+            for _ in range(rng.randint(1, 3))]
+    tbox += [f"{rng.choice(FUZZ_ROLES)} <= {_fuzz_role(rng)};" for _ in range(rng.randint(0, 1))]
+    abox = [f"{rng.choice(FUZZ_CONCEPTS)}({rng.choice(FUZZ_INDIVIDUALS)});"
+            for _ in range(rng.randint(0, 3))]
+    abox += [f"{rng.choice(FUZZ_ROLES)}({rng.choice(FUZZ_INDIVIDUALS)},"
+             f" {rng.choice(FUZZ_INDIVIDUALS)});" for _ in range(rng.randint(0, 2))]
+    named = sorted(set(re.findall(r"\b[A-Crs]\b", " ".join(tbox))))
+    closed = rng.sample(named, min(len(named), rng.randint(0, 2)))
+    text = (f"tbox {{ {' '.join(tbox)} }} abox {{ {' '.join(abox)} }}"
+            f" closed {{ {' '.join(c + ';' for c in closed)} }}")
+    if rng.random() < 0.2:
+        at = rng.randrange(len(text))
+        text = text[:at] + rng.choice("(){};.,<=-xA ") + text[at + 1:]
+    return text
+
+
+def _basis_size(kb_text, query_text):
+    """The basis size of the OMQ, query concepts included (0 if it is
+    rejected)."""
+    try:
+        kb = omq.parse_kb(kb_text)
+        o = omq.build_omq(kb, omq.parse_query(query_text), allow_extra_abox_names=True)
+    except omq.OmqError:
+        return 0
+    return len(o.tbox.basis)
+
+
+def test_random_inputs_keep_the_exit_contract(capsys, tmp_path):
+    """On seeded random KBs and queries, ``answer`` (stable, ``--positive``
+    and ``--db-constants``), ``rewrite`` and ``check`` each return 0, 1 or
+    2 and raise nothing.  An OMQ with a basis of more than 6 elements is
+    skipped, and the search gets a small branch limit: the marking layer
+    grows with 4^k, and no budget bounds it yet."""
+    rng = random.Random(1)
+    kb, query = tmp_path / "fuzz.kb", tmp_path / "fuzz.cq"
+    limit, codes = ["--branch-limit", 300], []
+    while len(codes) < 400:
+        kb_text, query_text = _fuzz_kb(rng), rng.choice(FUZZ_QUERIES)
+        if _basis_size(kb_text, query_text) > 6:
+            continue
+        kb.write_text(kb_text)
+        query.write_text(query_text)
+        for argv in (["answer", *limit], ["answer", *limit, "--positive"],
+                     ["answer", *limit, "--db-constants"], ["rewrite"], ["check"]):
+            code, _, _ = run(capsys, *argv, kb, query, "--allow-extra-abox")
+            assert code in (0, 1, 2), (argv, kb_text, query_text)
+            codes.append(code)
+    assert {0, 1} <= set(codes)

@@ -53,10 +53,10 @@ def test_stratify_layers(example1):
     assert "marked" in p3_preds and "next5" in p3_preds
     p4_preds = {a.pred for r in layered.p4.rules for a in r.head}
     assert "fringetype" in p4_preds and "hastype5_e0" in p4_preds
-    # On every fixture, layer 4 is exactly the rules that mention
-    # ``fringetype`` or a ``hastype<i>_e<j>``, and the rest of layers 3 and
-    # 4 is layer 3; in positive mode that leaves the filter constraint in
-    # layer 3 and layer 4 empty.
+    # On every fixture, layer 4 is exactly the constraints over the upper
+    # layers and the rules that mention ``fringetype`` or a
+    # ``hastype<i>_e<j>``, and the rest of layers 3 and 4 is layer 3; in
+    # positive mode that leaves layer 4 exactly the filter constraint.
     runs = 0
     for kb, o in _fixture_omqs():
         for out in _rewritings(o, omq.individuals_of(o, kb.abox)):
@@ -66,15 +66,15 @@ def test_stratify_layers(example1):
             layered = stratify(out)
             above = set(layered.p3.rules + layered.p4.rules)
             upper = [r for r in out.program.rules if r in above]
-            mentions = [r for r in upper
-                        if fringe & {a.pred for a in r.head + r.body_pos + r.body_neg}]
+            mentions = [r for r in upper if not r.head
+                        or fringe & {a.pred for a in r.head + r.body_pos + r.body_neg}]
             assert list(layered.p4.rules) == mentions
             assert list(layered.p3.rules) == [r for r in upper if r not in mentions]
+            assert any(not r.head for r in layered.p4.rules)
             if out.mode == omq.MODE_POSITIVE:
-                assert not layered.p4.rules
-                assert any(not r.head for r in layered.p3.rules)
-            else:
-                assert any(not r.head for r in layered.p4.rules)
+                (check,) = layered.p4.rules
+                assert not check.head and not check.body_neg
+                assert [a.pred for a in check.body_pos] == [t.marked, t.realizedtype]
             runs += 1
     assert runs >= 18
 
@@ -296,22 +296,19 @@ def test_marking_layer_matches_mark_types(monkeypatch, kb_text, query_text, posi
     def marked_types(marked):
         return {bits(row) for (_, row) in marked}
     form = out.evaluation
-    marking, keep = form.layers[1]
-    assert keep == ((t.marked,) if not positive else ())
-    fixpoints = {base: fixpoint for ((i, base), fixpoint) in form.fixpoints.items()
-                 if i == 1}
+    marking, keep, fixpoints = form.layers[1]
+    assert keep == (t.marked,)
     # positive marking rules read only the bit constants: one fixpoint
     assert len(fixpoints) == 1 if positive else fixpoints
-    # the realized types met: in the base of each stable fixpoint, and in
-    # each verdict of the positive filter constraint, which alone reads them
-    met = [(base, base) for base in fixpoints] if keep else \
-        [(base, base | checked) for (i, base, checked) in form.verdicts if i == 1]
+    # the realized types met: in the key of each stable fixpoint, and in
+    # each key of the positive filter constraint's memo, which alone reads
+    # them, next to the one fixpoint's marked types
+    met = form.layers[2][2] if positive else fixpoints
     assert len(met) >= sets
-    for base, facts in met:
-        up, derived = fixpoints[base]
-        # in positive mode no layer above reads ``marked``, so none is kept;
-        # the filter constraint reads its relation
-        marked = up if keep else {(t.marked, row) for row in derived[t.marked].rows}
+    for facts in met:
+        marked = {f for f in facts if f[0] == t.marked} if positive else fixpoints[facts][0]
+        if positive:
+            assert (marked, True) in fixpoints.values()
         types = frozenset(bits(row) for (pred, row) in facts if pred == t.realizedtype)
         assert marked_types(marked) == mark_types(out.ctx.types, types).marked
     for n in range(3 if k <= 4 else 2):  # pairs only while 2^k is small
@@ -360,11 +357,9 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
 
 
 def _memo_size(searcher):
-    """The entries of the memos a searcher reads: its own and the marking
-    layer's on the evaluation form."""
-    form = searcher.form
-    return sum(map(len, (searcher.fixpoints, searcher.verdicts, form.fixpoints,
-                         form.verdicts)))
+    """The entries of the memos a searcher reads: its own and those kept
+    on the evaluation form."""
+    return sum(map(len, searcher.memos))
 
 
 def _fresh_layers(out):
@@ -377,8 +372,8 @@ def _layers_fail(layers, facts):
     """Whether closing ``facts`` through ``layers`` in order, each handing
     up every fact it derives, violates a constraint."""
     for layer, p in layers:
-        derived, relations = layer.model(facts, p.arities)
-        if not layer.holds(relations, facts):
+        derived, ok = layer.model(facts, p.arities)
+        if not ok:
             return True
         facts = [*facts, *derived]
     return False
@@ -576,19 +571,24 @@ def _renamed(abox, new):
                  for a in abox)
 
 
-@pytest.mark.parametrize("kb_text, query_text, rw", [
-    (CHAIN_KB, "q(x) :- A2(x).", rewrite),
+@pytest.mark.parametrize("kb_text, query_text, rw, kept", [
+    (CHAIN_KB, "q(x) :- A2(x).", rewrite, [False, True, False]),
     (f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); C(b); F(c); }}", "q(x) :- D(x).",
-     rewrite_positive),
+     rewrite_positive, [False, True, True]),
 ], ids=["chain-stable", "positive"])
-def test_a_renamed_abox_reuses_the_marking_fixpoint(monkeypatch, kb_text, query_text, rw):
+def test_a_renamed_abox_reuses_the_marking_fixpoint(monkeypatch, kb_text, query_text, rw,
+                                                    kept):
     """The marking layer reads the realized types and the bit constants,
-    never an individual: after one call, a call on the same rewriting with
-    every individual renamed (into the reverse order) runs the other
-    layers again but not the marking layer, and answers the renamed
+    never an individual, and so does the positive filter constraint: their
+    memos are ``kept`` on the rewriting, the others last one call.  After
+    one call, a call on the same rewriting with every individual renamed
+    (into the reverse order) runs again just the layers with a per-call
+    memo (in positive mode, layer 2 alone), and answers the renamed
     tuples."""
     kb, o = _omq(kb_text, query_text)
     out = rw(o)
+    layers = out.evaluation.layers
+    assert [memo is not None for (_, _, memo) in layers] == kept
     first = certain_answers(out, kb.abox)
     assert first.answers and first.fixpoints
     runs = []
@@ -603,14 +603,15 @@ def test_a_renamed_abox_reuses_the_marking_fixpoint(monkeypatch, kb_text, query_
     second = certain_answers(out, _renamed(kb.abox, new))
     assert second.answers == {tuple(new[x] for x in t) for t in first.answers}
     assert second.fixpoints == len(runs) > 0
-    assert out.evaluation.layers[1][0] not in runs
+    assert set(runs) == {layer for (layer, _, memo) in layers if memo is None}
 
 
 def test_a_memo_of_one_entry_keeps_the_answers(monkeypatch):
-    """With room for one entry, each marking memo drops an entry on almost
-    every insert, and the answers stay those of the full memo, on the
-    fixtures and on OMQs whose leaves fail the upper layers, over two calls
-    per rewriting; neither memo ever holds more than one entry."""
+    """With room for one entry, each memo kept on the rewriting drops an
+    entry on almost every insert, and the answers stay those of the full
+    memo, on the fixtures and on OMQs whose leaves fail the upper layers,
+    over two calls per rewriting; no such memo ever holds more than one
+    entry."""
     runs = [*_fixture_omqs(),
             _omq("tbox { A <= exists r . B;  B <= exists r . C;  C <= bot;  E <= top; }"
                  " abox { E(a); }", "q(x) :- E(x)."),
@@ -624,7 +625,7 @@ def test_a_memo_of_one_entry_keeps_the_answers(monkeypatch):
 
     def checked(self, facts):
         got = real(self, facts)
-        sizes.update((len(self.form.fixpoints), len(self.form.verdicts)))
+        sizes.update(len(memo) for (_, _, memo) in self.form.layers if memo is not None)
         return got
     monkeypatch.setattr(_Searcher, "_upper_layers_ok", checked)
     for (kb, o), answers in zip(runs, expected):
@@ -648,15 +649,15 @@ def test_the_marking_memo_drops_the_least_recently_used_entry(monkeypatch):
 
 
 def test_the_marking_layer_runs_once_across_many_leaves(monkeypatch):
-    """With room for two entries in each marking memo, one positive call
-    over many leaves, and calls over two more ABoxes after it, run the
-    marking fixpoint once in all: its one key, the bit constants, stays
-    in use while the filter verdicts come and go."""
+    """With room for two entries in each memo, one positive call over many
+    leaves, and calls over two more ABoxes after it, run the marking
+    fixpoint once in all: its one key, the bit constants, stays in its own
+    memo while the filter verdicts come and go in theirs."""
     monkeypatch.setattr(omq.engine, "LAYER_MEMO_LIMIT", 2)
     kb, o = _omq(f"tbox {{ {POSITIVE_TBOX} }} abox {{ A(a); C(b); F(c); D(d); r(d, a); }}",
                  "q(x) :- D(x).")
     out = rewrite_positive(o)
-    marking = out.evaluation.layers[omq.engine.MARKING][0]
+    marking = out.evaluation.layers[1][0]
     runs, leaves = [], []
     real_model, real_ok = Layer.model, _Searcher._upper_layers_ok
 
@@ -672,7 +673,7 @@ def test_the_marking_layer_runs_once_across_many_leaves(monkeypatch):
     certain_answers(out, kb.abox)
     certain_answers(out, kb.abox[:3])
     certain_answers(out, _renamed(kb.abox, {x: x + "2" for x in "abcd"}))
-    assert len(out.evaluation.verdicts) == 2 and len(leaves) > 10
+    assert len(out.evaluation.layers[2][2]) == 2 and len(leaves) > 10
     assert runs.count(marking) == 1
 
 

@@ -23,7 +23,7 @@ def _used_names(tree: ast.Module) -> set[str]:
     """The names a module reads, quoted annotations included."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
         for part in ast.walk(annotation) if annotation else ():
@@ -45,22 +45,31 @@ def test_every_module_level_import_is_used():
     assert unused == UNUSED_ON_PURPOSE
 
 
+def _defined_names(node: ast.stmt) -> set[str]:
+    """The names a module-level statement defines: a function, a class, or
+    the plain names it assigns, dunder names aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not n.id.startswith("__")}
+
+
 def test_every_module_level_function_and_class_is_used():
-    """Each function and class defined at module level in ``omq`` is read
-    somewhere other than its own body and ``__init__``'s re-exports: in
-    ``src``, ``tests``, ``demos`` or ``perfbench``."""
+    """Each function, class and assigned name defined at module level in
+    ``omq`` is read somewhere other than its own definition and
+    ``__init__``'s re-exports: in ``src``, ``tests``, ``demos`` or
+    ``perfbench``."""
     defined = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined |= {(path.name, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {(path.name, name) for node in tree.body for name in _defined_names(node)}
     used = set()
     for folder in (SRC, ROOT / "tests", ROOT / "demos", ROOT / "perfbench"):
         for path in sorted(folder.rglob("*.py")):
             for node in ast.parse(path.read_text(encoding="utf-8")).body:
                 names = _used_names(ast.Module([node], []))
                 names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    names.discard(node.name)
-                used |= names
+                used |= names - _defined_names(node)
     assert {(module, name) for (module, name) in defined if name not in used} == set()
