@@ -25,8 +25,7 @@ from .typespace import (Core, CoreReport, FringeId, MarkResult, ResourceRefused,
                         lc_check, is_c_type, mark, mark_types, realized_types,
                         type_of, validate_core)
 from .datalog import (Const, DAtom, DProgram, DRule, Var, emit_text,
-                      gl_reduct, ground, ground_full, is_stable_model,
-                      parse_ground_atoms, stable_models_bruteforce)
+                      gl_reduct, ground, is_stable_model, parse_ground_atoms)
 from .rewrite import (MODE_POSITIVE, MODE_STABLE, PredTable, RewriteContext,
                       RewriteOutput, abox_facts, rewrite, rewrite_positive)
 from .engine import (AnswerReport, certain_answers, core_of_model,

@@ -116,6 +116,9 @@ def cmd_check(args) -> int:
         print(f"query class: unsupported ({cls.reason})")
         return 1
     print("c-variables:", ", ".join(sorted(c_variables(omq_obj))) or "-")
+    # The rewriting runs over the basis of the OMQ with the query folded in.
+    k = len((rollup(omq_obj) if isinstance(cls, CAcyclic) else omq_obj).tbox.basis)
+    print(f"OMQ basis size: {k} (2^{k} = {2 ** k} types)")
     return 0
 
 

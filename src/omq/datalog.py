@@ -21,7 +21,9 @@ function.  Two evaluators run on it:
   the base below it, by semi-naive rounds that join each rule once per
   body position against the previous round's new rows, building and
   recording each head row in the innermost loop, without building any
-  rule instance.
+  rule instance; ``unfold`` rewrites a layer before it is compiled,
+  substituting its helper predicates into the rules that read them, so
+  that their rows are never stored.
 
 Inequality literals are decided during matching; because rule safety
 bounds both sides by positive atoms, the built-in's occurrence semantics
@@ -36,7 +38,7 @@ import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 from .syntax import OmqError
 from .typespace import ResourceRefused
@@ -491,44 +493,71 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
                      dict(p.arities))
 
 
-def ground_full(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
-    """Textbook grounding: every substitution of variables by the constants
-    of the program and facts.  Exponential; only for cross-checks."""
-    constants: set[Const] = set()
-    for f in facts:
-        constants.update(t for t in f.args if isinstance(t, Const))
-    for r in p.rules:
-        for a in r.head + r.body_pos + r.body_neg:
-            constants.update(t for t in a.args if isinstance(t, Const))
-    consts = sorted(constants)
-    out: dict[DRule, None] = {}
-    for rule in p.rules:
-        variables = sorted(rule.variables())
-        def assignments(i: int, subst: dict[str, Const]) -> Iterator[dict[str, Const]]:
-            if i == len(variables):
-                yield dict(subst)
-                return
-            for c in consts:
-                subst[variables[i]] = c
-                yield from assignments(i + 1, subst)
-            subst.pop(variables[i], None)
-        for subst in assignments(0, {}):
-            def value(t: DTerm) -> Const:
-                return subst[t.name] if isinstance(t, Var) else t
-            if any(value(x) == value(y) for (x, y) in rule.body_neq):
-                continue
-            out[DRule(*(tuple(DAtom(a.pred, tuple(map(value, a.args))) for a in atoms)
-                        for atoms in (rule.head, rule.body_pos, rule.body_neg)))] = None
-    return DProgram(tuple(out), dict(p.arities))
-
-
 # ---------------------------------------------------------------------------
 # Layer evaluation
 
 
+def unfold(p: DProgram, keep: Iterable[str]) -> DProgram:
+    """``p`` with its helper predicates unfolded into the rules that read
+    them.  A predicate is unfolded when it is not in ``keep``, its own rules
+    do not read it, its heads are distinct variables, and some rule reads
+    it, each such rule once and positively: each reader is replaced by one
+    rule per defining rule, whose body takes the atom's place with the head
+    variables bound to the atom's terms and the other variables renamed
+    apart from the reader's.  Candidates go by descending head arity, ties
+    in order of first definition, and a predicate that a rule produced by
+    an earlier unfolding reads stays, so no rule is unfolded twice and the
+    rules grow at most by a factor per unfolding.  Unfolding keeps the least
+    model over a base without facts of ``p``'s heads on every predicate
+    that stays (Tamaki & Sato, ICLP 1984), and the predicates ``p`` reads
+    from below."""
+    keep = set(keep)
+    rules: list[tuple[DRule, bool]] = [(r, False) for r in p.rules]   # (rule, produced)
+    heads = dict.fromkeys(r.head[0].pred for r in p.rules if r.head)
+    for pred in sorted((h for h in heads if h not in keep), key=lambda h: -p.arities[h]):
+        defs = [r for r, _ in rules if r.head and r.head[0].pred == pred]
+        readers = {n for n, (r, _) in enumerate(rules)
+                   if any(a.pred == pred for a in r.body_pos + r.body_neg)}
+        if not readers or not all(
+                not made and r not in defs and not any(a.pred == pred for a in r.body_neg)
+                and sum(a.pred == pred for a in r.body_pos) == 1
+                for r, made in map(rules.__getitem__, readers)):
+            continue
+        if not all(all(isinstance(t, Var) for t in args) and len(set(args)) == len(args)
+                   for args in (d.head[0].args for d in defs)):
+            continue
+        rules = [out for n, (r, made) in enumerate(rules) if r not in defs for out in (
+            [(_unfold_into(r, pred, d), True) for d in defs] if n in readers else [(r, made)])]
+    return DProgram.of_safe(r for r, _ in rules)
+
+
+def _unfold_into(reader: DRule, pred: str, d: DRule) -> DRule:
+    """``reader`` with the body of ``d``, a rule defining ``pred``, in
+    place of its atom of ``pred``."""
+    j = next(j for j, a in enumerate(reader.body_pos) if a.pred == pred)
+    subst: dict[DTerm, DTerm] = dict(zip(d.head[0].args, reader.body_pos[j].args))
+    taken = reader.variables()
+    for name in sorted(d.variables() - {t.name for t in d.head[0].args}):
+        new, n = name, 0
+        while new in taken:
+            n += 1
+            new = f"{name}_{n}"
+        taken.add(new)
+        subst[Var(name)] = Var(new)
+
+    def atoms(part: tuple[DAtom, ...]) -> tuple[DAtom, ...]:
+        return tuple(DAtom(a.pred, tuple(subst.get(t, t) for t in a.args)) for a in part)
+    return DRule(reader.head, reader.body_pos[:j] + atoms(d.body_pos) + reader.body_pos[j + 1:],
+                 reader.body_neg + atoms(d.body_neg),
+                 reader.body_neq + tuple((subst.get(x, x), subst.get(y, y))
+                                         for (x, y) in d.body_neq))
+
+
 class Layer:
     """A layer of definite rules and constraints whose negated and ``!=``
-    literals read only the base interpretation below it.
+    literals read only the base interpretation below it.  It stores every
+    row its rules derive; a caller that needs only some predicates
+    compiles ``unfold(p, keep)``, whose helper predicates are never stored.
 
     The rules are compiled once: a plan per rule, and one more per body
     atom of a predicate the layer derives, with that atom matched first.
@@ -638,9 +667,8 @@ def closure(rules: Sequence[tuple[Hashable, Sequence[Hashable]]],
     return true
 
 
-# Atom budgets of the two checks below that search subsets of atoms.
+# Atom budget of the minimality search of ``is_stable_model``.
 MAX_MINIMALITY_ATOMS = 22
-MAX_BRUTEFORCE_ATOMS = 24
 
 
 def models_program(p: DProgram, interp: frozenset[DAtom]) -> bool:
@@ -684,66 +712,6 @@ def is_stable_model(p: DProgram, interp: Iterable[DAtom]) -> bool:
         if sub == 0:
             return True
         sub = (sub - 1) & full
-
-
-def stable_models_bruteforce(p: DProgram) -> list[frozenset[DAtom]]:
-    """All stable models of a ground program, by enumerating candidate
-    subsets of the head atoms.  Refuses programs beyond the atom budget.
-
-    Candidates are bitmasks over the interned base; atoms that occur only
-    in bodies can never be in a stable model, so positive literals outside
-    the base make a rule vacuous and negative ones are dropped."""
-    _require_ground(p)
-    base = sorted({h for r in p.rules for h in r.head})
-    if len(base) > MAX_BRUTEFORCE_ATOMS:
-        raise ResourceRefused(
-            f"Herbrand base of {len(base)} atoms exceeds the budget of {MAX_BRUTEFORCE_ATOMS}")
-    index = {a: j for j, a in enumerate(base)}
-    rules = []
-    disjunctive = False
-    for r in p.rules:
-        if any(b not in index for b in r.body_pos):
-            continue  # a body atom no rule can derive: never fires
-        if any(x == y for (x, y) in r.body_neq):
-            continue
-        pos = _or_mask(1 << index[b] for b in r.body_pos)
-        neg = _or_mask(1 << index[b] for b in r.body_neg if b in index)
-        head = _or_mask(1 << index[h] for h in r.head)
-        rules.append((pos, neg, head))
-        disjunctive = disjunctive or len(r.head) > 1
-
-    out: list[frozenset[DAtom]] = []
-    for m in range(1 << len(base)):
-        reduct = [(pos, head) for (pos, neg, head) in rules if not neg & m]
-        if any((m & pos) == pos and not head & m for (pos, head) in reduct):
-            continue  # not even a model
-        if not disjunctive:
-            lfp = 0
-            changed = True
-            while changed:
-                changed = False
-                for (pos, head) in reduct:
-                    if head and not head & lfp and (lfp & pos) == pos:
-                        lfp |= head
-                        changed = True
-            if lfp != m:
-                continue
-        elif m:
-            # reject when some proper subset models the reduct
-            eff = [(pos, head & m) for (pos, head) in reduct]
-            sub = (m - 1) & m
-            minimal = True
-            while True:
-                if all((sub & pos) != pos or sub & head for (pos, head) in eff):
-                    minimal = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
-            if not minimal:
-                continue
-        out.append(frozenset(base[j] for j in range(len(base)) if m >> j & 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

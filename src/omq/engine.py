@@ -16,7 +16,13 @@ Evaluation backtracks over the choice atoms with unit propagation over
 those clauses, from a root propagated once, and reads each leaf's model
 off the value array.  The upper layers are compiled into ``datalog.Layer``
 join plans and evaluated semi-naively, in order, over each leaf's model;
-a branch whose upper layers violate a constraint is discarded.  Every
+a branch whose upper layers violate a constraint is discarded.  Each is
+unfolded first (``datalog.unfold``): the predicates that only its own
+rules read are substituted into their readers where that is safe, so
+their rows are never stored.  Chief among them are the marking layer's
+``markedone_e<i>`` pairs ("type Y is no witness for X"), up to 4^k rows
+per existential: a cold call on the k=6 chain stores 2,503 rows in its
+layers instead of 17,901.  The emitted program keeps them.  Every
 constraint over the upper layers sits in the last one: in stable mode no
 fringe element takes a marked type, in positive mode no realized type is
 marked.  A layer's facts handed up and its verdict are memoized together,
@@ -56,7 +62,7 @@ from typing import Iterable, Iterator, Sequence
 # ``ground``, ``gl_reduct`` and ``stratify`` are looked up through this module
 # by tracers that wrap them (perfbench/spans.py); keep the names here.
 from .datalog import (DAtom, DProgram, DRule, Fact, Layer, Row, atom_of, gl_reduct,
-                      ground, is_stable_model)
+                      ground, is_stable_model, unfold)
 from .query import individuals_of, OMQ
 from .rewrite import RewriteOutput, abox_facts, db_constant_facts
 from .syntax import Assertion, OmqError
@@ -141,6 +147,10 @@ class Evaluation:
     keeps the join plans of its first grounding (``DProgram.plans``), and
     per upper layer, in ``layers``, its ``datalog.Layer``, those of its own
     predicates that a higher layer reads, which it hands up, and its memo.
+    Each ``Layer`` is compiled from its layer unfolded around what it hands
+    up (``datalog.unfold``), which keeps the facts handed up, the verdict
+    and the predicates read, so the memos are those of the layer as
+    written, while the marking layer stores about a seventh of the rows.
     ``reads`` are the predicates some upper layer reads, and ``monotone``
     says whether no upper rule has negation, so that more guess-layer facts
     can only add upper-layer facts and constraint violations.  ``choices``
@@ -166,14 +176,14 @@ class Evaluation:
         self.roles = _roles(self.layered.p1, set(self.choices) | {n for (_, n, _) in t.families})
         individual = {pred for pred, lay in t.layer.items() if lay == 1} - {t.tt, t.ff}
         uppers = (self.layered.p2, self.layered.p3, self.layered.p4)
-        layers = [Layer(p) for p in uppers]
         self.layers: list[tuple[Layer, tuple[str, ...], _Recent | None]] = []
-        for i, (p, layer) in enumerate(zip(uppers, layers)):
-            own = {a.pred for r in p.rules for a in r.head}
-            keep = own & set().union(*(above.reads for above in layers[i + 1:]))
-            memo = None if layer.reads & individual else _Recent()
-            self.layers.append((layer, tuple(sorted(keep)), memo))
-        self.reads = frozenset().union(*(layer.reads for layer in layers))
+        above: frozenset[str] = frozenset()   # what the layers compiled so far read
+        for p in reversed(uppers):
+            keep = tuple(sorted(above & {a.pred for r in p.rules for a in r.head}))
+            layer = Layer(unfold(p, keep))
+            self.layers.insert(0, (layer, keep, None if layer.reads & individual else _Recent()))
+            above |= layer.reads
+        self.reads = above
         self.monotone = not any(r.body_neg for p in uppers for r in p.rules)
 
 

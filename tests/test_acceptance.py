@@ -18,8 +18,9 @@ from omq import (ConceptAssert, ConceptIncl, DAtom, DProgram, DRule,
                  build_omq, certain_answers, core_enumeration_decide,
                  core_of_model, count_cores, enumerate_guess_models, mark,
                  models_kb, parse_kb, parse_query, rewrite, rewrite_positive,
-                 stable_models_bruteforce, validate_core)
+                 validate_core)
 from omq.syntax import And, Bot, Or, Top
+from references import stable_models_bruteforce
 
 
 def test_criterion_1_running_example_non_entailment(example1):

@@ -105,6 +105,30 @@ def test_check_reports_class(capsys):
     assert code == 0
     assert "c-safe" in out
     assert "basis size: 5" in out
+    assert "OMQ basis size: 5 (2^5 = 32 types)" in out
+
+
+def test_check_reports_the_basis_the_rewriting_runs_at(capsys, tmp_path, monkeypatch):
+    """The TBox alone has a basis of 6, but the folded query brings in
+    more concepts: the rewriting runs at k=10, over 2^10 types.  ``check``
+    says so without building the rewriting."""
+    kb, query = tmp_path / "found.kb", tmp_path / "found.cq"
+    kb.write_text("tbox { forall inv(s) . forall r . top <= (exists s . B or (top and top)); }"
+                  " abox { B(c); C(b); A(a); r(b, a); }")
+    query.write_text("q(x) :- r(x, y), B(y).")
+
+    def refused(*args):
+        raise AssertionError("check built the rewriting")
+    monkeypatch.setattr(sys.modules["omq.rewrite"], "_rewrite", refused)
+    code, out, _ = run(capsys, "check", kb, query, "--allow-extra-abox")
+    assert code == 0
+    assert "basis size: 6" in out.splitlines()
+    assert "query class: c-acyclic (will be folded)" in out
+    assert "OMQ basis size: 10 (2^10 = 1024 types)" in out.splitlines()
+    monkeypatch.undo()
+    o = omq.build_omq(omq.parse_kb(kb.read_text()), omq.parse_query(query.read_text()),
+                      allow_extra_abox_names=True)
+    assert omq.rewrite(o).ctx.k == 10
 
 
 def test_check_unsupported_query(capsys, tmp_path):

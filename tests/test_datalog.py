@@ -4,12 +4,12 @@ import pytest
 
 import omq
 from omq import (Const, DAtom, DProgram, DRule, Var, emit_text, gl_reduct,
-                 ground, ground_full, is_stable_model, parse_ground_atoms,
-                 stable_models_bruteforce)
+                 ground, is_stable_model, parse_ground_atoms)
 from omq import datalog
 from omq.datalog import Layer, _Relation, atom_of, closure, fact_of
 from omq.syntax import OmqError
 from omq.typespace import ResourceRefused
+from references import ground_full, stable_models_bruteforce
 
 
 def T(name):
@@ -270,10 +270,10 @@ def test_relation_rows_are_deduplicated_in_first_occurrence_order():
 
 def test_one_answer_call_indexes_a_fraction_of_the_marking_rows(monkeypatch):
     """A row enters an index only when a join asks for that index after the
-    row arrived, not on every insert.  On the k=6 chain with ``A1`` closed,
-    one ``certain_answers`` call keeps fewer than 2,000 rows in all its
-    relation indexes together (21,783 when each insert updated every
-    index), of about 18,000 rows in its relations."""
+    row arrived, not on every insert.  On the k=7 chain with ``A1`` closed,
+    one ``certain_answers`` call keeps fewer than 3,000 rows in all its
+    relation indexes together (2,558; 26,134 when each insert updated every
+    index), of about 8,900 rows in its relations."""
     made = []
 
     class Recorded(_Relation):
@@ -283,19 +283,85 @@ def test_one_answer_call_indexes_a_fraction_of_the_marking_rows(monkeypatch):
             super().__init__(rows)
             made.append(self)
     monkeypatch.setattr(datalog, "_Relation", Recorded)
-    chain = "; ".join(f"A{i} <= exists r . A{i + 1}" for i in range(1, 6))
+    chain = "; ".join(f"A{i} <= exists r . A{i + 1}" for i in range(1, 7))
     kb = omq.parse_kb(f"tbox {{ {chain}; }} abox {{ A1(a); A3(b); }} closed {{ A1; }}")
     out = omq.rewrite(omq.build_omq(kb, omq.parse_query("q(x) :- A1(x).")))
     assert omq.certain_answers(out, kb.abox).answers == {("a",)}
     indexed = sum(len(bucket) for rel in made for entry in rel.indexes.values()
                   for bucket in entry[1].values())
-    assert sum(len(rel.rows) for rel in made) > 17_000
-    assert indexed <= 2_000
+    assert sum(len(rel.rows) for rel in made) > 8_000
+    assert indexed <= 3_000
 
 
 def test_layer_refuses_disjunctive_heads():
     with pytest.raises(OmqError, match="disjunctive"):
         Layer(DProgram.of([rule([A("p", "X"), A("q", "X")], [A("s", "X")])]))
+
+
+def random_layer(rng):
+    """Up to 8 random safe definite rules and constraints over the DERIVED
+    predicates that negate only BASE ones, with three variables, so that
+    most heads are distinct variables, few rules read their own head and
+    the rules share variable names; a random ``keep``; and up to 12 BASE
+    facts over 3 constants."""
+    rules = []
+    for _ in range(rng.randrange(2, 9)):
+        pred = rng.choice(list(DERIVED))
+        others = [q for q in PREDS if q != pred or rng.random() < 0.2]
+        body = [A(q, *rng.choices(["X", "Y", "Z", "a"], k=PREDS[q]))
+                for q in rng.choices(others, [1 if q in DERIVED else 2 for q in others],
+                                     k=rng.randrange(1, 4))]
+        bound = sorted({t.name for a in body for t in a.args if isinstance(t, Var)})
+        terms = bound + ["b"]
+        if len(bound) >= DERIVED[pred] and rng.random() < 0.7:
+            head = [A(pred, *rng.sample(bound, DERIVED[pred]))]
+        else:
+            head = [A(pred, *rng.choices(terms, k=DERIVED[pred]))] if rng.random() < 0.8 else []
+        neg = [A(q, *rng.choices(terms, k=BASE[q])) for q in BASE if rng.random() < 0.2]
+        neq = [(Var(bound[0]), T(rng.choice(terms)))] if bound and rng.random() < 0.2 else []
+        rules.append(rule(head, body, neg, neq))
+    keep = [pred for pred in DERIVED if rng.random() < 0.4]
+    facts = [A(pred, *rng.choices(CONSTS, k=BASE[pred]))
+             for pred in rng.choices(list(BASE), k=rng.randrange(0, 13))]
+    return DProgram.of(rules), keep, facts
+
+
+def test_unfolding_keeps_the_layer_model_on_random_programs():
+    """An unfolded layer derives the original's facts of every predicate
+    that was not unfolded, the ``keep`` ones among them, gives the same
+    constraint verdict, and reads the same predicates below it."""
+    rng = random.Random(3)
+    unfolded = derived = 0
+    for trial in range(600):
+        p, keep, facts = random_layer(rng)
+        q = datalog.unfold(p, keep)
+        stay = [pred for pred in DERIVED if pred in q.arities]
+        assert set(keep) & set(p.arities) <= set(stay), f"trial {trial}"
+        base = list(map(fact_of, facts))
+        got = Layer(q).model(base, stay)
+        assert got == Layer(p).model(base, stay), f"trial {trial}"
+        assert Layer(q).reads == Layer(p).reads, f"trial {trial}"
+        if q.rules != p.rules:
+            unfolded += 1
+            derived += bool(got[0])
+    assert unfolded > 250 and derived > 100
+
+
+def test_unfolding_renames_a_definitions_own_variables_apart():
+    """``p``'s body-only ``Y`` is renamed apart from the readers' ``Y``, and
+    from their ``Y_1`` too: ``q(a, c)`` holds although no ``e`` edge ends
+    in ``c``."""
+    p = DProgram.of([
+        rule([A("p", "X")], [A("e", "X", "Y")]),
+        rule([A("q", "X", "Y")], [A("p", "X"), A("f", "Y")]),
+        rule([A("r", "X", "Y", "Y_1")], [A("p", "X"), A("f", "Y"), A("f", "Y_1")]),
+    ])
+    q = datalog.unfold(p, ["q", "r"])
+    assert {r.head[0].pred for r in q.rules} == {"q", "r"}
+    base = [("e", ("a", "b")), ("f", ("c",))]
+    expected = {("q", ("a", "c")), ("r", ("a", "c", "c"))}
+    assert Layer(q).model(base, ["q", "r"]) == Layer(p).model(base, ["q", "r"]) == \
+        (frozenset(expected), True)
 
 
 # --- reduct and stability ----------------------------------------------------

@@ -10,12 +10,12 @@ import omq
 from omq import (Const, DAtom, DProgram, DRule, TypeContext, Var, build_omq,
                  certain_answers, core_of_model, enumerate_guess_models,
                  ground, parse_kb, parse_query, rewrite, rewrite_positive,
-                 stable_models_bruteforce, stratify, validate_core,
-                 verify_model)
+                 stratify, validate_core, verify_model)
 from omq.datalog import Layer, _Plan, fact_of
 from omq.engine import TRUE, StratifyError, _Searcher, ground_guess_layer
 from omq.rewrite import abox_facts
 from omq.typespace import mark_types
+from references import stable_models_bruteforce
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 MICRO_KB = "tbox { top <= A or B; } abox { }"
@@ -356,6 +356,35 @@ def test_memoized_layers_match_a_fresh_evaluation(monkeypatch):
                         for ok in (True, False)}
 
 
+def test_unfolded_upper_layers_match_the_stratified_ones(monkeypatch):
+    """Over every base its memo sees in the fixture searches, each unfolded
+    upper layer of ``Evaluation`` gives the same kept facts and verdict as
+    a ``Layer`` of the stratified program, and reads the same predicates.
+    The marking layer's ``markedone_e<i>`` pairs are among the predicates
+    unfolded."""
+    seen = []
+    real = Layer.model
+
+    def recorded(self, base, keep):
+        seen.append((self, frozenset(base), keep))
+        return real(self, base, keep)
+    monkeypatch.setattr(Layer, "model", recorded)
+    unfolded = set()
+    for kb, o in _fixture_omqs():
+        for out in _rewritings(o, omq.individuals_of(o, kb.abox)):
+            seen.clear()
+            certain_answers(out, kb.abox)
+            layered = stratify(out)
+            for (layer, _, _), p in zip(out.evaluation.layers,
+                                        (layered.p2, layered.p3, layered.p4)):
+                unfolded |= set(p.arities) - set(layer.arities)
+                original = Layer(p)
+                for base, keep in {(b, k) for (lay, b, k) in seen if lay is layer}:
+                    assert real(layer, base, keep) == real(original, base, keep)
+                assert layer.reads == original.reads
+    assert {"markedone_e0", "markedone_e1"} <= unfolded
+
+
 def _memo_size(searcher):
     """The entries of the memos a searcher reads: its own and those kept
     on the evaluation form."""
@@ -525,9 +554,12 @@ def test_only_the_guess_layer_is_ground(monkeypatch):
 
 def test_the_answer_path_builds_no_rule_objects(monkeypatch):
     """From the grounder to the answers the engine works on ``(pred, row)``
-    facts: one ``certain_answers`` call constructs no ``DRule``."""
+    facts: once the rewriting's ``Evaluation`` is built (its unfolded upper
+    layers are ``DRule``s), one ``certain_answers`` call constructs no
+    ``DRule``."""
     kb, o = _omq((FIXTURES / "intro.kb").read_text(), "q(x, y) :- attends(x, y).")
     out = rewrite(o)
+    out.evaluation
     built = []
     real = DRule.__init__
 
