@@ -32,7 +32,7 @@ from .engine import (AnswerReport, certain_answers, core_of_model,
                      enumerate_guess_models, ground_guess_layer, stratify,
                      verify_model)
 from .oracle import (FiniteInterp, NormalKB, bounded_model_search,
-                     core_enumeration_decide, core_extends, count_cores,
-                     cq_matches, iter_cores, models_kb)
+                     core_enumeration_decide, count_cores, cq_matches,
+                     iter_cores)
 
 __version__ = "0.1.0"

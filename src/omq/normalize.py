@@ -51,9 +51,9 @@ class ClauseAxiom:
 
 @dataclass(frozen=True)
 class ExistsAxiom:
-    lhs: Union[Name, Nominal]
+    lhs: Basic
     role: RoleExpr
-    filler: Union[Name, Nominal]
+    filler: Basic
 
     def __str__(self) -> str:
         return f"{self.lhs} <= exists {self.role} . {self.filler}"
@@ -61,9 +61,9 @@ class ExistsAxiom:
 
 @dataclass(frozen=True)
 class ForallAxiom:
-    lhs: Union[Name, Nominal]
+    lhs: Basic
     role: RoleExpr
-    filler: Union[Name, Nominal]
+    filler: Basic
 
     def __str__(self) -> str:
         return f"{self.lhs} <= forall {self.role} . {self.filler}"
@@ -75,9 +75,7 @@ NormalAxiom = Union[ClauseAxiom, ExistsAxiom, ForallAxiom, RoleIncl]
 def basic_key(b: Basic) -> tuple[int, str]:
     if isinstance(b, Name):
         return (0, b.name)
-    if isinstance(b, Nominal):
-        return (1, b.individual)
-    return (2, str(b))
+    return (1, b.individual)
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ class _Normalizer:
         self.fresh_names[name] = origin
         return Name(name)
 
-    def clause(self, lhs: Iterable[Basic], rhs: Iterable[Basic]) -> None:
+    def clause(self, lhs: Iterable[Concept], rhs: Iterable[Concept]) -> None:
         left = {b for b in lhs if not isinstance(b, Top)}
         right = {b for b in rhs if not isinstance(b, Bot)}
         if any(isinstance(b, Bot) for b in left):
@@ -227,7 +225,7 @@ class _Normalizer:
             self.axiom(c, x)
         return x
 
-    def _quantifier_lhs(self, basics: list[Basic], complexes: list[Concept]) -> Union[Name, Nominal, None]:
+    def _quantifier_lhs(self, basics: list[Concept], complexes: list[Concept]) -> Basic | None:
         names = list(basics) + [self.define_sup(c) for c in complexes]
         if any(isinstance(b, Bot) for b in names):
             return None
@@ -243,7 +241,7 @@ class _Normalizer:
         self.clause(names, (a,))
         return a
 
-    def _quantifier_filler(self, f: Concept, universal: bool) -> Union[Name, Nominal, None]:
+    def _quantifier_filler(self, f: Concept, universal: bool) -> Concept | None:
         if isinstance(f, (Name, Nominal)):
             return f
         if isinstance(f, Top):
@@ -265,8 +263,8 @@ class _Normalizer:
                 self.axiom(lhs, part)
             return
 
-        lhs_basics: list[Basic] = []
-        rhs_basics: list[Basic] = []
+        lhs_basics: list[Concept] = []
+        rhs_basics: list[Concept] = []
         lhs_complex: list[Concept] = []
         rhs_complex: list[Concept] = []
         for c in conjuncts:

@@ -21,10 +21,9 @@ from typing import Iterator, Sequence
 from .normalize import NormalTBox
 from .parser import ConceptAtom, ConjunctiveQuery
 from .query import OMQ, CSafe, classify, individuals_of
-from .syntax import (Assertion, ConceptAssert, Name, Nominal, OmqError,
-                     RoleAssert, RoleExpr)
-from .typespace import (Core, FringeId, MAX_BASIS_BITS, ResourceRefused,
-                        TypeContext, TypeVec, mark_types, realized_types, type_of)
+from .syntax import Assertion, ConceptAssert, Name, OmqError, RoleAssert, RoleExpr
+from .typespace import (Core, FringeId, ResourceRefused, TypeContext, TypeVec,
+                        mark_types, realized_types, type_of)
 
 
 @dataclass(frozen=True)
@@ -64,61 +63,6 @@ class NormalKB:
         return tuple(sorted(out))
 
 
-def _holds(i: FiniteInterp, b, e: str) -> bool:
-    if isinstance(b, Name):
-        return i.in_concept(b.name, e)
-    if isinstance(b, Nominal):
-        return e == b.individual
-    return type(b).__name__ == "Top"
-
-
-def models_kb(i: FiniteInterp, kb: NormalKB) -> bool:
-    """Model check under the DL semantics: TBox axioms, ABox facts, and
-    exact extensions for the closed predicates."""
-    if not i.domain:
-        return False
-    dom = set(i.domain)
-    if any(ind not in dom for ind in kb.individuals):
-        return False
-    for ax in kb.tbox.clauses:
-        for e in i.domain:
-            if all(_holds(i, b, e) for b in ax.lhs) and \
-                    not any(_holds(i, b, e) for b in ax.rhs):
-                return False
-    for ax in kb.tbox.existentials:
-        succ = i.pairs(ax.role)
-        for e in i.domain:
-            if _holds(i, ax.lhs, e) and \
-                    not any(_holds(i, ax.filler, y) for (x, y) in succ if x == e):
-                return False
-    for ax in kb.tbox.universals:
-        for (x, y) in i.pairs(ax.role):
-            if _holds(i, ax.lhs, x) and not _holds(i, ax.filler, y):
-                return False
-    for ax in kb.tbox.role_incls:
-        if not i.pairs(ax.lhs) <= i.pairs(ax.rhs):
-            return False
-    asserted_c = set()
-    asserted_r = set()
-    for a in kb.abox:
-        if isinstance(a, ConceptAssert):
-            asserted_c.add((a.concept, a.individual))
-            if not i.in_concept(a.concept, a.individual):
-                return False
-        else:
-            asserted_r.add((a.role, a.subject, a.object))
-            if (a.subject, a.object) not in i.role_ext.get(a.role, frozenset()):
-                return False
-    for name in kb.sigma:
-        for e in i.concept_ext.get(name, frozenset()):
-            if (name, e) not in asserted_c:
-                return False
-        for (x, y) in i.role_ext.get(name, frozenset()):
-            if (name, x, y) not in asserted_r:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Bounded countermodel search
 
@@ -132,9 +76,6 @@ def bounded_model_search(kb: NormalKB, goal: Assertion | None,
     interpretation is a sound witness; None is inconclusive beyond the
     bound.  Goals must be single ground atoms."""
     ctx = TypeContext(kb.tbox, kb.sigma)
-    k = ctx.k
-    if k > MAX_BASIS_BITS:
-        raise ResourceRefused(f"basis of {k} concepts exceeds the type-space budget")
     inds = kb.individuals
     hierarchy = kb.tbox.hierarchy
 
@@ -163,8 +104,6 @@ def bounded_model_search(kb: NormalKB, goal: Assertion | None,
     budget = MAX_ASSIGNMENTS
     for size in range(max(1, len(inds)), max_size + 1):
         m = size - len(inds)
-        if m < 0:
-            continue
         anon = [f"_a{j + 1}" for j in range(m)]
         elements = list(inds) + anon
         for assignment in product(*ind_candidates) if ind_candidates else [()]:
@@ -591,80 +530,6 @@ def cq_matches(core: Core, query: ConjunctiveQuery,
         return False
 
     return match(0, binding)
-
-
-def core_extends(kb: NormalKB, core: Core, extra: int) -> bool:
-    """Does the core extend to a model of the KB?
-
-    Extension semantics: concept memberships are frozen on the whole core
-    domain, role edges between named individuals are frozen, and closed
-    predicates gain nothing; edges touching a fringe element may still be
-    added (that is how fringe elements reach their witnesses, nominal
-    witnesses included).  The search adds up to ``extra`` anonymous
-    elements, assigns them types and closes the new edges maximally, which
-    is complete for a fixed type assignment by the same argument as the
-    countermodel search."""
-    ctx = TypeContext(kb.tbox, kb.sigma)
-    core_elems = list(core.domain())
-    core_types = {e: type_of(e, core, ctx) for e in core_elems}
-    anon_candidates = ctx.types_of(None, ())
-    hierarchy = kb.tbox.hierarchy
-
-    for m in range(extra + 1):
-        anon = [f"_a{j + 1}" for j in range(m)]
-        for anon_types in combinations_with_replacement(anon_candidates, m):
-            types: dict = dict(core_types)
-            types.update(zip(anon, anon_types))
-            elements = core_elems + anon
-
-            def edge_ok(p: str, d, e) -> bool:
-                if p in kb.sigma:
-                    return False  # closed predicates gain no new pairs
-                for ax in kb.tbox.universals:
-                    if hierarchy.subsumed(RoleExpr(p), ax.role):
-                        if ctx.has(types[d], ax.lhs) and not ctx.has(types[e], ax.filler):
-                            return False
-                    if hierarchy.subsumed(RoleExpr(p, True), ax.role):
-                        if ctx.has(types[e], ax.lhs) and not ctx.has(types[d], ax.filler):
-                            return False
-                for s in hierarchy.subsumers(RoleExpr(p)):
-                    if s.name in kb.sigma:
-                        return False
-                return True
-
-            named = set(core.individuals)
-            role_ext = {}
-            for p in kb.tbox.role_names:
-                pairs = set(core.role_ext.get(p, frozenset()))
-                if p not in kb.sigma:
-                    for d in elements:
-                        for e in elements:
-                            if d in named and e in named:
-                                continue  # individual-to-individual edges are frozen
-                            if edge_ok(p, d, e):
-                                pairs.add((d, e))
-                role_ext[p] = pairs
-
-            ok = True
-            for ax in kb.tbox.existentials:
-                if not ok:
-                    break
-                pname, inverted = ax.role.name, ax.role.inverted
-                for e in elements:
-                    if not ctx.has(types[e], ax.lhs):
-                        continue
-                    found = False
-                    for (x, y) in role_ext[pname]:
-                        (u, v) = (y, x) if inverted else (x, y)
-                        if u == e and ctx.has(types[v], ax.filler):
-                            found = True
-                            break
-                    if not found:
-                        ok = False
-                        break
-            if ok:
-                return True
-    return False
 
 
 def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],

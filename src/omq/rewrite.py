@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Literal, Sequence, Union
 from .datalog import Const, DAtom, DProgram, DRule, DTerm, Var
 from .normalize import ClauseAxiom, NormalTBox
 from .parser import ConceptAtom, ConjunctiveQuery
-from .query import OMQ, CAcyclic, Unsupported, classify, rollup
-from .syntax import (Assertion, Basic, Bot, ConceptAssert, Name, Nominal,
-                     OmqError, RoleExpr, Top)
+from .query import OMQ, rollup
+from .syntax import (Assertion, Basic, ConceptAssert, Name, Nominal, OmqError,
+                     RoleExpr)
 from .typespace import TypeContext
 
 MODE_STABLE = "stable-negation"
@@ -306,8 +306,6 @@ class _Emitter:
 
     def holds(self, b: Basic, x: DTerm, at: int | None = None) -> Lit:
         """x (with ``at``, its fringe element ``at``) satisfies b."""
-        if isinstance(b, Top):
-            return TRUE
         if isinstance(b, Name) and (at is None or b.name not in self.ctx.sigma):
             return _pos(self._concept(b.name, x, at))
         if isinstance(b, Nominal) and at is None:
@@ -316,8 +314,6 @@ class _Emitter:
 
     def not_holds(self, b: Basic, x: DTerm, at: int | None = None) -> Lit:
         """Negation as failure of ``holds(b, x, at)``."""
-        if isinstance(b, Top):
-            return FALSE
         if isinstance(b, Name) and (at is None or b.name not in self.ctx.sigma):
             return _neg(self._concept(b.name, x, at))
         if isinstance(b, Nominal) and at is None:
@@ -350,17 +346,9 @@ class _Emitter:
         return vec
 
     def bit_true(self, vec: tuple[Var, ...], b: Basic) -> Lit:
-        if isinstance(b, Top):
-            return TRUE
-        if isinstance(b, Bot):
-            return FALSE
         return _pos(DAtom(self.t.tt, (vec[self.ctx.bit_index(b)],)))
 
     def bit_false(self, vec: tuple[Var, ...], b: Basic) -> Lit:
-        if isinstance(b, Top):
-            return FALSE
-        if isinstance(b, Bot):
-            return TRUE
         return _pos(DAtom(self.t.ff, (vec[self.ctx.bit_index(b)],)))
 
 
@@ -461,10 +449,7 @@ def _stable_validation(e: _Emitter) -> None:
             for i in range(n_exist):
                 fw = e.dir_atom(ax.role, i, True, X)
                 e.add([wit], _pos(fw), e.holds(ax.filler, X, i))
-        trigger = e.holds(ax.lhs, X)
-        if isinstance(ax.lhs, Top):
-            trigger = _pos(DAtom(t.ind, (X,)))
-        e.constraint(trigger, _neg(wit))
+        e.constraint(e.holds(ax.lhs, X), _neg(wit))
 
     # Existentials over closed roles can never be satisfied at a fringe
     # element, so their triggers are forbidden there outright.
@@ -483,10 +468,8 @@ def _positive_validation(e: _Emitter) -> None:
         body = (e.holds(ax.lhs, X), _pos(e.role_atom(ax.role, X, Y)))
         if isinstance(ax.filler, Name):
             e.add([DAtom(t.concept[ax.filler.name], (Y,))], *body)
-        elif isinstance(ax.filler, Nominal):
+        else:
             e.constraint(*body, _neq(Y, Const(ax.filler.individual)))
-        elif isinstance(ax.filler, Bot):
-            e.constraint(*body)
     for ax in ctx.ntbox.role_incls:
         e.add([e.role_atom(ax.rhs, X, Y)], _pos(e.role_atom(ax.lhs, X, Y)))
     # An existential with a nominal filler has a unique witness, so it can
@@ -699,15 +682,6 @@ def _query_rule(ctx: RewriteContext, query: ConjunctiveQuery) -> DRule:
     return DRule((head,), tuple(body))
 
 
-def _prepare(omq: OMQ) -> OMQ:
-    cls = classify(omq)
-    if isinstance(cls, Unsupported):
-        raise OmqError(f"query not supported: {cls.reason}")
-    if isinstance(cls, CAcyclic):
-        return rollup(omq)
-    return omq
-
-
 def rewrite(omq: OMQ, db_constants: bool = False) -> RewriteOutput:
     """Compile an OMQ into a Datalog program with stable negation whose
     certain answers over any ABox coincide with the OMQ's."""
@@ -723,7 +697,7 @@ def rewrite_positive(omq: OMQ, db_constants: bool = False) -> RewriteOutput:
 
 
 def _rewrite(omq: OMQ, mode: str, db_constants: bool) -> RewriteOutput:
-    omq = _prepare(omq)
+    omq = rollup(omq)
     table = build_pred_table(omq.tbox, omq.sigma, mode)
     ctx = RewriteContext(omq.tbox, omq.sigma, table, mode, db_constants)
     program = _program(ctx, _core_rules, _marking_rules, _filter_rules,

@@ -110,8 +110,9 @@ class Forall:
 
 Concept = Union[Name, Top, Bot, Nominal, Not, And, Or, Exists, Forall]
 
-#: Concepts allowed as operands of normal-form axioms.
-Basic = Union[Name, Nominal, Top, Bot]
+#: Operands of normal-form axioms and elements of a basis: concept names
+#: and nominals.  ``normalize`` removes top and bot from every operand.
+Basic = Union[Name, Nominal]
 
 _ATOMIC = (Name, Top, Bot, Nominal)
 

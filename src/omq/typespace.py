@@ -20,7 +20,7 @@ from typing import Container, Iterable, Mapping, Union
 
 from .normalize import ExistsAxiom, NormalTBox
 from .syntax import (Assertion, Basic, ConceptAssert, Name, Nominal, OmqError,
-                     RoleAssert, RoleExpr, Top, subsumed_by_closed)
+                     RoleAssert, RoleExpr, subsumed_by_closed)
 
 TypeVec = int
 
@@ -74,9 +74,7 @@ class Core:
     def satisfies_basic(self, b: Basic, e: Element) -> bool:
         if isinstance(b, Name):
             return self.in_concept(b.name, e)
-        if isinstance(b, Nominal):
-            return e == b.individual
-        return type(b).__name__ == "Top"
+        return e == b.individual
 
 
 @dataclass(frozen=True)
@@ -117,14 +115,17 @@ class TypeContext:
 
     @cached_property
     def valid_types(self) -> tuple[TypeVec, ...]:
-        """The types that satisfy every clause axiom, in increasing order."""
+        """The types that satisfy every clause axiom, in increasing order.
+        Every walk over the 2^k type space starts here, so this is where a
+        basis past ``MAX_BASIS_BITS`` is refused."""
+        if self.k > MAX_BASIS_BITS:
+            raise ResourceRefused(f"basis of {self.k} concepts exceeds the "
+                                  f"{MAX_BASIS_BITS}-bit type-space budget")
         return tuple(t for t in range(1 << self.k) if satisfies_clauses(t, self))
 
     def has(self, t: TypeVec, b: Basic) -> bool:
-        """Does type ``t`` contain ``b``?  Top is in every type, bot in none."""
-        if isinstance(b, (Name, Nominal)):
-            return bool(t >> self.bit_of[b] & 1)
-        return isinstance(b, Top)
+        """Does type ``t`` contain ``b``?"""
+        return bool(t >> self.bit_of[b] & 1)
 
     def types_of(self, e: str | None, asserted: Container[tuple[str, str]],
                  exclude: int = 0) -> list[TypeVec]:
@@ -372,13 +373,10 @@ def mark(ctx: TypeContext, core: Core) -> MarkResult:
 
 def mark_types(ctx: TypeContext, realized: frozenset[TypeVec]) -> MarkResult:
     """The marking fixpoint given the set of types realized by individuals."""
-    k = ctx.k
-    if k > MAX_BASIS_BITS:
-        raise ResourceRefused(
-            f"basis of {k} concepts exceeds the {MAX_BASIS_BITS}-bit type-space budget")
-    total = 1 << k
+    valid = ctx.valid_types
+    total = 1 << ctx.k
     marked = bytearray([1]) * total
-    for t in ctx.valid_types:
+    for t in valid:
         marked[t] = 0
     cmask = ctx.ctype_mask
     for t in range(total):

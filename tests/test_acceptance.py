@@ -7,6 +7,7 @@ criterion states a runtime budget, which is asserted in wall-clock time.
 
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -17,10 +18,10 @@ from omq import (ConceptAssert, ConceptIncl, DAtom, DProgram, DRule,
                  RoleExpr, RoleIncl, TypeContext, bounded_model_search,
                  build_omq, certain_answers, core_enumeration_decide,
                  core_of_model, count_cores, enumerate_guess_models, mark,
-                 models_kb, parse_kb, parse_query, rewrite, rewrite_positive,
+                 parse_kb, parse_query, rewrite, rewrite_positive,
                  validate_core)
 from omq.syntax import And, Bot, Or, Top
-from references import stable_models_bruteforce
+from references import models_kb, stable_models_bruteforce
 
 
 def test_criterion_1_running_example_non_entailment(example1):
@@ -124,40 +125,117 @@ def _random_instance(rng: random.Random):
 def test_criterion_4_oracle_equivalence_suite():
     start = time.time()
     rng = random.Random(0xC0DE)
-    instances = checked_tuples = certain = refuted = abstained = 0
-    inconsistent_instances = 0
+    instances = inconsistent_instances = 0
+    verdicts = Counter()
     while instances < 200:
         kb, o = _random_instance(rng)
         instances += 1
-        out = rewrite(o)
-        report = certain_answers(out, kb.abox)
-        nkb = NormalKB(o.tbox, o.sigma, kb.abox)
-        inds = omq.individuals_of(o, kb.abox)
+        report = certain_answers(rewrite(o), kb.abox)
         inconsistent_instances += report.inconsistent
-        if bounded_model_search(nkb, None, 5) is not None:
+        if bounded_model_search(NormalKB(o.tbox, o.sigma, kb.abox), None, 5) is not None:
             assert not report.inconsistent, f"instance {instances}"
-        for tup in product(inds, repeat=o.arity):
-            engine_says = tup in report.answers
-            assert core_enumeration_decide(o, kb.abox, tup) == engine_says, \
-                f"instance {instances}, tuple {tup}"
-            goal = _single_atom_goal(o, tup)
-            counter = bounded_model_search(nkb, goal, 5)
-            if counter is not None:
-                assert models_kb(counter, nkb)
-                assert not engine_says, f"instance {instances}, tuple {tup}"
-                refuted += 1
-            elif engine_says:
-                certain += 1
-            else:
-                abstained += 1
-            checked_tuples += 1
+        verdicts.update(_tuple_verdicts(kb, o, report, f"instance {instances}"))
     elapsed = time.time() - start
     assert elapsed < 300
-    assert checked_tuples >= 300
-    assert certain and refuted  # both verdicts exercised
+    assert sum(verdicts.values()) >= 300
+    assert verdicts["certain"] and verdicts["refuted"]  # both verdicts exercised
     print(f"\nPASS criterion 4: 200 instances ({inconsistent_instances} inconsistent), "
-          f"{checked_tuples} tuples: {certain} certain, {refuted} refuted by "
-          f"countermodels, {abstained} abstentions ({elapsed:.1f}s)")
+          f"{sum(verdicts.values())} tuples: {verdicts['certain']} certain, "
+          f"{verdicts['refuted']} refuted by countermodels, "
+          f"{verdicts['abstained']} abstentions ({elapsed:.1f}s)")
+
+
+def _tuple_verdicts(kb, o, report, label):
+    """Check every candidate tuple of an instance against both oracles:
+    core enumeration agrees with the engine, and a countermodel of at most
+    five elements is a model of the KB and refutes only tuples the engine
+    leaves out.  Counts the tuples certain, refuted and abstained on."""
+    nkb = NormalKB(o.tbox, o.sigma, kb.abox)
+    out = Counter()
+    for tup in product(omq.individuals_of(o, kb.abox), repeat=o.arity):
+        engine_says = tup in report.answers
+        assert core_enumeration_decide(o, kb.abox, tup) == engine_says, \
+            f"{label}, tuple {tup}"
+        counter = bounded_model_search(nkb, _single_atom_goal(o, tup), 5)
+        if counter is not None:
+            assert models_kb(counter, nkb)
+            assert not engine_says, f"{label}, tuple {tup}"
+        out["refuted" if counter is not None else
+            "certain" if engine_says else "abstained"] += 1
+    return out
+
+
+def _closed_role_instance(rng: random.Random):
+    """A random instance over two roles that each may be closed: quantifiers
+    and role inclusions over ``r``, ``s`` and their inverses, and an ABox
+    with edges along both roles."""
+    concepts = ["A", "B"][: rng.randint(1, 2)]
+    roles = ["r", "s"]
+    inds = ["a", "b"][: rng.randint(1, 2)]
+
+    def role():
+        return RoleExpr(rng.choice(roles), rng.random() < 0.4)
+
+    axioms = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["clause", "exists", "exists", "forall", "role"])
+        if kind == "clause":
+            lhs, rhs = rng.sample(concepts, 2) if len(concepts) > 1 else (concepts[0], None)
+            axioms.append(ConceptIncl(Name(lhs), Name(rhs) if rhs else Bot()))
+        elif kind == "exists":
+            axioms.append(ConceptIncl(Name(rng.choice(concepts)),
+                                      Exists(role(), Name(rng.choice(concepts)))))
+        elif kind == "forall":
+            axioms.append(ConceptIncl(Name(rng.choice(concepts)),
+                                      Forall(role(), Name(rng.choice(concepts)))))
+        else:
+            axioms.append(RoleIncl(role(), role()))
+    abox = [ConceptAssert(rng.choice(concepts), inds[0])]
+    for i in inds:
+        for c in concepts:
+            if rng.random() < 0.35:
+                abox.append(ConceptAssert(c, i))
+    for p in roles:
+        for (x, y) in product(inds, repeat=2):
+            if rng.random() < 0.5:
+                abox.append(RoleAssert(p, x, y))
+    if rng.random() < 0.5:
+        query = parse_query(f"q(x) :- {rng.choice(concepts)}(x).")
+    else:
+        query = parse_query(f"q(x, y) :- {rng.choice(roles)}(x, y).")
+    from omq.syntax import tbox_names
+    from omq.parser import ConceptAtom
+    occurring, tbox_roles, _ = tbox_names(axioms)
+    occurring |= {a.concept for a in abox if isinstance(a, ConceptAssert)}
+    occurring |= {a.concept for a in query.atoms if isinstance(a, ConceptAtom)}
+    sigma = [c for c in concepts if c in occurring and rng.random() < 0.4]
+    sigma += [p for p in roles if p in tbox_roles and rng.random() < 0.6]
+    kb = KnowledgeBase.of(axioms, sigma, abox)
+    return kb, build_omq(kb, query, allow_extra_abox_names=True)
+
+
+def test_closed_roles_agree_with_the_oracles():
+    """Criterion 4's check on instances whose roles may be closed, so the
+    oracles' closed-role paths run: the closed super-role check and the
+    closed-role extension of the countermodel search, and the closed-role
+    edges of core enumeration.  Seed 13 draws, as its seventh instance, an
+    existential over an open role whose filler triggers one over a closed
+    role; without the rewriting's ban on closed-role triggers at fringe
+    elements, the engine drops a certain tuple there."""
+    start = time.time()
+    rng = random.Random(13)
+    closed_role_instances = 0
+    verdicts = Counter()
+    for n in range(400):
+        kb, o = _closed_role_instance(rng)
+        closed_role_instances += bool(kb.sigma & {"r", "s"})
+        report = certain_answers(rewrite(o), kb.abox)
+        verdicts.update(_tuple_verdicts(kb, o, report, f"instance {n}"))
+    assert closed_role_instances >= 200
+    assert verdicts["certain"] and verdicts["refuted"]
+    print(f"\nPASS closed roles: 400 instances ({closed_role_instances} with a closed "
+          f"role), {sum(verdicts.values())} tuples: {dict(verdicts)} "
+          f"({time.time() - start:.1f}s)")
 
 
 def _single_atom_goal(o, tup):

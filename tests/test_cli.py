@@ -137,6 +137,12 @@ def test_check_unsupported_query(capsys, tmp_path):
     code, out, _ = run(capsys, "check", FIXTURES / "example1.kb", q)
     assert code == 1
     assert "unsupported" in out
+    kb = tmp_path / "loop.kb"
+    kb.write_text("tbox { A <= exists r . A; } abox { A(a); }")
+    q.write_text("q(x) :- A(x), r(y, y).")
+    code, out, _ = run(capsys, "check", kb, q)
+    assert code == 1
+    assert "query class: unsupported (self-loop r(y,y) on a non-c-variable)" in out.splitlines()
 
 
 def test_missing_file_is_diagnostic(capsys):
@@ -230,14 +236,16 @@ def test_external_models_verification(capsys, tmp_path):
 
 
 def test_external_models_with_malformed_atoms_are_errors(capsys, tmp_path):
-    """An empty argument, an argument-less ``q()`` and an atom of the wrong
-    arity are input errors, not models that merely fail to be stable."""
+    """An unclosed atom, an empty argument, an argument-less ``q()`` and an
+    atom of the wrong arity are input errors, not models that merely fail
+    to be stable."""
     kb = tmp_path / "kb.kb"
     kb.write_text("tbox { p <= s; } abox { p(a, a); }")
     q = tmp_path / "q.cq"
     q.write_text("q(x, y) :- s(x, y).")
     models = tmp_path / "models.txt"
-    for line, message in [("q(a,,b)", "error: empty argument in atom 'q(a,,b)'"),
+    for line, message in [("q(a", "error: cannot parse atom 'q(a'"),
+                          ("q(a,,b)", "error: empty argument in atom 'q(a,,b)'"),
                           ("q()", "error: model atom(s) of the wrong arity: q "),
                           ("ind(a,a) eq(a,a) r_p(a,a) r_s(a,a) q(a,a)",
                            "error: model atom(s) of the wrong arity: ind(a,a) ")]:

@@ -386,6 +386,16 @@ def test_gl_reduct_positive_unchanged():
     assert set(gl_reduct(p, [A("x")]).rules) == set(p.rules)
 
 
+def test_gl_reduct_refuses_a_non_ground_program():
+    with pytest.raises(OmqError, match="expected a ground program"):
+        gl_reduct(DProgram.of([rule([A("p", "X")], [A("q", "X")])]), [])
+
+
+def test_a_predicate_has_one_arity():
+    with pytest.raises(OmqError, match="predicate p used with arities 1 and 2"):
+        DProgram.of([rule([A("p", "a")]), rule([A("p", "a", "b")])])
+
+
 def test_is_stable_model_even_loop():
     p = ab_program()
     assert is_stable_model(p, [A("a")])
@@ -399,6 +409,17 @@ def test_is_stable_model_disjunction_minimality():
     assert is_stable_model(p, [A("a")])
     assert is_stable_model(p, [A("b")])
     assert not is_stable_model(p, [A("a"), A("b")])
+
+
+def test_is_stable_model_refuses_a_minimality_search_past_its_budget(monkeypatch):
+    """``a | b. b | c.`` over {a, b, c} keeps two heads per rule, so only a
+    search of proper subsets can decide it; with a budget of one atom that
+    search is refused."""
+    p = DProgram.of([rule([A("a"), A("b")]), rule([A("b"), A("c")])])
+    assert not is_stable_model(p, [A("a"), A("b"), A("c")])
+    monkeypatch.setattr(datalog, "MAX_MINIMALITY_ATOMS", 1)
+    with pytest.raises(ResourceRefused):
+        is_stable_model(p, [A("a"), A("b"), A("c")])
 
 
 def test_is_stable_model_disjunction_with_closure():

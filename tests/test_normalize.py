@@ -5,6 +5,7 @@ direct evaluation of arbitrary concept expressions over enumerated
 finite interpretations, nothing shared with the normalizer itself.
 """
 
+import random
 from itertools import product
 
 import omq
@@ -210,3 +211,33 @@ def test_vacuous_axioms_keep_names_in_universe():
 def test_inconsistent_tbox_kept():
     ntbox = normalize([ConceptIncl(Top(), Bot())])
     assert ntbox.clauses == (ClauseAxiom(frozenset(), frozenset()),)
+
+
+def _random_concept(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Name("A"), Name("B"), Nominal("o"), Top(), Bot()])
+    kind = rng.choice(["not", "and", "or", "exists", "forall"])
+    if kind == "not":
+        return Not(_random_concept(rng, depth - 1))
+    if kind in ("and", "or"):
+        node = And if kind == "and" else Or
+        return node(_random_concept(rng, depth - 1), _random_concept(rng, depth - 1))
+    node = Exists if kind == "exists" else Forall
+    return node(RoleExpr("r", rng.random() < 0.5), _random_concept(rng, depth - 1))
+
+
+def test_normal_form_names_only_concept_names_and_nominals():
+    """The output contract the rewriter, the type space and the oracles
+    rely on: on random TBoxes over names, a nominal, top, bot and every
+    connective, each clause member, quantifier left side and filler that
+    ``normalize`` emits is a concept name or a nominal."""
+    rng = random.Random(22)
+    basic = (Name, Nominal)
+    for trial in range(300):
+        tbox = [ConceptIncl(_random_concept(rng, 3), _random_concept(rng, 3))
+                for _ in range(rng.randint(1, 3))]
+        ntbox = normalize(tbox)
+        for ax in ntbox.clauses:
+            assert all(isinstance(b, basic) for b in ax.lhs | ax.rhs), (trial, str(ax))
+        for ax in ntbox.existentials + ntbox.universals:
+            assert isinstance(ax.lhs, basic) and isinstance(ax.filler, basic), (trial, str(ax))

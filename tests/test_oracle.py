@@ -3,8 +3,9 @@ import pytest
 import omq
 from omq import (ConceptAssert, FiniteInterp, NormalKB, RoleAssert,
                  bounded_model_search, build_omq, core_enumeration_decide,
-                 cq_matches, models_kb, parse_kb, parse_query, rollup)
+                 cq_matches, parse_kb, parse_query, rollup)
 from omq.syntax import OmqError
+from references import models_kb
 
 
 @pytest.fixture(scope="module")

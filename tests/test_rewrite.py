@@ -219,6 +219,27 @@ def test_positive_nominal_subsumption_agrees_and_detects_inconsistency():
     assert stable2.answers == positive2.answers
 
 
+@pytest.mark.parametrize("tbox, abox", [
+    ("A <= forall r . {o}; B <= exists r . top;", "A(a); B(a); C(o);"),
+    ("A <= forall r . {o}; B <= exists r . C;", "A(a); B(a);"),
+    ("A <= forall inv(r) . {o}; B <= exists inv(r) . C;", "A(a); B(a);"),
+    ("s <= r; A <= forall r . {o}; B <= exists s . C;", "A(a); B(a);"),
+])
+def test_positive_universal_with_a_nominal_filler(tbox, abox):
+    """A universal into a nominal is an inequality constraint in positive
+    mode.  Where C(o) is not asserted, it is certain only because a's
+    witness must be o.  Both rewritings and core enumeration answer {o}."""
+    kb = parse_kb(f"tbox {{ {tbox} }} abox {{ {abox} }}")
+    o = build_omq(kb, parse_query("q(x) :- C(x)."), allow_extra_abox_names=True)
+    out = rewrite_positive(o)
+    assert any(not r.head and (Var("Y"), Const("o")) in r.body_neq for r in out.program.rules)
+    expected = frozenset({("o",)})
+    assert omq.certain_answers(out, kb.abox).answers == expected
+    assert omq.certain_answers(rewrite(o), kb.abox).answers == expected
+    assert {(x,) for x in omq.individuals_of(o, kb.abox)
+            if omq.core_enumeration_decide(o, kb.abox, (x,))} == expected
+
+
 def test_emitted_text_is_pinned(capsys):
     """``omq rewrite`` prints, byte for byte, what it printed when the digests
     in ``fixtures/rewrite.sha256`` were recorded: one line per fixture KB x

@@ -3,7 +3,8 @@ import pytest
 import omq
 from omq import (Core, FringeId, NormalKB, TypeContext, has_nonlosing_strategy,
                  is_c_type, lc_check, mark, parse_kb, type_of, validate_core)
-from omq.typespace import ResourceRefused, dump_types
+from omq.typespace import ResourceRefused, dump_types, mark_types
+from references import core_extends
 
 
 def names_of(ctx, t):
@@ -173,6 +174,21 @@ def test_mark_refuses_large_basis():
         mark(ctx, core)
 
 
+def test_type_space_budget_refuses_every_walk(monkeypatch):
+    """``TypeContext.valid_types`` enforces ``MAX_BASIS_BITS``, so past it
+    both oracles and the marking fixpoint refuse; a basis of three bits
+    is over a budget of two."""
+    kb = parse_kb("tbox { A <= B or C; } abox { A(a); }")
+    o = omq.build_omq(kb, omq.parse_query("q(x) :- B(x)."))
+    monkeypatch.setattr(omq.typespace, "MAX_BASIS_BITS", 2)
+    with pytest.raises(ResourceRefused, match="3 concepts exceeds the 2-bit"):
+        omq.bounded_model_search(NormalKB(o.tbox, o.sigma, kb.abox), None, 2)
+    with pytest.raises(ResourceRefused, match="3 concepts exceeds the 2-bit"):
+        omq.core_enumeration_decide(o, kb.abox, ("a",))
+    with pytest.raises(ResourceRefused, match="3 concepts exceeds the 2-bit"):
+        mark_types(TypeContext(o.tbox, o.sigma), frozenset())
+
+
 def test_dump_types_format(example1_ctx, core1):
     text = dump_types(mark(example1_ctx, core1), example1_ctx)
     assert "unmarked: A1,A4" in text
@@ -203,7 +219,7 @@ def test_strategy_agrees_with_extension_oracle(kb_text, min_cores):
     for core in islice(omq.iter_cores(o, kb.abox), 400):
         checked += 1
         bound = 2 * len(core.individuals) + len(core.fringe) + 2
-        extends = omq.core_extends(nkb, core, bound - len(core.domain()))
+        extends = core_extends(nkb, core, bound - len(core.domain()))
         strategy = has_nonlosing_strategy(core, ctx)
         verdicts.add(strategy)
         if strategy != extends:
