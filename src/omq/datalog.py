@@ -28,6 +28,13 @@ function.  Two evaluators run on it:
 Inequality literals are decided during matching; because rule safety
 bounds both sides by positive atoms, the built-in's occurrence semantics
 coincides with plain constant distinctness.
+
+A rewriting holds atoms of arity up to 2k, so the code that builds,
+checks and prints rules runs once per term: it tests a term's kind with
+``__class__ is Var`` and works inside comprehensions.  ``emit_text``
+prints ASP-Core-2 text, a constant bare when it is an identifier or a
+number and otherwise as a quoted string with backslash, quote and
+newline escaped.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .syntax import OmqError
 from .typespace import ResourceRefused
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Var:
     name: str
 
@@ -52,7 +59,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Const:
     symbol: str
 
@@ -63,7 +70,7 @@ class Const:
 DTerm = Union[Var, Const]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DAtom:
     pred: str
     args: tuple[DTerm, ...] = ()
@@ -74,7 +81,7 @@ class DAtom:
         return f"{self.pred}({','.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DRule:
     head: tuple[DAtom, ...] = ()
     body_pos: tuple[DAtom, ...] = ()
@@ -97,10 +104,12 @@ class DRule:
         return not self.variables()
 
     def check_safety(self) -> None:
-        bound = {t.name for a in self.body_pos for t in a.args if isinstance(t, Var)}
-        terms = [t for a in self.head + self.body_neg for t in a.args]
-        terms += [t for pair in self.body_neq for t in pair]
-        loose = {t.name for t in terms if isinstance(t, Var) and t.name not in bound}
+        bound = {t.name for a in self.body_pos for t in a.args if t.__class__ is Var}
+        loose = {t.name for part in (self.head, self.body_neg) for a in part
+                 for t in a.args if t.__class__ is Var and t.name not in bound}
+        if self.body_neq:
+            loose.update([t.name for pair in self.body_neq for t in pair
+                          if t.__class__ is Var and t.name not in bound])
         if loose:
             raise OmqError(
                 f"unsafe rule: variable(s) {', '.join(sorted(loose))} not bound "
@@ -132,10 +141,10 @@ class DProgram:
         arities: dict[str, int] = {}
         for r in rules:
             for a in r.head + r.body_pos + r.body_neg:
-                got = arities.setdefault(a.pred, len(a.args))
-                if got != len(a.args):
-                    raise OmqError(
-                        f"predicate {a.pred} used with arities {got} and {len(a.args)}")
+                n = len(a.args)
+                got = arities.setdefault(a.pred, n)
+                if got != n:
+                    raise OmqError(f"predicate {a.pred} used with arities {got} and {n}")
         return DProgram(rules, arities)
 
     @cached_property
@@ -718,28 +727,33 @@ def is_stable_model(p: DProgram, interp: Iterable[DAtom]) -> bool:
 # Text emission (ASP-Core-2 compatible)
 
 
-_PLAIN_CONST = re.compile(r"[a-z][A-Za-z0-9_]*$|\d+$")
+_PLAIN_CONST = re.compile(r"[a-z][A-Za-z0-9_]*|\d+")
 
 
-def _term_text(t: DTerm) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if _PLAIN_CONST.match(t.symbol):
-        return t.symbol
-    return '"%s"' % t.symbol.replace('"', '\\"')
+def _const_text(symbol: str) -> str:
+    if _PLAIN_CONST.fullmatch(symbol):
+        return symbol
+    return '"%s"' % symbol.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def _atom_text(a: DAtom) -> str:
     if not a.args:
         return a.pred
-    return f"{a.pred}({','.join(_term_text(t) for t in a.args)})"
+    terms = [t.name if t.__class__ is Var else _const_text(t.symbol) for t in a.args]
+    return f"{a.pred}({','.join(terms)})"
+
+
+def _term_text(t: DTerm) -> str:
+    return t.name if t.__class__ is Var else _const_text(t.symbol)
 
 
 def rule_text(r: DRule) -> str:
-    head = " | ".join(_atom_text(a) for a in r.head)
+    head = " | ".join([_atom_text(a) for a in r.head])
     body = [_atom_text(a) for a in r.body_pos]
-    body += [f"not {_atom_text(a)}" for a in r.body_neg]
-    body += [f"{_term_text(x)} != {_term_text(y)}" for (x, y) in r.body_neq]
+    if r.body_neg:
+        body += [f"not {_atom_text(a)}" for a in r.body_neg]
+    if r.body_neq:
+        body += [f"{_term_text(x)} != {_term_text(y)}" for (x, y) in r.body_neq]
     if not body:
         return f"{head}."
     if not head:
@@ -748,7 +762,7 @@ def rule_text(r: DRule) -> str:
 
 
 def emit_text(p: DProgram) -> str:
-    return "\n".join(rule_text(r) for r in p.rules) + "\n"
+    return "\n".join([rule_text(r) for r in p.rules]) + "\n"
 
 
 _ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?")

@@ -337,21 +337,3 @@ def normalize(tbox: Iterable[Axiom], extra_concept_names: Iterable[str] = (),
         hierarchy=hierarchy,
         basis=make_basis(concepts, nominals),
     )
-
-
-def is_normal(axiom: Axiom) -> bool:
-    """Syntactic normal-form check on a plain axiom."""
-    if isinstance(axiom, RoleIncl):
-        return True
-    lhs, rhs = axiom.lhs, axiom.rhs
-    basic = (Name, Nominal, Top, Bot)
-    if isinstance(rhs, (Exists, Forall)):
-        return isinstance(lhs, (Name, Nominal)) and isinstance(rhs.filler, (Name, Nominal))
-    for part in _flatten(lhs, And):
-        if not isinstance(part, basic):
-            return False
-    for part in _flatten(rhs, Or):
-        if not isinstance(part, basic):
-            return False
-    return True
-

@@ -554,7 +554,3 @@ def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],
         if all(type_of(f, core, ctx) not in marked for f in core.fringe):
             return False
     return True
-
-
-def count_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40) -> int:
-    return sum(1 for _ in iter_cores(omq, abox, max_bits))

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Literal, Sequence, Union
 
 from .datalog import Const, DAtom, DProgram, DRule, DTerm, Var
-from .normalize import ClauseAxiom, NormalTBox
+from .normalize import ClauseAxiom, NormalTBox, basic_key
 from .parser import ConceptAtom, ConjunctiveQuery
 from .query import OMQ, rollup
 from .syntax import (Assertion, Basic, ConceptAssert, Name, Nominal, OmqError,
@@ -237,16 +237,15 @@ def _rule(head: Sequence[DAtom], lits: Sequence[Lit]) -> DRule | None:
     neg: list[DAtom] = []
     neq: list[tuple[DTerm, DTerm]] = []
     for lit in lits:
-        if lit[0] == "true":
-            continue
-        if lit[0] == "false":
-            return None
-        if lit[0] == "pos":
+        kind = lit[0]
+        if kind == "pos":
             pos.append(lit[1])
-        elif lit[0] == "neg":
+        elif kind == "neg":
             neg.append(lit[1])
-        else:
-            neq.append((lit[1], lit[2]))
+        elif kind == "neq":
+            neq.append(lit[1:])
+        elif kind == "false":
+            return None
     return DRule(tuple(head), tuple(pos), tuple(neg), tuple(neq))
 
 
@@ -490,7 +489,6 @@ def _clause(e: _Emitter, ax: ClauseAxiom, start: str, at: int | None) -> None:
 
 
 def _sorted_basics(bs: Iterable[Basic]) -> list[Basic]:
-    from .normalize import basic_key
     return sorted(bs, key=basic_key)
 
 

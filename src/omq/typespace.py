@@ -224,16 +224,6 @@ def satisfies_clauses(t: TypeVec, ctx: TypeContext) -> bool:
     return all((t & lm) != lm or (t & rm) != 0 for (lm, rm) in ctx.clause_masks)
 
 
-def lc_check(t: TypeVec, core: Core, ctx: TypeContext) -> bool:
-    """Local consistency: all clauses hold, and a type that only individuals
-    can realize must actually be realized by an individual of the core."""
-    if not satisfies_clauses(t, ctx):
-        return False
-    if is_c_type(t, ctx) and t not in realized_types(core, ctx):
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Core validation
 

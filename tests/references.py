@@ -6,18 +6,26 @@ the tests check ``omq.datalog.ground`` and the engine against them at desk
 scale.  ``models_kb`` checks a finite interpretation against a normalized
 KB under the DL semantics, and ``core_extends`` searches a core's
 extensions directly; the tests check the oracles and the marking
-fixpoint against them.
+fixpoint against them.  ``emit_text`` renders a program with a call per
+term, and the tests check ``omq.datalog.emit_text`` against it.  ``is_normal``, ``lc_check`` and ``count_cores`` state the
+normal form, local consistency and the core count that the tests check
+the normalizer, the type space and the core enumeration against.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from omq.datalog import Const, DAtom, DProgram, DRule, DTerm, Var, _or_mask, _require_ground
-from omq.oracle import FiniteInterp, NormalKB
-from omq.syntax import Basic, ConceptAssert, Name, RoleExpr
-from omq.typespace import Core, ResourceRefused, TypeContext, type_of
+from omq.normalize import _flatten
+from omq.oracle import FiniteInterp, NormalKB, iter_cores
+from omq.query import OMQ
+from omq.syntax import (And, Assertion, Axiom, Basic, Bot, ConceptAssert, Exists, Forall,
+                        Name, Nominal, Or, RoleExpr, RoleIncl, Top)
+from omq.typespace import (Core, ResourceRefused, TypeContext, TypeVec, is_c_type,
+                           realized_types, satisfies_clauses, type_of)
 
 # Atom budget of ``stable_models_bruteforce``, which searches subsets of atoms.
 MAX_BRUTEFORCE_ATOMS = 24
@@ -241,3 +249,70 @@ def core_extends(kb: NormalKB, core: Core, extra: int) -> bool:
             if ok:
                 return True
     return False
+
+
+_PLAIN_CONST = re.compile(r"[a-z][A-Za-z0-9_]*|\d+")
+
+
+def _term_text(t: DTerm) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if _PLAIN_CONST.fullmatch(t.symbol):
+        return t.symbol
+    return '"%s"' % t.symbol.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _atom_text(a: DAtom) -> str:
+    if not a.args:
+        return a.pred
+    return f"{a.pred}({','.join(_term_text(t) for t in a.args)})"
+
+
+def _rule_text(r: DRule) -> str:
+    head = " | ".join(_atom_text(a) for a in r.head)
+    body = [_atom_text(a) for a in r.body_pos]
+    body += [f"not {_atom_text(a)}" for a in r.body_neg]
+    body += [f"{_term_text(x)} != {_term_text(y)}" for (x, y) in r.body_neq]
+    if not body:
+        return f"{head}."
+    if not head:
+        return f":- {', '.join(body)}."
+    return f"{head} :- {', '.join(body)}."
+
+
+def emit_text(p: DProgram) -> str:
+    """ASP-Core-2 text of ``p``, one rule a line: a constant is bare when it
+    is an identifier or a number, and otherwise quoted, with backslash,
+    quote and newline escaped."""
+    return "\n".join(_rule_text(r) for r in p.rules) + "\n"
+
+
+def is_normal(axiom: Axiom) -> bool:
+    """Syntactic normal-form check on a plain axiom."""
+    if isinstance(axiom, RoleIncl):
+        return True
+    lhs, rhs = axiom.lhs, axiom.rhs
+    basic = (Name, Nominal, Top, Bot)
+    if isinstance(rhs, (Exists, Forall)):
+        return isinstance(lhs, (Name, Nominal)) and isinstance(rhs.filler, (Name, Nominal))
+    for part in _flatten(lhs, And):
+        if not isinstance(part, basic):
+            return False
+    for part in _flatten(rhs, Or):
+        if not isinstance(part, basic):
+            return False
+    return True
+
+
+def lc_check(t: TypeVec, core: Core, ctx: TypeContext) -> bool:
+    """Local consistency: all clauses hold, and a type that only individuals
+    can realize must actually be realized by an individual of the core."""
+    if not satisfies_clauses(t, ctx):
+        return False
+    if is_c_type(t, ctx) and t not in realized_types(core, ctx):
+        return False
+    return True
+
+
+def count_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40) -> int:
+    return sum(1 for _ in iter_cores(omq, abox, max_bits))

@@ -17,11 +17,10 @@ from omq import (ConceptAssert, ConceptIncl, DAtom, DProgram, DRule,
                  Exists, Forall, KnowledgeBase, Name, NormalKB, RoleAssert,
                  RoleExpr, RoleIncl, TypeContext, bounded_model_search,
                  build_omq, certain_answers, core_enumeration_decide,
-                 core_of_model, count_cores, enumerate_guess_models, mark,
-                 parse_kb, parse_query, rewrite, rewrite_positive,
-                 validate_core)
+                 core_of_model, enumerate_guess_models, mark, parse_kb,
+                 parse_query, rewrite, rewrite_positive, validate_core)
 from omq.syntax import And, Bot, Or, Top
-from references import models_kb, stable_models_bruteforce
+from references import count_cores, models_kb, stable_models_bruteforce
 
 
 def test_criterion_1_running_example_non_entailment(example1):

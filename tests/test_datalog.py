@@ -9,6 +9,7 @@ from omq import datalog
 from omq.datalog import Layer, _Relation, atom_of, closure, fact_of
 from omq.syntax import OmqError
 from omq.typespace import ResourceRefused
+import references
 from references import ground_full, stable_models_bruteforce
 
 
@@ -120,8 +121,16 @@ def test_closure_fires_a_rule_whose_support_comes_later():
 
 
 def test_ground_unsafe_rule_rejected():
-    with pytest.raises(OmqError, match="unsafe"):
-        DProgram.of([rule([A("p", "X")], [A("q", "Y")])])
+    """A variable is bound only by a positive body atom: not by a negated
+    one, and not by a constant spelt like it."""
+    for unsafe, text in [
+            (rule([A("p", "X")], [A("q", "Y")]), "p(X) :- q(Y)."),
+            (rule([A("p", "a")], [A("q", "a")], [A("r", "X")]), "p(a) :- q(a), not r(X)."),
+            (rule([DAtom("p", (Var("X"),))], [DAtom("q", (Const("X"),))]), 'p(X) :- q("X").')]:
+        with pytest.raises(OmqError) as caught:
+            DProgram.of([unsafe])
+        assert str(caught.value) == \
+            f"unsafe rule: variable(s) X not bound by a positive body atom in {text!r}"
 
 
 DERIVED = {"z": 0, "p": 1, "q": 1, "r": 1, "e": 2}
@@ -514,8 +523,33 @@ def test_emit_constraint_and_neq():
 
 
 def test_emit_quotes_odd_constants():
-    r = rule([DAtom("p", (Const("Odd-Name"),))])
-    assert emit_text(DProgram.of([r])) == 'p("Odd-Name").\n'
+    """A constant is bare only when all of it is an identifier or a number;
+    inside quotes backslash, quote and newline are escaped, so each rule
+    stays one line and each string is terminated."""
+    consts = ["Odd-Name", "a\n", "12\n", "r\\", 'say "hi"', "two\nlines", "a", "12", "_a"]
+    p = DProgram.of([rule([DAtom("p", (Const(c),))]) for c in consts])
+    assert emit_text(p).splitlines() == [
+        'p("Odd-Name").', 'p("a\\n").', 'p("12\\n").', 'p("r\\\\").',
+        'p("say \\"hi\\"").', 'p("two\\nlines").', "p(a).", "p(12).", 'p("_a").']
+
+
+def test_emit_text_matches_the_reference_renderer_on_random_programs():
+    """The renderer agrees with the term-by-term reference on random
+    programs, spelt plainly, with the ``ODD`` symbols, and with only the
+    ``ODD`` constants, which hold quotes, a backslash and brackets; with
+    plain predicates it prints a non-empty program one line per rule."""
+    odd_constants = {c: ODD[c] for c in CONSTS}
+    rng = random.Random(23)
+    for trial in range(300):
+        state = rng.getstate()
+        for spelling in (*SPELLINGS, odd_constants):
+            rng.setstate(state)
+            p, facts = random_program(rng, spelling)
+            p = DProgram.of(p.rules + tuple(DRule((f,)) for f in facts))
+            text = emit_text(p)
+            assert text == references.emit_text(p), trial
+            if spelling is not ODD and p.rules:
+                assert text.count("\n") == len(p.rules), trial
 
 
 def test_parse_ground_atoms_round_trip():
@@ -527,3 +561,14 @@ def test_inequality_arguments_must_be_bound():
     with pytest.raises(OmqError, match="unsafe"):
         DProgram.of([rule([A("p", "X")], [A("q", "X")],
                           neq=[(Var("X"), Var("Y"))])])
+
+
+def test_every_rule_is_checked_for_safety_before_any_arity():
+    """Rule 1 uses ``p`` with two arities and rule 2 is unsafe: the program
+    is refused as unsafe, since safety is checked first, rule by rule."""
+    clash = rule([A("p", "a")], [A("p", "a", "b")])
+    unsafe = rule([A("q", "X")], [A("s", "a")])
+    with pytest.raises(OmqError, match=r"^unsafe rule: variable\(s\) X not bound"):
+        DProgram.of([clash, unsafe])
+    with pytest.raises(OmqError, match="predicate p used with arities 1 and 2"):
+        DProgram.of([clash])

@@ -11,8 +11,9 @@ from itertools import product
 import omq
 from omq import (ConceptIncl, Exists, Forall, Name, Nominal, Not, RoleExpr,
                  normalize)
-from omq.normalize import ClauseAxiom, ExistsAxiom, ForallAxiom, is_normal
+from omq.normalize import ClauseAxiom, ExistsAxiom, ForallAxiom
 from omq.syntax import And, Bot, Or, RoleIncl, Top, tbox_names
+from references import is_normal
 
 
 # --- independent interpretation oracle -------------------------------------

@@ -247,7 +247,7 @@ def test_emitted_text_is_pinned(capsys):
     stderr when the run fails) and the exit status.  Only a deliberate
     change of the emitted program may change that file."""
     lines = (FIXTURES / "rewrite.sha256").read_text().splitlines()
-    assert len(lines) == 36
+    assert len(lines) == 48
     for line in lines:
         digest, code, kb, query, *flags = line.split()
         got = main(["rewrite", str(FIXTURES / kb), str(FIXTURES / query), *flags])

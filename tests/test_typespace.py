@@ -2,9 +2,9 @@ import pytest
 
 import omq
 from omq import (Core, FringeId, NormalKB, TypeContext, has_nonlosing_strategy,
-                 is_c_type, lc_check, mark, parse_kb, type_of, validate_core)
+                 is_c_type, mark, parse_kb, type_of, validate_core)
 from omq.typespace import ResourceRefused, dump_types, mark_types
-from references import core_extends
+from references import core_extends, lc_check
 
 
 def names_of(ctx, t):
