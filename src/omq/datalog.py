@@ -765,14 +765,29 @@ def emit_text(p: DProgram) -> str:
     return "\n".join([rule_text(r) for r in p.rules]) + "\n"
 
 
-_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?")
+_STRING = r'"(?:[^"\\]|\\.)*"'  # an ASP-Core-2 string, as _const_text writes it
+_TERM = rf"{_STRING}|[^\s,()\"]+"
+# A token runs to the next space outside a string; an atom's arguments may
+# be empty here, so that the error can say so.
+_TOKEN_RE = re.compile(rf"(?:{_STRING}|\S)+")
+_ATOM_RE = re.compile(rf"([A-Za-z_][A-Za-z0-9_]*)(?:\(((?:{_TERM})?(?:,(?:{_TERM})?)*)\))?")
+_ARG_RE = re.compile(rf"(?:^|,)({_TERM})?")
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
+def _const_symbol(term: str) -> str:
+    """The symbol a constant's text names: a quoted one loses its quotes
+    and its escapes, the inverse of ``_const_text``."""
+    if not term.startswith('"'):
+        return term
+    return _ESCAPE_RE.sub(lambda m: "\n" if m.group(1) == "n" else m.group(1), term[1:-1])
 
 
 def parse_ground_atoms(text: str) -> list[DAtom]:
-    """Parse space-separated ground atoms, e.g. ``ind(a) tt(1) q(a,b)``; an
-    empty argument, as in ``q(a,,b)``, is an error."""
+    """Parse space-separated ground atoms, e.g. ``ind(a) tt(1) q(a,"B c")``;
+    an empty argument, as in ``q(a,,b)``, is an error."""
     out: list[DAtom] = []
-    for token in text.split():
+    for token in _TOKEN_RE.findall(text):
         m = _ATOM_RE.fullmatch(token)
         if not m:
             raise OmqError(f"cannot parse atom {token!r}")
@@ -780,8 +795,8 @@ def parse_ground_atoms(text: str) -> list[DAtom]:
         if not args:
             out.append(DAtom(pred))
             continue
-        terms = tuple(Const(s.strip()) for s in args.split(","))
-        if not all(c.symbol for c in terms):
+        terms = _ARG_RE.findall(args)
+        if not all(terms):
             raise OmqError(f"empty argument in atom {token!r}")
-        out.append(DAtom(pred, terms))
+        out.append(DAtom(pred, tuple(Const(_const_symbol(t)) for t in terms)))
     return out

@@ -7,8 +7,12 @@ complete for a fixed type assignment because universal and hierarchy
 axioms only ever forbid edges while witnesses only ever need them.
 
 ``core_enumeration_decide`` decides certainty by enumerating every core
-over the instance's individuals bit by bit, pruning with the core
-conditions, and testing extendability through the marking fixpoint.
+over the instance's individuals and testing extendability through the
+marking fixpoint.  The walk picks the individuals' types, then the edges
+between individuals, then each individual's fringe elements, and states
+each core condition once: one edge filter (role inclusions, universals,
+the ABox's edges) serves both kinds of edge, and one witness check serves
+the pruning before the fringe and each individual's fringe.
 Neither path touches the Datalog rewriting, so both can arbitrate it.
 """
 
@@ -184,6 +188,9 @@ def _close_roles(kb: NormalKB, ctx: TypeContext, elements: list[str],
 # Core enumeration
 
 MAX_CORE_NODES = 5_000_000  # search nodes of one walk over the core space
+MAX_FREE_BITS = 40  # individual-level guess bits of one core space
+
+Slot = tuple[str, bool]  # an open role and its direction on one edge
 
 
 class _CoreSpace:
@@ -196,39 +203,40 @@ class _CoreSpace:
     goal: tuple[ConjunctiveQuery, tuple[str, ...]] | None = None
 
     def __init__(self, ctx: TypeContext, abox: Sequence[Assertion],
-                 individuals: Sequence[str], max_bits: int):
+                 individuals: Sequence[str]):
         self.nodes = 0
         self.ctx = ctx
-        self.abox = tuple(abox)
         self.inds = tuple(individuals)
         ntbox = ctx.ntbox
-        self.open_concepts = [a for a in ntbox.concept_names if a not in ctx.sigma]
         self.open_roles = [p for p in ntbox.role_names if p not in ctx.sigma]
-        self.fact_c = {(a.concept, a.individual) for a in self.abox
-                       if isinstance(a, ConceptAssert)}
-        self.fact_r = {(a.role, a.subject, a.object) for a in self.abox
+        fact_c = {(a.concept, a.individual) for a in abox if isinstance(a, ConceptAssert)}
+        self.fact_r = {(a.role, a.subject, a.object) for a in abox
                        if isinstance(a, RoleAssert)}
         self.n_exist = len(ntbox.existentials)
 
         # The budget counts the individual-level guess bits (fringe slots
         # are enumerated structurally with witness-aware pruning).
-        free_bits = 0
+        free_bits = len(self.open_roles) * len(self.inds) ** 2
         for e in self.inds:
-            free_bits += sum(1 for a in self.open_concepts if (a, e) not in self.fact_c)
-        free_bits += len(self.open_roles) * len(self.inds) ** 2
-        self.free_bits = free_bits
-        if free_bits > max_bits:
+            free_bits += sum(1 for a in ntbox.concept_names
+                             if a not in ctx.sigma and (a, e) not in fact_c)
+        if free_bits > MAX_FREE_BITS:
             raise ResourceRefused(
                 f"core space of {free_bits} free individual bits exceeds "
-                f"the budget of {max_bits}")
+                f"the budget of {MAX_FREE_BITS}")
 
-        self.ind_types = [ctx.types_of(e, self.fact_c) for e in self.inds]
+        self.ind_types = [ctx.types_of(e, fact_c) for e in self.inds]
         # A fringe element takes no c-type: no nominal, no closed concept,
         # and (c3.4) no trigger of an existential over a closed role.
         self.fringe_types = [t for t in ctx.valid_types if not t & ctx.ctype_mask]
+        # Each existential as (trigger bit, filler bit, role name, inverted),
+        # the form the witness check reads.
+        bit = ctx.bit_of
+        self.existentials = [(1 << bit[ax.lhs], 1 << bit[ax.filler], ax.role.name,
+                              ax.role.inverted) for ax in ntbox.existentials]
         # The existentials no fringe element can witness: over a closed role
         # (no fringe edges), or with a nominal or closed filler.
-        self.named_only = [ax for ax in ntbox.existentials
+        self.named_only = [spec for spec, ax in zip(self.existentials, ntbox.existentials)
                            if ax.role.name in ctx.sigma or ctx.role_closed(ax.role)
                            or not isinstance(ax.filler, Name) or ax.filler.name in ctx.sigma]
 
@@ -253,66 +261,73 @@ class _CoreSpace:
             yield from self._assign_types(idx + 1, types)
         types.pop(e, None)
 
-    def _assign_roles(self, types: dict[str, TypeVec]) -> Iterator[Core]:
+    def _edge_sets(self, td: TypeVec, te: TypeVec, same: bool,
+                   asserted: set[Slot]) -> list[frozenset[Slot]]:
+        """The sets of open-role slots on the edge between elements d and e,
+        of types td and te, under which the role inclusions and universals
+        hold.  A slot (p, True) is a p-edge from d to e, (p, False) one from
+        e to d; when d and e are one element, only forward slots exist.
+        ``asserted`` holds the slots the ABox gives, over any role: an open
+        one must be chosen, and a closed one is an edge exactly when it is
+        asserted (so never at the fringe)."""
         ctx = self.ctx
-        pairs = []
-        for i, d in enumerate(self.inds):
-            for e in self.inds[i:]:
-                pairs.append((d, e))
+        dirs = (True,) if same else (True, False)
+        slots = [(p, fwd) for fwd in dirs for p in self.open_roles]
+        required = [s for s in slots if s in asserted]
 
-        def vectors_for(d: str, e: str) -> list[frozenset[tuple[str, bool]]]:
-            same = d == e
-            ntbox = ctx.ntbox
-            slots = [(p, True) for p in self.open_roles]
-            if not same:
-                slots += [(p, False) for p in self.open_roles]
-            out = []
-            for mask in range(1 << len(slots)):
-                chosen = {slots[j] for j in range(len(slots)) if mask >> j & 1}
+        def edge(chosen: frozenset[Slot], r: RoleExpr, fwd: bool) -> bool:
+            slot = (r.name, fwd != r.inverted or same)
+            return slot in (asserted if r.name in ctx.sigma else chosen)
 
-                def edge(r: RoleExpr, fwd: bool) -> bool:
-                    want = fwd if not r.inverted else not fwd
-                    (u, v) = (d, e) if want else (e, d)
-                    if r.name in ctx.sigma:
-                        return (r.name, u, v) in self.fact_r
-                    if same:
-                        return (r.name, True) in chosen
-                    return (r.name, want) in chosen
+        out = []
+        for mask in range(1 << len(slots)):
+            chosen = frozenset(slots[j] for j in range(len(slots)) if mask >> j & 1)
+            if not chosen.issuperset(required):
+                continue
+            if any(edge(chosen, ax.lhs, fwd) and not edge(chosen, ax.rhs, fwd)
+                   for ax in ctx.ntbox.role_incls for fwd in dirs):
+                continue
+            if any(edge(chosen, ax.role, fwd) and ctx.has(td if fwd else te, ax.lhs)
+                   and not ctx.has(te if fwd else td, ax.filler)
+                   for ax in ctx.ntbox.universals for fwd in dirs):
+                continue
+            out.append(chosen)
+        return out
 
-                ok = True
-                for p in self.open_roles:  # ABox facts must be present
-                    if (p, d, e) in self.fact_r and (p, True) not in chosen:
-                        ok = False
-                    if not same and (p, e, d) in self.fact_r and (p, False) not in chosen:
-                        ok = False
-                if ok:
-                    for ax in ntbox.role_incls:
-                        for fwd in ((True,) if same else (True, False)):
-                            if edge(ax.lhs, fwd) and not edge(ax.rhs, fwd):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if ok:
-                    for ax in ntbox.universals:
-                        for fwd in ((True,) if same else (True, False)):
-                            (u, v) = (d, e) if fwd else (e, d)
-                            if edge(ax.role, fwd) and self.ctx.has(types[u], ax.lhs) \
-                                    and not self.ctx.has(types[v], ax.filler):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if ok:
-                    out.append(chosen)
-            return out
+    def _witnessed(self, types: dict[str, TypeVec], edges: dict[str, set[tuple[str, str]]],
+                   fringe: dict[FringeId, tuple[TypeVec, frozenset[Slot]]],
+                   axioms: list[tuple[int, int, str, bool]], inds: Sequence[str]) -> bool:
+        """Does every existential of ``axioms`` that an individual of ``inds``
+        triggers have a witness: a named successor over ``edges``, or one of
+        the individual's elements in ``fringe``?"""
+        for (lhs, filler, role, inverted) in axioms:
+            pairs = edges.get(role, ())
+            if inverted:
+                witnessed = {y for (x, y) in pairs if types[x] & filler}
+            else:
+                witnessed = {x for (x, y) in pairs if types[y] & filler}
+            if fringe:
+                slot = (role, not inverted)
+                witnessed.update(f.parent for f, (ftype, chosen) in fringe.items()
+                                 if slot in chosen and ftype & filler)
+            for e in inds:
+                if types[e] & lhs and e not in witnessed:
+                    return False
+        return True
 
-        choices = [vectors_for(d, e) for (d, e) in pairs]
+    def _assign_roles(self, types: dict[str, TypeVec]) -> Iterator[Core]:
+        pairs = [(d, e) for i, d in enumerate(self.inds) for e in self.inds[i:]]
+        choices = []
+        for (d, e) in pairs:
+            # The ABox's edges between d and e, as slots.
+            asserted = {(p, x == d) for (p, x, y) in self.fact_r
+                        if (x, y) == (d, e) or (y, x) == (d, e)}
+            choices.append(self._edge_sets(types[d], types[e], d == e, asserted))
 
         def rec(j: int, edges: dict[str, set[tuple[str, str]]]) -> Iterator[Core]:
             self._tick()
             if j == len(pairs):
-                if self._named_witnesses_ok(types, edges) and \
+                if self._witnessed(types, edges, {}, self.named_only, self.inds) and \
                         not self._goal_already_matched(types, edges):
                     yield from self._assign_fringe(types, edges)
                 return
@@ -327,17 +342,9 @@ class _CoreSpace:
                 for (p, pair) in added:
                     edges[p].discard(pair)
 
-        yield from rec(0, {})
-
-    def _expr_pairs(self, edges: dict[str, set[tuple[str, str]]],
-                    role: RoleExpr) -> Iterator[tuple]:
-        if role.name in self.ctx.sigma:
-            base = ((x, y) for (q, x, y) in self.fact_r if q == role.name)
-        else:
-            base = iter(edges.get(role.name, ()))
-        if role.inverted:
-            return ((y, x) for (x, y) in base)
-        return base
+        # The closed roles' edges are the ABox's, from the start.
+        yield from rec(0, {p: {(x, y) for (q, x, y) in self.fact_r if q == p}
+                           for p in self.ctx.ntbox.role_names if p in self.ctx.sigma})
 
     def _goal_already_matched(self, types: dict[str, TypeVec],
                               edges: dict[str, set[tuple[str, str]]]) -> bool:
@@ -350,148 +357,55 @@ class _CoreSpace:
     def _core(self, types, edges, fringe) -> Core:
         """The core that the types, the edges between individuals and the
         fringe choices spell out; with no fringe, its individual part."""
-        ctx = self.ctx
         typed: dict = dict(types)
-        role_ext: dict[str, set] = {p: set() for p in ctx.ntbox.role_names}
-        for p, pairs in edges.items():
-            role_ext[p].update(pairs)
-        for (p, x, y) in self.fact_r:
-            if p in ctx.sigma and p in role_ext:
-                role_ext[p].add((x, y))
+        role_ext: dict[str, set] = {p: set(edges.get(p, ())) for p in self.ctx.ntbox.role_names}
         for fid, (ftype, chosen) in fringe.items():
             typed[fid] = ftype
             for (p, fwd) in chosen:
                 role_ext[p].add((fid.parent, fid) if fwd else (fid, fid.parent))
-        return Core(self.inds, frozenset(fringe), ctx.extensions(typed),
+        return Core(self.inds, frozenset(fringe), self.ctx.extensions(typed),
                     {p: frozenset(s) for p, s in role_ext.items()})
-
-    def _named_witnesses_ok(self, types: dict[str, TypeVec],
-                            edges: dict[str, set[tuple[str, str]]]) -> bool:
-        """Prune role assignments that already doom an existential whose
-        witness must be a named individual."""
-        for ax in self.named_only:
-            for e in self.inds:
-                if not self.ctx.has(types[e], ax.lhs):
-                    continue
-                if not any(x == e and self.ctx.has(types[y], ax.filler)
-                           for (x, y) in self._expr_pairs(edges, ax.role)):
-                    return False
-        return True
 
     def _assign_fringe(self, types: dict[str, TypeVec],
                        edges: dict[str, set[tuple[str, str]]]) -> Iterator[Core]:
-        ctx = self.ctx
-        ntbox = ctx.ntbox
-
-        def fringe_options(parent: str) -> list[tuple[TypeVec, frozenset[tuple[str, bool]]]]:
-            ptype = types[parent]
-            dirs = [(p, True) for p in self.open_roles] + \
-                   [(p, False) for p in self.open_roles]
-            out = []
-            for ftype in self.fringe_types:
-                for mask in range(1 << len(dirs)):
-                    chosen = {dirs[j] for j in range(len(dirs)) if mask >> j & 1}
-
-                    def edge(r: RoleExpr, fwd: bool) -> bool:
-                        # fwd: parent -> fringe; else fringe -> parent
-                        want = fwd if not r.inverted else not fwd
-                        if r.name in ctx.sigma:
-                            return False
-                        return (r.name, want) in chosen
-
-                    ok = True
-                    for ax in ntbox.role_incls:
-                        for fwd in (True, False):
-                            if edge(ax.lhs, fwd) and not edge(ax.rhs, fwd):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        for ax in ntbox.universals:
-                            for fwd in (True, False):
-                                (tu, tv) = (ptype, ftype) if fwd else (ftype, ptype)
-                                if edge(ax.role, fwd) and self.ctx.has(tu, ax.lhs) \
-                                        and not self.ctx.has(tv, ax.filler):
-                                    ok = False
-                                    break
-                            if not ok:
-                                break
-                    if ok:
-                        out.append((ftype, frozenset(chosen)))
-            return out
-
-        options_by_parent = {e: fringe_options(e) for e in sorted(set(self.inds))}
-
-        def witnesses_ok(e: str, fringe: dict[FringeId, tuple[TypeVec, frozenset]]) -> bool:
-            """Every existential triggered at the individual e is witnessed,
-            by a named successor or one of e's own fringe elements."""
-            for ax in ntbox.existentials:
-                if not self.ctx.has(types[e], ax.lhs):
-                    continue
-                if any(x == e and self.ctx.has(types[y], ax.filler)
-                       for (x, y) in self._expr_pairs(edges, ax.role)):
-                    continue
-                if ax in self.named_only:
-                    return False
-                found = False
-                for i in range(self.n_exist):
-                    opt = fringe.get(FringeId(e, i))
-                    if opt is None:
-                        continue
-                    ftype, chosen = opt
-                    want = True if not ax.role.inverted else False
-                    if (ax.role.name, want) in chosen and self.ctx.has(ftype, ax.filler):
-                        found = True
-                        break
-                if not found:
-                    return False
-            return True
+        options = {e: [(ftype, chosen) for ftype in self.fringe_types
+                       for chosen in self._edge_sets(types[e], ftype, False, set())]
+                   for e in self.inds}
 
         def per_slot(e: str, i: int,
-                     fringe: dict[FringeId, tuple[TypeVec, frozenset]]) -> Iterator[None]:
+                     fringe: dict[FringeId, tuple[TypeVec, frozenset[Slot]]]) -> Iterator[None]:
+            """Each choice of e's fringe elements from slot i on, given that
+            every existential e triggers is witnessed, by a named successor
+            or one of those elements."""
             self._tick()
             if i == self.n_exist:
-                if witnesses_ok(e, fringe):
+                if self._witnessed(types, edges, fringe, self.existentials, (e,)):
                     yield None
                 return
             fid = FringeId(e, i)
             yield from per_slot(e, i + 1, fringe)  # absent
-            for opt in options_by_parent[e]:
+            for opt in options[e]:
                 fringe[fid] = opt
                 yield from per_slot(e, i + 1, fringe)
                 del fringe[fid]
 
-        def rec(idx: int, fringe: dict[FringeId, tuple[TypeVec, frozenset]]) -> Iterator[Core]:
+        def rec(idx: int,
+                fringe: dict[FringeId, tuple[TypeVec, frozenset[Slot]]]) -> Iterator[Core]:
             if idx == len(self.inds):
-                core = self._build_core(types, edges, fringe)
-                if core is not None:
-                    yield core
+                yield self._core(types, edges, fringe)
                 return
             for _ in per_slot(self.inds[idx], 0, fringe):
                 yield from rec(idx + 1, fringe)
 
         yield from rec(0, {})
 
-    def _build_core(self, types, edges, fringe) -> Core | None:
-        core = self._core(types, edges, fringe)
-        # (c5)/(c3.4): every individual must witness every existential.
-        for ax in self.ctx.ntbox.existentials:
-            succ = core.pairs(ax.role)
-            for e in self.inds:
-                if core.satisfies_basic(ax.lhs, e) and \
-                        not any(core.satisfies_basic(ax.filler, y)
-                                for (x, y) in succ if x == e):
-                    return None
-        return core
 
-
-def iter_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40) -> Iterator[Core]:
+def iter_cores(omq: OMQ, abox: Sequence[Assertion]) -> Iterator[Core]:
     """Every valid core of the instance, within the free-bit budget on the
     individual-level guesses and a search-node budget on the whole walk."""
     ctx = TypeContext(omq.tbox, omq.sigma)
     inds = individuals_of(omq, abox)
-    space = _CoreSpace(ctx, abox, inds, max_bits)
+    space = _CoreSpace(ctx, abox, inds)
     return space.cores()
 
 
@@ -533,7 +447,7 @@ def cq_matches(core: Core, query: ConjunctiveQuery,
 
 
 def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],
-                            answers: tuple[str, ...], max_bits: int = 40) -> bool:
+                            answers: tuple[str, ...]) -> bool:
     """Certainty by exhaustion: the tuple is NOT certain exactly when some
     valid core falsifies the query and survives the marking fixpoint."""
     if not isinstance(classify(omq), CSafe):
@@ -541,7 +455,7 @@ def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],
     ctx = TypeContext(omq.tbox, omq.sigma)
     mark_memo: dict[frozenset[TypeVec], frozenset[TypeVec]] = {}
 
-    space = _CoreSpace(ctx, abox, individuals_of(omq, abox), max_bits)
+    space = _CoreSpace(ctx, abox, individuals_of(omq, abox))
     space.goal = (omq.query, answers)
     for core in space.cores():
         if cq_matches(core, omq.query, answers):

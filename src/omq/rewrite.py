@@ -272,7 +272,7 @@ class _Emitter:
     def add(self, head: Sequence[DAtom], *lits: Lit) -> None:
         if self.ctx.db_constants:
             atoms = [*head, *(lit[1] for lit in lits if lit[0] == "pos")]
-            bits = dict.fromkeys(v for a in atoms for v in a.args if v in self._bit_preds)
+            bits = dict.fromkeys(v for a in atoms for v in a.args if v is B0 or v is B1)
             lits += tuple(_pos(DAtom(self._bit_preds[v], (v,))) for v in bits)
         r = _rule(head, lits)
         if r is not None:
@@ -284,7 +284,9 @@ class _Emitter:
     # -- bit constants --------------------------------------------------
     # With --db-constants the 0/1 constants disappear from rules: each
     # becomes the variable B0/B1, which ``add`` binds once per rule with
-    # ff/tt, whose single fact is injected from the data side.
+    # ff/tt, whose single fact is injected from the data side.  ``add``
+    # finds them by identity, not by hashing every term: only ``zero`` and
+    # ``one`` hand them out.
 
     def zero(self) -> DTerm:
         return B0 if self.ctx.db_constants else ZERO

@@ -314,5 +314,5 @@ def lc_check(t: TypeVec, core: Core, ctx: TypeContext) -> bool:
     return True
 
 
-def count_cores(omq: OMQ, abox: Sequence[Assertion], max_bits: int = 40) -> int:
-    return sum(1 for _ in iter_cores(omq, abox, max_bits))
+def count_cores(omq: OMQ, abox: Sequence[Assertion]) -> int:
+    return sum(1 for _ in iter_cores(omq, abox))

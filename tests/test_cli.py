@@ -233,6 +233,12 @@ def test_external_models_verification(capsys, tmp_path):
     code, out, _ = run(capsys, "answer", "--external-models", models, kb, q)
     assert code == 1
     assert out.splitlines() == ["model 1: stable", "model 2: not stable"]
+    # An individual that is no ASP constant is quoted, as --emit-ground prints it.
+    kb.write_text("tbox { p <= s; } abox { p(Alice, Alice); }")
+    models.write_text('ind("Alice") eq("Alice","Alice") r_p("Alice","Alice") '
+                      'r_s("Alice","Alice") q("Alice","Alice")\n')
+    code, out, _ = run(capsys, "answer", "--external-models", models, kb, q)
+    assert (code, out.splitlines()) == (0, ["model 1: stable"])
 
 
 def test_external_models_with_malformed_atoms_are_errors(capsys, tmp_path):

@@ -522,12 +522,14 @@ def test_emit_constraint_and_neq():
     assert emit_text(DProgram.of([r])) == ":- p(X), p(Y), X != Y.\n"
 
 
+ODD_CONSTANTS = ["Odd-Name", "a\n", "12\n", "r\\", 'say "hi"', "two\nlines", "a", "12", "_a"]
+
+
 def test_emit_quotes_odd_constants():
     """A constant is bare only when all of it is an identifier or a number;
     inside quotes backslash, quote and newline are escaped, so each rule
     stays one line and each string is terminated."""
-    consts = ["Odd-Name", "a\n", "12\n", "r\\", 'say "hi"', "two\nlines", "a", "12", "_a"]
-    p = DProgram.of([rule([DAtom("p", (Const(c),))]) for c in consts])
+    p = DProgram.of([rule([DAtom("p", (Const(c),))]) for c in ODD_CONSTANTS])
     assert emit_text(p).splitlines() == [
         'p("Odd-Name").', 'p("a\\n").', 'p("12\\n").', 'p("r\\\\").',
         'p("say \\"hi\\"").', 'p("two\\nlines").', "p(a).", "p(12).", 'p("_a").']
@@ -553,8 +555,14 @@ def test_emit_text_matches_the_reference_renderer_on_random_programs():
 
 
 def test_parse_ground_atoms_round_trip():
+    """Every constant comes back from its emitted text, whether it holds
+    quotes, a backslash, a newline, a space, a comma or a bracket."""
     atoms = parse_ground_atoms("ind(a) tt(1) q(a,b) flag")
     assert atoms == [A("ind", "a"), A("tt", "1"), A("q", "a", "b"), DAtom("flag")]
+    consts = ODD_CONSTANTS + ["a,b", "x y", "(", "r\\n", 'c_a("Alice")']
+    atoms = [DAtom("p", (Const(c), Const("k"))) for c in consts] + [DAtom("flag")]
+    facts = emit_text(DProgram.of([rule([a]) for a in atoms]))  # one "atom." a line
+    assert parse_ground_atoms(facts.replace(".\n", " ")) == atoms
 
 
 def test_inequality_arguments_must_be_bound():

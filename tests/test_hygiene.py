@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from collections import Counter
 
 import omq
 
@@ -73,3 +74,28 @@ def test_every_module_level_function_and_class_is_used():
                 names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
                 used |= names - _defined_names(node)
     assert {(module, name) for (module, name) in defined if name not in used} == set()
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_method_is_used():
+    """Each method of a class of ``omq``, dunder methods aside, is read as
+    an attribute somewhere in ``src``, ``tests``, ``demos`` or
+    ``perfbench`` other than its own body."""
+    reads = Counter()
+    for folder in (SRC, ROOT / "tests", ROOT / "demos", ROOT / "perfbench"):
+        for path in sorted(folder.rglob("*.py")):
+            reads += _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") \
+                        and reads[node.name] == _attribute_reads(node)[node.name]:
+                    unused.add((path.name, cls.name, node.name))
+    assert unused == set()
