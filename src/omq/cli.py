@@ -5,6 +5,8 @@ certain answers, ``mark`` runs the type-elimination fixpoint on a core
 given in ABox syntax, ``oracle`` cross-checks the engine against the two
 oracles, and ``check`` validates inputs and reports the query class.
 Exit status 0 on success, 1 on diagnostics, 2 on resource refusal.
+The engine and the oracles are imported by the commands that run them,
+so ``rewrite`` and ``check`` load neither.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from itertools import product
 from typing import Sequence
 
 from .datalog import emit_text, parse_ground_atoms
-from .engine import certain_answers, ground_guess_layer, verify_model
 from .normalize import normalize
-from .oracle import NormalKB, bounded_model_search, core_enumeration_decide
 from .parser import parse_kb, parse_query
 from .query import (CAcyclic, CSafe, build_omq, c_variables, classify,
                     individuals_of, rollup)
@@ -69,6 +69,7 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_answer(args) -> int:
+    from .engine import certain_answers, ground_guess_layer, verify_model
     kb, omq_obj = _load(args)
     out = _rewrite_for(args, omq_obj)
     if args.emit_ground:
@@ -177,6 +178,8 @@ def cmd_mark(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .engine import certain_answers
+    from .oracle import NormalKB, bounded_model_search, core_enumeration_decide
     if args.bound < 0:
         raise OmqError(f"bound must be at least 0, got {args.bound}")
     kb, omq_obj = _load(args)

@@ -14,10 +14,10 @@ atom, and the completion of its derived atoms (the answer atoms ``q``
 among them).
 Evaluation backtracks over the choice atoms with unit propagation over
 those clauses, from a root propagated once, and reads each leaf's model
-off the value array.  The upper layers are compiled into ``datalog.Layer``
+off the value array.  The upper layers are compiled into ``evaluate.Layer``
 join plans and evaluated semi-naively, in order, over each leaf's model;
 a branch whose upper layers violate a constraint is discarded.  Each is
-unfolded first (``datalog.unfold``): the predicates that only its own
+unfolded first (``evaluate.unfold``): the predicates that only its own
 rules read are substituted into their readers where that is safe, so
 their rows are never stored.  Chief among them are the marking layer's
 ``markedone_e<i>`` pairs ("type Y is no witness for X"), up to 4^k rows
@@ -61,8 +61,8 @@ from typing import Iterable, Iterator, Sequence
 
 # ``ground``, ``gl_reduct`` and ``stratify`` are looked up through this module
 # by tracers that wrap them (perfbench/spans.py); keep the names here.
-from .datalog import (DAtom, DProgram, DRule, Fact, Layer, Row, atom_of, gl_reduct,
-                      ground, is_stable_model, unfold)
+from .datalog import DAtom, DProgram, DRule, Fact, Row, atom_of
+from .evaluate import Layer, gl_reduct, ground, is_stable_model, unfold
 from .query import individuals_of, OMQ
 from .rewrite import RewriteOutput, abox_facts, db_constant_facts
 from .syntax import Assertion, OmqError
@@ -145,10 +145,10 @@ def stratify(out: RewriteOutput) -> LayeredProgram:
 class Evaluation:
     """The evaluation form of a rewriting: its layers, whose guess layer
     keeps the join plans of its first grounding (``DProgram.plans``), and
-    per upper layer, in ``layers``, its ``datalog.Layer``, those of its own
+    per upper layer, in ``layers``, its ``evaluate.Layer``, those of its own
     predicates that a higher layer reads, which it hands up, and its memo.
     Each ``Layer`` is compiled from its layer unfolded around what it hands
-    up (``datalog.unfold``), which keeps the facts handed up, the verdict
+    up (``evaluate.unfold``), which keeps the facts handed up, the verdict
     and the predicates read, so the memos are those of the layer as
     written, while the marking layer stores about a seventh of the rows.
     ``reads`` are the predicates some upper layer reads, and ``monotone``

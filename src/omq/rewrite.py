@@ -266,14 +266,13 @@ class _Emitter:
         self.ctx = ctx
         self.t = ctx.table
         self.rules: list[DRule] = []
-        self._bit_preds = {B0: self.t.ff, B1: self.t.tt}
+        self._bits: dict[Var, str] = {}   # bit variables handed out, with their predicates
         self._vecs: dict[str, tuple[Var, ...]] = {}
 
     def add(self, head: Sequence[DAtom], *lits: Lit) -> None:
-        if self.ctx.db_constants:
-            atoms = [*head, *(lit[1] for lit in lits if lit[0] == "pos")]
-            bits = dict.fromkeys(v for a in atoms for v in a.args if v is B0 or v is B1)
-            lits += tuple(_pos(DAtom(self._bit_preds[v], (v,))) for v in bits)
+        if self._bits:
+            lits += tuple(_pos(DAtom(pred, (v,))) for v, pred in self._bits.items())
+            self._bits.clear()
         r = _rule(head, lits)
         if r is not None:
             self.rules.append(r)
@@ -284,15 +283,21 @@ class _Emitter:
     # -- bit constants --------------------------------------------------
     # With --db-constants the 0/1 constants disappear from rules: each
     # becomes the variable B0/B1, which ``add`` binds once per rule with
-    # ff/tt, whose single fact is injected from the data side.  ``add``
-    # finds them by identity, not by hashing every term: only ``zero`` and
-    # ``one`` hand them out.
+    # ff/tt, whose single fact is injected from the data side.  ``zero`` and
+    # ``one`` alone hand them out, and record each for the next ``add``,
+    # which binds them in the order they were first handed out.
 
     def zero(self) -> DTerm:
-        return B0 if self.ctx.db_constants else ZERO
+        if self.ctx.db_constants:
+            self._bits.setdefault(B0, self.t.ff)
+            return B0
+        return ZERO
 
     def one(self) -> DTerm:
-        return B1 if self.ctx.db_constants else ONE
+        if self.ctx.db_constants:
+            self._bits.setdefault(B1, self.t.tt)
+            return B1
+        return ONE
 
     # -- literals ----------------------------------------------------------
 

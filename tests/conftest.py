@@ -4,7 +4,8 @@ import pytest
 
 import omq
 from omq import Core, FringeId, TypeContext, enumerate_guess_models, stratify
-from omq.datalog import Layer, atom_of, fact_of
+from omq.datalog import atom_of, fact_of
+from omq.evaluate import Layer
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -2,7 +2,7 @@
 
 ``ground_full`` grounds by every substitution, and
 ``stable_models_bruteforce`` enumerates every subset of the head atoms;
-the tests check ``omq.datalog.ground`` and the engine against them at desk
+the tests check ``omq.evaluate.ground`` and the engine against them at desk
 scale.  ``models_kb`` checks a finite interpretation against a normalized
 KB under the DL semantics, and ``core_extends`` searches a core's
 extensions directly; the tests check the oracles and the marking
@@ -18,7 +18,8 @@ import re
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from omq.datalog import Const, DAtom, DProgram, DRule, DTerm, Var, _or_mask, _require_ground
+from omq.datalog import Const, DAtom, DProgram, DRule, DTerm, Var
+from omq.evaluate import _or_mask, _require_ground
 from omq.normalize import _flatten
 from omq.oracle import FiniteInterp, NormalKB, iter_cores
 from omq.query import OMQ

@@ -363,7 +363,7 @@ def test_running_out_of_memory_is_a_refusal(capsys, monkeypatch):
     never in a traceback."""
     def exhausted(*args, **kwargs):
         raise MemoryError
-    monkeypatch.setattr(omq.cli, "certain_answers", exhausted)
+    monkeypatch.setattr(omq.engine, "certain_answers", exhausted)
     code, out, err = run(capsys, "answer", FIXTURES / "intro.kb", FIXTURES / "q_attends.cq")
     assert (code, out) == (2, "")
     assert err == "refused: out of memory; result undecided\n"

@@ -5,8 +5,9 @@ import pytest
 import omq
 from omq import (Const, DAtom, DProgram, DRule, Var, emit_text, gl_reduct,
                  ground, is_stable_model, parse_ground_atoms)
-from omq import datalog
-from omq.datalog import Layer, _Relation, atom_of, closure, fact_of
+from omq import evaluate
+from omq.datalog import atom_of, fact_of
+from omq.evaluate import Layer, _Relation, closure
 from omq.syntax import OmqError
 from omq.typespace import ResourceRefused
 import references
@@ -291,7 +292,7 @@ def test_one_answer_call_indexes_a_fraction_of_the_marking_rows(monkeypatch):
         def __init__(self, rows=()):
             super().__init__(rows)
             made.append(self)
-    monkeypatch.setattr(datalog, "_Relation", Recorded)
+    monkeypatch.setattr(evaluate, "_Relation", Recorded)
     chain = "; ".join(f"A{i} <= exists r . A{i + 1}" for i in range(1, 7))
     kb = omq.parse_kb(f"tbox {{ {chain}; }} abox {{ A1(a); A3(b); }} closed {{ A1; }}")
     out = omq.rewrite(omq.build_omq(kb, omq.parse_query("q(x) :- A1(x).")))
@@ -343,7 +344,7 @@ def test_unfolding_keeps_the_layer_model_on_random_programs():
     unfolded = derived = 0
     for trial in range(600):
         p, keep, facts = random_layer(rng)
-        q = datalog.unfold(p, keep)
+        q = evaluate.unfold(p, keep)
         stay = [pred for pred in DERIVED if pred in q.arities]
         assert set(keep) & set(p.arities) <= set(stay), f"trial {trial}"
         base = list(map(fact_of, facts))
@@ -365,7 +366,7 @@ def test_unfolding_renames_a_definitions_own_variables_apart():
         rule([A("q", "X", "Y")], [A("p", "X"), A("f", "Y")]),
         rule([A("r", "X", "Y", "Y_1")], [A("p", "X"), A("f", "Y"), A("f", "Y_1")]),
     ])
-    q = datalog.unfold(p, ["q", "r"])
+    q = evaluate.unfold(p, ["q", "r"])
     assert {r.head[0].pred for r in q.rules} == {"q", "r"}
     base = [("e", ("a", "b")), ("f", ("c",))]
     expected = {("q", ("a", "c")), ("r", ("a", "c", "c"))}
@@ -426,7 +427,7 @@ def test_is_stable_model_refuses_a_minimality_search_past_its_budget(monkeypatch
     search is refused."""
     p = DProgram.of([rule([A("a"), A("b")]), rule([A("b"), A("c")])])
     assert not is_stable_model(p, [A("a"), A("b"), A("c")])
-    monkeypatch.setattr(datalog, "MAX_MINIMALITY_ATOMS", 1)
+    monkeypatch.setattr(evaluate, "MAX_MINIMALITY_ATOMS", 1)
     with pytest.raises(ResourceRefused):
         is_stable_model(p, [A("a"), A("b"), A("c")])
 

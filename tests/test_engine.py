@@ -11,7 +11,8 @@ from omq import (Const, DAtom, DProgram, DRule, TypeContext, Var, build_omq,
                  certain_answers, core_of_model, enumerate_guess_models,
                  ground, parse_kb, parse_query, rewrite, rewrite_positive,
                  stratify, validate_core, verify_model)
-from omq.datalog import Layer, _Plan, fact_of
+from omq.datalog import fact_of
+from omq.evaluate import Layer, _Plan
 from omq.engine import TRUE, StratifyError, _Searcher, ground_guess_layer
 from omq.rewrite import abox_facts
 from omq.typespace import mark_types

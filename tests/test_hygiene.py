@@ -48,13 +48,15 @@ def test_every_module_level_import_is_used():
 
 def _defined_names(node: ast.stmt) -> set[str]:
     """The names a module-level statement defines: a function, a class, or
-    the plain names it assigns, dunder names aside."""
+    the plain names it assigns, dunder names aside (Python itself reads
+    them, as the import system reads a module's ``__getattr__``)."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return {node.name}
-    targets = node.targets if isinstance(node, ast.Assign) else \
-        [node.target] if isinstance(node, ast.AnnAssign) else []
-    return {n.id for t in targets for n in ast.walk(t)
-            if isinstance(n, ast.Name) and not n.id.startswith("__")}
+        names = {node.name}
+    else:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
 
 
 def test_every_module_level_function_and_class_is_used():
