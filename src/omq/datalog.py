@@ -61,10 +61,6 @@ class DRule:
     body_neg: tuple[DAtom, ...] = ()
     body_neq: tuple[tuple[DTerm, DTerm], ...] = ()
 
-    @property
-    def is_fact(self) -> bool:
-        return len(self.head) == 1 and not (self.body_pos or self.body_neg or self.body_neq)
-
     def variables(self) -> set[str]:
         out: set[str] = set()
         for a in self.head + self.body_pos + self.body_neg:
@@ -127,8 +123,16 @@ class DProgram:
         from .evaluate import _Plan
         return [_Plan(r) for r in self.rules]
 
-    def is_disjunctive(self) -> bool:
-        return any(len(r.head) > 1 for r in self.rules)
+    @cached_property
+    def readers(self) -> list[tuple[tuple[int, ...], ...]]:
+        """For each rule and each of its head atoms, the rules whose
+        positive body reads that atom's predicate, in program order: the
+        rules ``ground`` runs again once that head gets a new row."""
+        reading: dict[str, list[int]] = {}
+        for n, r in enumerate(self.rules):
+            for pred in dict.fromkeys([a.pred for a in r.body_pos]):
+                reading.setdefault(pred, []).append(n)
+        return [tuple(tuple(reading.get(a.pred, ())) for a in r.head) for r in self.rules]
 
     def has_negation(self) -> bool:
         return any(r.body_neg for r in self.rules)

@@ -167,7 +167,7 @@ class Evaluation:
     (``None``); each call keeps its own.  ``RewriteOutput.evaluation``
     builds it on first use and keeps it for the rewriting's lifetime.  One
     rewriting is not meant for concurrent calls: they would share the
-    memos unguarded."""
+    memos and each ``Layer``'s relations unguarded."""
 
     def __init__(self, out: RewriteOutput):
         t = out.ctx.table
@@ -303,7 +303,7 @@ class _Searcher:
         for d, bodies in supports.items():
             some_support = [2 * d + 1]
             for body in bodies:
-                clauses.append(tuple(2 * b + 1 for b in body) + (2 * d,))
+                clauses.append(tuple([2 * b + 1 for b in body] + [2 * d]))
                 if len(body) == 1:
                     some_support.append(2 * body[0])
                 else:
@@ -312,10 +312,11 @@ class _Searcher:
                     n_vars += 1
             clauses.append(tuple(some_support))
         self.clauses = clauses
-        self.occurs: list[list[int]] = [[] for _ in range(2 * n_vars)]
+        occurs: list[list[int]] = [[] for _ in range(2 * n_vars)]
         for c, clause in enumerate(clauses):
             for lit in clause:
-                self.occurs[lit].append(c)
+                occurs[lit].append(c)
+        self.occurs = occurs
         # At the root the input facts hold, and atoms with no fact, no family
         # and no support never do (for instance closed predicates beyond
         # their ABox facts).  The root is propagated once, over the

@@ -15,13 +15,16 @@ rules of one shape share one function.  Two evaluators run on it:
   which keeps the ground program proportional to the derivable atoms
   instead of the full substitution space; each fact is numbered in an id
   table when first met, the instances are triples of atom-id tuples, and
-  ``DRule``s are built only on request; a program keeps its plans
-  (``DProgram.plans``) for the next grounding;
+  ``DRule``s are built only on request; a rule runs again only after a
+  rule it reads from derived a new row, and a program keeps its plans and
+  the rules that read each head (``DProgram.plans``, ``DProgram.readers``)
+  for the next grounding;
 * ``Layer`` evaluates a layer of definite rules whose negation reads only
   the base below it, by semi-naive rounds that join each rule once per
   body position against the previous round's new rows, building and
   recording each head row in the innermost loop, without building any
-  rule instance; ``unfold`` rewrites a layer before it is compiled,
+  rule instance; it keeps one relation per predicate from call to call,
+  empty between calls; ``unfold`` rewrites a layer before it is compiled,
   substituting its helper predicates into the rules that read them, so
   that their rows are never stored.
 
@@ -86,6 +89,12 @@ class _Relation:
         self.members.update(rows)
         self.rows += rows
 
+    def clear(self) -> None:
+        """Drop every row, and every index with them."""
+        self.rows.clear()
+        self.members.clear()
+        self.indexes.clear()
+
     def index(self, positions: tuple[int, ...]) -> dict:
         entry = self.indexes.get(positions)
         if entry is None:
@@ -104,7 +113,7 @@ _MAX_LOOPS = 16
 
 # What a match does, by evaluator: lines run before the loops, the return
 # line, and how a further function of the same plan is called.
-_INSTANCE = (["ch = False"], ["return ch"], ["if {}:", "    ch = True"])
+_INSTANCE = (["ch = 0"], ["return ch"], ["ch |= {}"])
 _DERIVE = ([], [], ["{}"])
 _VIOLATION = ([], ["return False"], ["if {}:", "    return True"])
 
@@ -152,7 +161,8 @@ class _Plan:
       the instance, a triple of atom-id tuples looked up in the id table
       ``ids`` (heads, then positive body, then negated body), is put in the
       dict ``instances`` with value ``n``, and its heads are added to
-      ``db``; the call returns whether some head was new;
+      ``db``; the call returns a mask with bit ``i`` set when head ``i``
+      was new at some match;
     * for a ``Layer`` rule the negated atoms are tested against ``db``,
       then the head row is put in the dict ``out`` unless ``db`` has it;
     * for a ``Layer`` constraint the negated atoms are tested, and the call
@@ -249,7 +259,7 @@ class _Plan:
             sink.append(f"{hoist('out[0].setdefault')}"
                         f"(({', '.join(_tuple(part) for part in parts)}), {hoist('out[2]')})")
             for i, k in enumerate(heads):
-                sink += [f"if {hoist(f'db[{k}].add')}(f{i}):", "    ch = True"]
+                sink += [f"if {hoist(f'db[{k}].add')}(f{i}):", f"    ch |= {1 << i}"]
         elif rule.head:
             kind = _DERIVE
             known = hoist(f"db[{key(rule.head[0].pred)}].members")
@@ -350,26 +360,38 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
     (``Grounding.program`` builds them).  The rules are compiled once per
     program, into ``p.plans``.
 
-    Rows are only ever appended to a relation, so a rule whose body
-    predicates have the same row counts as when it last started can derive
-    nothing new and is not run again.
+    Every rule runs once, in program order, and again only after a rule
+    it reads from derived a new row of a predicate its positive body
+    reads: rows are only ever appended to a relation, so a rule whose
+    body relations have not grown since it last started can derive
+    nothing new.  A join reports which of its heads got a new row, and
+    ``p.readers`` lists, per head, the rules to run again.  Rounds go
+    over the rules in program order until one derives no new row, so a
+    rule runs exactly when its body's row counts differ from when it last
+    started.
     """
     inputs = list(map(fact_of, facts))
     ids = _Ids((f, i) for i, f in enumerate(dict.fromkeys(inputs)))
     given = len(ids)
     db = _load(p.arities, inputs)
     instances: dict[GroundRule, int] = {}
-    seen: list[tuple[int, ...] | None] = [None] * len(p.rules)
+    plans, readers = p.plans, p.readers
+    due = bytearray([1]) * len(plans)
     changed = True
     while changed:
         changed = False
-        for n, (rule, plan) in enumerate(zip(p.rules, p.plans)):
-            sizes = tuple(len(db[a.pred].rows) for a in rule.body_pos)
-            if sizes == seen[n]:
+        for n, plan in enumerate(plans):
+            if not due[n]:
                 continue
-            seen[n] = sizes
-            if plan.join(db, plan.keys, (instances, ids, n)):
+            due[n] = 0
+            grew = plan.join(db, plan.keys, (instances, ids, n))
+            if grew:
                 changed = True
+                for rules in readers[n]:
+                    if grew & 1:
+                        for m in rules:
+                            due[m] = 1
+                    grew >>= 1
     return Grounding(tuple(instances), tuple(instances.values()), ids, given,
                      dict(p.arities))
 
@@ -441,23 +463,30 @@ class Layer:
     compiles ``unfold(p, keep)``, whose helper predicates are never stored.
 
     The rules are compiled once: a plan per rule, and one more per body
-    atom of a predicate the layer derives, with that atom matched first.
-    ``model`` runs semi-naive rounds over a base: the first round joins
-    every rule over the base; each later round joins, per body position,
-    only the rows the previous round added there; then it scans the
-    constraints over the fixpoint.  Its result equals the closure of
-    ``gl_reduct(ground(p, base).program(), base)`` over the base, and its
-    verdict the scan of that reduct's constraints.  Both depend only on
-    the base facts of ``reads``, the predicates below the layer that its
-    rules and constraints read, so a caller can memoize them on just those
-    facts.
+    atom of a predicate the layer derives, with that atom matched first,
+    listed under that predicate.  The relations are made once too, one per
+    predicate.  ``model`` fills them from a base and runs semi-naive rounds:
+    the first round joins each rule whose body's derived predicates all
+    have rows already (every rule that reads none); each later round joins,
+    per predicate, the variants that match the rows the previous round
+    added to it first.  A rule left out of the first round can match
+    nothing there, and its first match uses some row added later.  Then it
+    scans the constraints over the fixpoint, and empties the relations
+    before it returns or raises, so no row outlives a call.  Its result
+    equals the closure of ``gl_reduct(ground(p, base).program(), base)``
+    over the base, and its verdict the scan of that reduct's constraints.
+    Both depend only on the base facts of ``reads``, the predicates below
+    the layer that its rules and constraints read, so a caller can memoize
+    them on just those facts.  Since its relations are its own, a ``Layer``
+    is not re-entrant: one ``model`` call at a time.
     """
 
     def __init__(self, p: DProgram):
-        derived = {a.pred for r in p.rules for a in r.head}
+        derived = self.derived = {a.pred for r in p.rules for a in r.head}
         self.arities = dict(p.arities)
-        self.full: list[tuple[str, _Plan]] = []
-        self.deltas: list[tuple[str, tuple[str, _Plan]]] = []
+        # (head, plan, the derived predicates its body reads)
+        self.full: list[tuple[str, _Plan, tuple[str, ...]]] = []
+        self.deltas: dict[str, list[tuple[str, _Plan]]] = {}
         self.constraints: list[_Plan] = []
         for rule in p.rules:
             if len(rule.head) > 1:
@@ -470,27 +499,42 @@ class Layer:
                 self.constraints.append(_Plan(rule, layer=True))
                 continue
             head = rule.head[0].pred
-            self.full.append((head, _Plan(rule, layer=True)))
+            needs = tuple(dict.fromkeys(a.pred for a in rule.body_pos if a.pred in derived))
+            self.full.append((head, _Plan(rule, layer=True), needs))
             for j, a in enumerate(rule.body_pos):
                 if a.pred in derived:
                     plan = _Plan(rule, layer=True, first=j)
-                    self.deltas.append((a.pred, (head, plan)))
+                    self.deltas.setdefault(a.pred, []).append((head, plan))
         self.reads = frozenset(a.pred for r in p.rules for a in r.body_pos + r.body_neg) - derived
+        self.db: dict = {pred: _Relation() for pred in self.arities}
 
     def model(self, base: Iterable[Fact], keep: Iterable[str]) -> tuple[frozenset[Fact], bool]:
         """The facts of the ``keep`` predicates in the least model over
         ``base`` (base facts included), and whether every constraint holds
         there."""
-        db: dict = _load(self.arities, base)
-        added = self._round(db, self.full)
-        while added:
-            for pred, rows in added.items():
-                db[pred].extend(rows)
-                db[DELTA, pred] = rows
-            added = self._round(db, [v for (pred, v) in self.deltas if pred in added])
-        facts = frozenset((pred, row) for pred in keep if pred in db
-                          for row in db[pred].rows)
-        return facts, not any(plan.join(db, plan.keys, None) for plan in self.constraints)
+        db, arities = self.db, self.arities
+        try:
+            for (pred, row) in base:
+                rel = db.get(pred)
+                if rel is not None and arities[pred] == len(row) and row not in rel.members:
+                    rel.members.add(row)
+                    rel.rows.append(row)
+            added = self._round(db, [(head, plan) for (head, plan, needs) in self.full
+                                     if all([db[pred].rows for pred in needs])])
+            while added:
+                for pred, rows in added.items():
+                    db[pred].extend(rows)
+                    db[DELTA, pred] = rows
+                added = self._round(db, [v for pred in added for v in self.deltas.get(pred, ())])
+            facts = frozenset((pred, row) for pred in keep if pred in db
+                              for row in db[pred].rows)
+            return facts, not any(plan.join(db, plan.keys, None) for plan in self.constraints)
+        finally:
+            for pred in self.derived:
+                db.pop((DELTA, pred), None)
+            for rel in db.values():
+                if rel.rows:
+                    rel.clear()
 
     @staticmethod
     def _round(db: dict, variants) -> dict[str, list[Row]]:

@@ -1,6 +1,7 @@
 """Independent references that only the tests read.
 
-``ground_full`` grounds by every substitution, and
+``ground_full`` grounds by every substitution, ``ground_scan`` decides
+which grounding rules to run again by rescanning row counts, and
 ``stable_models_bruteforce`` enumerates every subset of the head atoms;
 the tests check ``omq.evaluate.ground`` and the engine against them at desk
 scale.  ``models_kb`` checks a finite interpretation against a normalized
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import re
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
-from omq.datalog import Const, DAtom, DProgram, DRule, DTerm, Var
-from omq.evaluate import _or_mask, _require_ground
+from omq.datalog import Const, DAtom, DProgram, DRule, DTerm, Var, fact_of
+from omq.evaluate import Grounding, _Ids, _load, _or_mask, _require_ground
 from omq.normalize import _flatten
 from omq.oracle import FiniteInterp, NormalKB, iter_cores
 from omq.query import OMQ
@@ -63,6 +65,50 @@ def ground_full(p: DProgram, facts: Iterable[DAtom]) -> DProgram:
     return DProgram(tuple(out), dict(p.arities))
 
 
+def ground_scan(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
+    """``omq.evaluate.ground`` driven by a scan instead of ``p.readers``:
+    rounds over the rules in program order, each rule run when the row
+    counts of its positive body's relations differ from when it last
+    started, until a round runs no join that derives a new row.  It runs
+    the same plans (``p.plans``) and must run the same joins in the same
+    order."""
+    inputs = list(map(fact_of, facts))
+    ids = _Ids((f, i) for i, f in enumerate(dict.fromkeys(inputs)))
+    given = len(ids)
+    db = _load(p.arities, inputs)
+    instances: dict = {}
+    seen: list = [None] * len(p.rules)
+    changed = True
+    while changed:
+        changed = False
+        for n, (rule, plan) in enumerate(zip(p.rules, p.plans)):
+            sizes = tuple(len(db[a.pred].rows) for a in rule.body_pos)
+            if sizes == seen[n]:
+                continue
+            seen[n] = sizes
+            if plan.join(db, plan.keys, (instances, ids, n)):
+                changed = True
+    return Grounding(tuple(instances), tuple(instances.values()), ids, given,
+                     dict(p.arities))
+
+
+def grounding_trace(grounder, p: DProgram, facts: Iterable[DAtom]) -> tuple:
+    """What ``grounder`` (``omq.evaluate.ground`` or ``ground_scan``)
+    returns on ``p`` and ``facts``, as the instances, their rules, the
+    atoms in order of their ids and the number of inputs, followed by the
+    rule index of each join it runs, in order, logged through a copy of
+    ``p`` whose plans log their calls."""
+    log: list[int] = []
+
+    def logged(n, plan):
+        def join(db, keys, out):
+            log.append(n)
+            return plan.join(db, keys, out)
+        return SimpleNamespace(join=join, keys=plan.keys)
+    copy = DProgram(p.rules, p.arities)
+    copy.__dict__["plans"] = [logged(n, plan) for n, plan in enumerate(p.plans)]
+    g = grounder(copy, facts)
+    return g.rules, g.origins, list(g.ids), g.inputs, log
 
 
 def stable_models_bruteforce(p: DProgram) -> list[frozenset[DAtom]]:

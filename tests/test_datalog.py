@@ -195,6 +195,55 @@ def test_relevance_equals_full_grounding_on_random_programs():
                 set(stable_models_bruteforce(g_full)), f"trial {trial}"
 
 
+def random_grounding_program(rng):
+    """Up to 8 random safe rules and 2 to 11 BASE facts over 3 constants.
+    A rule has no head, one DERIVED head atom or two, and a body of up to
+    three atoms, often a BASE one first and then ones of three DERIVED
+    predicates drawn per program, so that rules recurse, read their own
+    heads and come before the rules that derive what they read; a negated
+    atom and ``!=`` now and then."""
+    rules: list[DRule] = []
+    size, derived = rng.randrange(2, 9), rng.sample(list(DERIVED), 3)
+    for _ in range(50):
+        if len(rules) == size:
+            break
+        terms = ["X", "Y", rng.choice(CONSTS)]
+
+        def atom(pred):
+            return A(pred, *rng.choices(terms, k=PREDS[pred]))
+        head = [atom(rng.choice(derived)) for _ in range(rng.choice([0, 1, 1, 2, 2]))]
+        body = [atom(rng.choice(list(BASE)))] if rng.random() < 0.6 else []
+        body += [atom(rng.choice(derived)) for _ in range(rng.randrange(1 - len(body), 3))]
+        neg = [atom(rng.choice(list(PREDS)))] if rng.random() < 0.3 else []
+        neq = [(Var("X"), T(rng.choice(["Y", *CONSTS])))] if rng.random() < 0.3 else []
+        candidate = rule(head, body, neg, neq)
+        try:
+            DProgram.of(rules + [candidate])
+        except OmqError:
+            continue  # unsafe
+        rules.append(candidate)
+    facts = [A(pred, *rng.choices(CONSTS, k=BASE[pred]))
+             for pred in rng.choices(list(BASE), k=rng.randrange(2, 12))]
+    return DProgram.of(rules), facts
+
+
+def test_ground_runs_the_joins_a_scan_of_row_counts_runs():
+    """``ground`` runs a rule again only when a rule it reads from derived
+    a new row of a predicate its body reads.  It returns what the
+    scan-driven reference returns (the same instances, in the same order,
+    of the same rules, over the same atom ids and inputs), and runs the
+    same joins in the same order, on random programs."""
+    rng = random.Random(26)
+    reruns = 0
+    for trial in range(300):
+        p, facts = random_grounding_program(rng)
+        got = references.grounding_trace(ground, p, facts)
+        assert got == references.grounding_trace(references.ground_scan, p, facts), \
+            f"trial {trial}"
+        reruns += len(got[-1]) > len(p.rules)
+    assert reruns > 50
+
+
 def test_layer_equals_closure_of_the_reduct_on_random_programs():
     """The semi-naive layer evaluator gives the closure of the grounding's
     reduct over the base and the same constraint verdict; a program that
@@ -248,11 +297,12 @@ def test_bodies_past_the_loop_nesting_python_allows():
     ([(i, (i + 1) % 20) for i in range(20)], 20 * 20),
 ], ids=["chain-40", "cycle-20"])
 def test_delta_joins_see_the_rows_added_after_an_index_was_built(edges, paths):
-    """The first round builds both indexes of ``path``, while it is empty:
-    on position 0 for ``path(X, Y), path(Y, Z)`` and on position 1 for
-    ``edge(Y, W), path(X, Y)``.  Every later round probes them with the
-    previous round's new rows, so they must hold the rows added since.  The
-    layer equals the closure of the ground reduct."""
+    """The second round builds both indexes of ``path`` over the rows the
+    first round derived, for the two variants of ``path(X, Y), path(Y, Z)``:
+    on position 0 where ``path(X, Y)`` ranges over the new rows, and on
+    position 1 where ``path(Y, Z)`` does.  Every later round probes them
+    with the previous round's new rows, so they must hold the rows added
+    since.  The layer equals the closure of the ground reduct."""
     p = DProgram.of([
         rule([A("path", "X", "Y")], [A("edge", "X", "Y")]),
         rule([A("path", "X", "Z")], [A("path", "X", "Y"), A("path", "Y", "Z")]),
@@ -283,8 +333,14 @@ def test_one_answer_call_indexes_a_fraction_of_the_marking_rows(monkeypatch):
     row arrived, not on every insert.  On the k=7 chain with ``A1`` closed,
     one ``certain_answers`` call keeps fewer than 3,000 rows in all its
     relation indexes together (2,558; 26,134 when each insert updated every
-    index), of about 8,900 rows in its relations."""
-    made = []
+    index), of about 8,900 rows in its relations.  A ``Layer`` empties its
+    relations before ``model`` returns, so they are counted as they are
+    emptied; the grounder's, which it drops, after the call."""
+    made, emptied = [], []
+
+    def counts(rel):
+        return len(rel.rows), sum(len(bucket) for entry in rel.indexes.values()
+                                  for bucket in entry[1].values())
 
     class Recorded(_Relation):
         __slots__ = ()
@@ -292,14 +348,17 @@ def test_one_answer_call_indexes_a_fraction_of_the_marking_rows(monkeypatch):
         def __init__(self, rows=()):
             super().__init__(rows)
             made.append(self)
+
+        def clear(self):
+            emptied.append(counts(self))
+            super().clear()
     monkeypatch.setattr(evaluate, "_Relation", Recorded)
     chain = "; ".join(f"A{i} <= exists r . A{i + 1}" for i in range(1, 7))
     kb = omq.parse_kb(f"tbox {{ {chain}; }} abox {{ A1(a); A3(b); }} closed {{ A1; }}")
     out = omq.rewrite(omq.build_omq(kb, omq.parse_query("q(x) :- A1(x).")))
     assert omq.certain_answers(out, kb.abox).answers == {("a",)}
-    indexed = sum(len(bucket) for rel in made for entry in rel.indexes.values()
-                  for bucket in entry[1].values())
-    assert sum(len(rel.rows) for rel in made) > 8_000
+    stored, indexed = map(sum, zip(*emptied, *map(counts, made)))
+    assert stored > 8_000
     assert indexed <= 3_000
 
 
@@ -334,6 +393,49 @@ def random_layer(rng):
     facts = [A(pred, *rng.choices(CONSTS, k=BASE[pred]))
              for pred in rng.choices(list(BASE), k=rng.randrange(0, 13))]
     return DProgram.of(rules), keep, facts
+
+
+def test_a_reused_layer_returns_what_a_fresh_one_returns(monkeypatch):
+    """A ``Layer`` keeps its relations from call to call and empties them
+    before ``model`` returns or raises.  Over a seeded sequence of bases,
+    each call on one ``Layer`` returns what a fresh ``Layer`` of the same
+    program returns, also right after a call in which a plan raised
+    partway through."""
+    class Boom(Exception):
+        pass
+    countdown = [0]   # joins until one raises; 0: none will
+
+    class Raising(evaluate._Plan):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            join = self.join
+
+            def counted(db, keys, out):
+                if countdown[0]:
+                    countdown[0] -= 1
+                    if not countdown[0]:
+                        raise Boom
+                return join(db, keys, out)
+            self.join = counted
+    monkeypatch.setattr(evaluate, "_Plan", Raising)
+    rng = random.Random(12)
+    raised = 0
+    for trial in range(150):
+        p, keep, facts = random_layer(rng)
+        layer = Layer(p)
+        for _ in range(5):
+            if rng.random() < 0.5:
+                countdown[0] = rng.randrange(1, 6)
+                try:
+                    layer.model(map(fact_of, facts), keep)
+                except Boom:
+                    raised += 1
+                countdown[0] = 0
+            base = [fact_of(f) for f in rng.sample(facts, rng.randrange(len(facts) + 1))]
+            assert layer.model(base, keep) == Layer(p).model(base, keep), f"trial {trial}"
+    assert raised > 200
 
 
 def test_unfolding_keeps_the_layer_model_on_random_programs():

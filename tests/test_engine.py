@@ -16,6 +16,7 @@ from omq.evaluate import Layer, _Plan
 from omq.engine import TRUE, StratifyError, _Searcher, ground_guess_layer
 from omq.rewrite import abox_facts
 from omq.typespace import mark_types
+import references
 from references import stable_models_bruteforce
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -949,6 +950,28 @@ def test_the_atom_table_is_the_inputs_then_the_instances_in_order(monkeypatch):
         assert s.aid == {f: i for i, f in enumerate(s.facts)}
         runs += 1
     assert runs == 24  # the other 12 are positive runs of KBs with closed predicates
+
+
+def test_ground_runs_the_scan_joins_on_every_fixture_rewriting():
+    """On every fixture run's guess layer and full program over its input
+    facts, ``ground`` returns the instances, rules, atom order and input
+    count of the scan-driven reference, and runs the same joins in the same
+    order."""
+    runs = 0
+    for kb_name, query_name, flags, code in _fixture_runs():
+        kb, o = _omq((FIXTURES / kb_name).read_text(), (FIXTURES / query_name).read_text())
+        rw = rewrite_positive if "--positive" in flags else rewrite
+        try:
+            out = rw(o, db_constants="--db-constants" in flags)
+        except omq.OmqError:
+            continue
+        facts = omq.engine._input_facts(out, kb.abox)
+        for p in (out.evaluation.layered.p1, out.program):
+            assert references.grounding_trace(ground, p, facts) == \
+                references.grounding_trace(references.ground_scan, p, facts), \
+                (kb_name, query_name, flags)
+        runs += 1
+    assert runs == 24
 
 
 def _with_negated_support(out):

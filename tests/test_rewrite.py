@@ -147,7 +147,7 @@ def test_positive_no_negation_nominal_free():
     out = rewrite_positive(o)
     assert not out.program.has_negation()
     assert not any(r.body_neq for r in out.program.rules)
-    assert out.program.is_disjunctive()
+    assert any(len(r.head) > 1 for r in out.program.rules)
 
 
 def test_positive_nominal_uses_inequality_only_there():
@@ -161,7 +161,8 @@ def test_positive_nominal_uses_inequality_only_there():
 def test_db_constants_suppresses_bit_facts(intro):
     _, o = intro
     out = rewrite(o, db_constants=True)
-    facts = {r.head[0] for r in out.program.rules if r.is_fact}
+    facts = {r.head[0] for r in out.program.rules
+             if len(r.head) == 1 and not (r.body_pos or r.body_neg or r.body_neq)}
     assert DAtom("tt", (Const("1"),)) not in facts
     assert DAtom("ff", (Const("0"),)) not in facts
     consts = {t.symbol for r in out.program.rules
