@@ -6,13 +6,14 @@ over the anonymous elements) and closes the roles maximally, which is
 complete for a fixed type assignment because universal and hierarchy
 axioms only ever forbid edges while witnesses only ever need them.
 
-``core_enumeration_decide`` decides certainty by enumerating every core
-over the instance's individuals and testing extendability through the
-marking fixpoint.  The walk picks the individuals' types, then the edges
-between individuals, then each individual's fringe elements, and states
-each core condition once: one edge filter (role inclusions, universals,
-the ABox's edges) serves both kinds of edge, and one witness check serves
-the pruning before the fringe and each individual's fringe.
+``core_enumeration_decide`` decides certainty over the cores of the
+instance's individuals and tests extendability through the marking
+fixpoint.  The walk picks the individuals' types, then the edges between
+them, then each individual's fringe on its own.  One edge filter (role
+inclusions, universals, the ABox's edges) serves both kinds of edge, and
+one witness check serves both steps.  Types and edges that falsify the
+query refute the tuple when every individual has a witnessed fringe
+choice over the fringe types the marking leaves unmarked.
 Neither path touches the Datalog rewriting, so both can arbitrate it.
 """
 
@@ -26,8 +27,7 @@ from .normalize import NormalTBox
 from .parser import ConceptAtom, ConjunctiveQuery
 from .query import OMQ, CSafe, classify, individuals_of
 from .syntax import Assertion, ConceptAssert, Name, OmqError, RoleAssert, RoleExpr
-from .typespace import (Core, FringeId, ResourceRefused, TypeContext, TypeVec,
-                        mark_types, realized_types, type_of)
+from .typespace import Core, FringeId, ResourceRefused, TypeContext, TypeVec, mark_types
 
 
 @dataclass(frozen=True)
@@ -191,16 +191,16 @@ MAX_CORE_NODES = 5_000_000  # search nodes of one walk over the core space
 MAX_FREE_BITS = 40  # individual-level guess bits of one core space
 
 Slot = tuple[str, bool]  # an open role and its direction on one edge
+_Types = dict[str, TypeVec]  # each individual's type
+_Edges = dict[str, set[tuple[str, str]]]  # each role's edges between individuals
+_Fringe = dict[FringeId, tuple[TypeVec, frozenset[Slot]]]  # each fringe element's type, slots
 
 
 class _CoreSpace:
-    """Backtracking enumeration of all valid cores of an instance.
-
-    With a goal (query plus answer binding), subtrees whose individual-level
-    part already satisfies the query are pruned: every completion would
-    satisfy it too, and the goal asks for falsifying cores only."""
-
-    goal: tuple[ConjunctiveQuery, tuple[str, ...]] | None = None
+    """Backtracking enumeration of all valid cores of an instance, as the
+    product of two walks: ``parts`` picks the individual-level part (the
+    individuals' types, then the edges between them), and ``fringes`` picks
+    one individual's fringe elements over a given list of fringe types."""
 
     def __init__(self, ctx: TypeContext, abox: Sequence[Assertion],
                  individuals: Sequence[str]):
@@ -248,9 +248,22 @@ class _CoreSpace:
                 "instance too large")
 
     def cores(self) -> Iterator[Core]:
+        def complete(idx: int, fringe: _Fringe) -> Iterator[Core]:
+            if idx == len(self.inds):
+                yield self._core(types, edges, fringe)
+                return
+            for own in self.fringes(self.inds[idx], types, edges, self.fringe_types):
+                yield from complete(idx + 1, {**fringe, **own})
+
+        for types, edges in self.parts():
+            yield from complete(0, {})
+
+    def parts(self) -> Iterator[tuple[_Types, _Edges]]:
+        """Each individual-level part whose named-only existentials have
+        named witnesses; its dicts are reused, so read them before resuming."""
         yield from self._assign_types(0, {})
 
-    def _assign_types(self, idx: int, types: dict[str, TypeVec]) -> Iterator[Core]:
+    def _assign_types(self, idx: int, types: _Types) -> Iterator[tuple[_Types, _Edges]]:
         self._tick()
         if idx == len(self.inds):
             yield from self._assign_roles(types)
@@ -294,8 +307,7 @@ class _CoreSpace:
             out.append(chosen)
         return out
 
-    def _witnessed(self, types: dict[str, TypeVec], edges: dict[str, set[tuple[str, str]]],
-                   fringe: dict[FringeId, tuple[TypeVec, frozenset[Slot]]],
+    def _witnessed(self, types: _Types, edges: _Edges, fringe: _Fringe,
                    axioms: list[tuple[int, int, str, bool]], inds: Sequence[str]) -> bool:
         """Does every existential of ``axioms`` that an individual of ``inds``
         triggers have a witness: a named successor over ``edges``, or one of
@@ -315,7 +327,7 @@ class _CoreSpace:
                     return False
         return True
 
-    def _assign_roles(self, types: dict[str, TypeVec]) -> Iterator[Core]:
+    def _assign_roles(self, types: _Types) -> Iterator[tuple[_Types, _Edges]]:
         pairs = [(d, e) for i, d in enumerate(self.inds) for e in self.inds[i:]]
         choices = []
         for (d, e) in pairs:
@@ -324,12 +336,11 @@ class _CoreSpace:
                         if (x, y) == (d, e) or (y, x) == (d, e)}
             choices.append(self._edge_sets(types[d], types[e], d == e, asserted))
 
-        def rec(j: int, edges: dict[str, set[tuple[str, str]]]) -> Iterator[Core]:
+        def rec(j: int, edges: _Edges) -> Iterator[tuple[_Types, _Edges]]:
             self._tick()
             if j == len(pairs):
-                if self._witnessed(types, edges, {}, self.named_only, self.inds) and \
-                        not self._goal_already_matched(types, edges):
-                    yield from self._assign_fringe(types, edges)
+                if self._witnessed(types, edges, {}, self.named_only, self.inds):
+                    yield types, edges
                 return
             d, e = pairs[j]
             for chosen in choices[j]:
@@ -346,13 +357,29 @@ class _CoreSpace:
         yield from rec(0, {p: {(x, y) for (q, x, y) in self.fact_r if q == p}
                            for p in self.ctx.ntbox.role_names if p in self.ctx.sigma})
 
-    def _goal_already_matched(self, types: dict[str, TypeVec],
-                              edges: dict[str, set[tuple[str, str]]]) -> bool:
-        if self.goal is None:
-            return False
-        query, answers = self.goal
-        partial = self._core(types, edges, {})
-        return cq_matches(partial, query, answers)
+    def fringes(self, e: str, types: _Types, edges: _Edges,
+                ftypes: Sequence[TypeVec]) -> Iterator[_Fringe]:
+        """Each choice of e's fringe elements, typed from ``ftypes``, that
+        witnesses what e triggers along with e's named successors; the dict
+        is reused, so read it before resuming."""
+        options = [(ftype, chosen) for ftype in ftypes
+                   for chosen in self._edge_sets(types[e], ftype, False, set())]
+        fringe: _Fringe = {}
+
+        def per_slot(i: int) -> Iterator[_Fringe]:
+            self._tick()
+            if i == self.n_exist:
+                if self._witnessed(types, edges, fringe, self.existentials, (e,)):
+                    yield fringe
+                return
+            fid = FringeId(e, i)
+            yield from per_slot(i + 1)  # absent
+            for opt in options:
+                fringe[fid] = opt
+                yield from per_slot(i + 1)
+                del fringe[fid]
+
+        return per_slot(0)
 
     def _core(self, types, edges, fringe) -> Core:
         """The core that the types, the edges between individuals and the
@@ -365,39 +392,6 @@ class _CoreSpace:
                 role_ext[p].add((fid.parent, fid) if fwd else (fid, fid.parent))
         return Core(self.inds, frozenset(fringe), self.ctx.extensions(typed),
                     {p: frozenset(s) for p, s in role_ext.items()})
-
-    def _assign_fringe(self, types: dict[str, TypeVec],
-                       edges: dict[str, set[tuple[str, str]]]) -> Iterator[Core]:
-        options = {e: [(ftype, chosen) for ftype in self.fringe_types
-                       for chosen in self._edge_sets(types[e], ftype, False, set())]
-                   for e in self.inds}
-
-        def per_slot(e: str, i: int,
-                     fringe: dict[FringeId, tuple[TypeVec, frozenset[Slot]]]) -> Iterator[None]:
-            """Each choice of e's fringe elements from slot i on, given that
-            every existential e triggers is witnessed, by a named successor
-            or one of those elements."""
-            self._tick()
-            if i == self.n_exist:
-                if self._witnessed(types, edges, fringe, self.existentials, (e,)):
-                    yield None
-                return
-            fid = FringeId(e, i)
-            yield from per_slot(e, i + 1, fringe)  # absent
-            for opt in options[e]:
-                fringe[fid] = opt
-                yield from per_slot(e, i + 1, fringe)
-                del fringe[fid]
-
-        def rec(idx: int,
-                fringe: dict[FringeId, tuple[TypeVec, frozenset[Slot]]]) -> Iterator[Core]:
-            if idx == len(self.inds):
-                yield self._core(types, edges, fringe)
-                return
-            for _ in per_slot(self.inds[idx], 0, fringe):
-                yield from rec(idx + 1, fringe)
-
-        yield from rec(0, {})
 
 
 def iter_cores(omq: OMQ, abox: Sequence[Assertion]) -> Iterator[Core]:
@@ -453,18 +447,22 @@ def core_enumeration_decide(omq: OMQ, abox: Sequence[Assertion],
     if not isinstance(classify(omq), CSafe):
         raise OmqError("core enumeration requires a c-safe query (fold it first)")
     ctx = TypeContext(omq.tbox, omq.sigma)
-    mark_memo: dict[frozenset[TypeVec], frozenset[TypeVec]] = {}
-
     space = _CoreSpace(ctx, abox, individuals_of(omq, abox))
-    space.goal = (omq.query, answers)
-    for core in space.cores():
-        if cq_matches(core, omq.query, answers):
+    unmarked: dict[frozenset[TypeVec], list[TypeVec]] = {}
+    # Each individual-level part is decided on its own: the c-safe query maps
+    # every variable to an individual, so a core falsifies it when its part
+    # does; the marking reads only the types the individuals realize; and a
+    # fringe element touches only its parent, whose witness check reads only
+    # its own fringe.  So a part has a surviving core exactly when every
+    # individual has a witnessed fringe choice over the unmarked types.
+    for types, edges in space.parts():
+        if cq_matches(space._core(types, edges, {}), omq.query, answers):
             continue
-        realized = realized_types(core, ctx)
-        marked = mark_memo.get(realized)
-        if marked is None:
+        realized = frozenset(types.values())
+        if realized not in unmarked:
             marked = mark_types(ctx, realized).marked
-            mark_memo[realized] = marked
-        if all(type_of(f, core, ctx) not in marked for f in core.fringe):
+            unmarked[realized] = [t for t in space.fringe_types if t not in marked]
+        if all(any(True for _ in space.fringes(e, types, edges, unmarked[realized]))
+               for e in space.inds):
             return False
     return True

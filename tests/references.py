@@ -8,9 +8,11 @@ scale.  ``models_kb`` checks a finite interpretation against a normalized
 KB under the DL semantics, and ``core_extends`` searches a core's
 extensions directly; the tests check the oracles and the marking
 fixpoint against them.  ``emit_text`` renders a program with a call per
-term, and the tests check ``omq.datalog.emit_text`` against it.  ``is_normal``, ``lc_check`` and ``count_cores`` state the
-normal form, local consistency and the core count that the tests check
-the normalizer, the type space and the core enumeration against.
+term, and the tests check ``omq.datalog.emit_text`` against it.  ``is_normal`` and ``lc_check`` state the
+normal form and local consistency that the tests check the normalizer
+and the type space against, and ``decide_by_cores`` states over whole
+cores the certainty decision that ``core_enumeration_decide`` makes one
+individual at a time.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from typing import Iterable, Iterator, Sequence
 from omq.datalog import Const, DAtom, DProgram, DRule, DTerm, Var, fact_of
 from omq.evaluate import Grounding, _Ids, _load, _or_mask, _require_ground
 from omq.normalize import _flatten
-from omq.oracle import FiniteInterp, NormalKB, iter_cores
+from omq.oracle import FiniteInterp, NormalKB, cq_matches, iter_cores
 from omq.query import OMQ
 from omq.syntax import (And, Assertion, Axiom, Basic, Bot, ConceptAssert, Exists, Forall,
                         Name, Nominal, Or, RoleExpr, RoleIncl, Top)
 from omq.typespace import (Core, ResourceRefused, TypeContext, TypeVec, is_c_type,
-                           realized_types, satisfies_clauses, type_of)
+                           mark_types, realized_types, satisfies_clauses, type_of)
 
 # Atom budget of ``stable_models_bruteforce``, which searches subsets of atoms.
 MAX_BRUTEFORCE_ATOMS = 24
@@ -361,5 +363,19 @@ def lc_check(t: TypeVec, core: Core, ctx: TypeContext) -> bool:
     return True
 
 
-def count_cores(omq: OMQ, abox: Sequence[Assertion]) -> int:
-    return sum(1 for _ in iter_cores(omq, abox))
+def decide_by_cores(omq: OMQ, abox: Sequence[Assertion], answers: tuple[str, ...]) -> bool:
+    """Certainty by walking every core from ``iter_cores``: the tuple is not
+    certain exactly when some core falsifies the query and no fringe
+    element of it has a type that the marking fixpoint over the core's
+    realized types marks."""
+    ctx = TypeContext(omq.tbox, omq.sigma)
+    marks: dict[frozenset[TypeVec], frozenset[TypeVec]] = {}
+    for core in iter_cores(omq, abox):
+        if cq_matches(core, omq.query, answers):
+            continue
+        realized = realized_types(core, ctx)
+        if realized not in marks:
+            marks[realized] = mark_types(ctx, realized).marked
+        if all(type_of(f, core, ctx) not in marks[realized] for f in core.fringe):
+            return False
+    return True

@@ -43,7 +43,10 @@ def test_oracle_output_is_pinned(capsys):
     printed when the digests in ``fixtures/oracle.sha256`` were recorded:
     one line per fixture KB x query pair, with the SHA-256 of stdout (of
     stderr when the run fails) and the exit status.  ``intro.kb`` with
-    ``q_r1.cq`` is left out: its core enumeration takes over ten seconds."""
+    ``q_r1.cq`` is left out: it takes about 5 s (4.6-5.2 s in three fresh
+    processes on a shared 2-core machine), and cProfile puts that time in
+    core enumeration's walk over the edges between individuals (3.46
+    million steps over the nine tuples), not in the fringe."""
     lines = (FIXTURES / "oracle.sha256").read_text().splitlines()
     assert len(lines) == 8
     for line in lines:

@@ -90,6 +90,29 @@ def test_stratify_rejects_foreign_program(example1):
         stratify(bad)
 
 
+def _x(n):
+    return tuple(Var(f"X{i}") for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("rule, message", [
+    # a disjunction of a guess-layer and a realized-type atom
+    (DRule((DAtom("in_e0", _x(1)), DAtom("realizedtype", _x(5))), (DAtom("type", _x(5)),)),
+     "mixes layers in its head"),
+    # a guess-layer head read off the marking layer
+    (DRule((DAtom("in_e0", _x(1)),), (DAtom("ind", _x(1)), DAtom("marked", _x(5)))),
+     "uses a higher layer than it defines"),
+    # a marking-layer head under the negation of its own layer
+    (DRule((DAtom("marked", _x(5)),), (DAtom("type", _x(5)),), (DAtom("closedtype", _x(5)),)),
+     "negates a predicate of its own layer"),
+])
+def test_stratify_rejects_misplaced_rule(example1, rule, message):
+    _, o = example1
+    out = rewrite(o)
+    bad = omq.RewriteOutput(DProgram.of([rule]), out.answer_pred, out.mode, out.ctx, out.query)
+    with pytest.raises(StratifyError, match=message):
+        stratify(bad)
+
+
 def test_positive_mode_choice_pairs(example1):
     kb, _ = parse_kb(MICRO_KB), None
     o = build_omq(kb, parse_query("q(x) :- A(x)."))

@@ -1,7 +1,7 @@
 import pytest
 
 import omq
-from omq import (Core, FringeId, NormalKB, TypeContext, has_nonlosing_strategy,
+from omq import (Core, FringeId, NormalKB, RoleAssert, TypeContext, has_nonlosing_strategy,
                  is_c_type, mark, parse_kb, type_of, validate_core)
 from omq.typespace import ResourceRefused, dump_types, mark_types
 from references import core_extends, lc_check
@@ -102,6 +102,65 @@ def test_validate_rejects_cross_fringe_edge(example1, example1_ctx, core1):
     )
     report = validate_core(bad, example1_ctx, kb.abox)
     assert any(v.condition == "c4" for v in report.violations)
+
+
+def _changed(core, fringe=(), **ext):
+    """``core`` with the fringe elements added and the named extensions
+    replaced (concept names are capitalized, role names are not)."""
+    concepts, roles = dict(core.concept_ext), dict(core.role_ext)
+    for name, value in ext.items():
+        (concepts if name[0].isupper() else roles)[name] = frozenset(value)
+    return Core(core.individuals, core.fringe | set(fringe), concepts, roles)
+
+
+FA1 = FringeId("a", 0)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda c: _changed(c, fringe={FringeId("z", 0)}),
+     "(c1) fringe element z__e0 has unknown parent"),
+    (lambda c: _changed(c, fringe={FringeId("a", 7)}),
+     "(c1) fringe element a__e7 references no existential axiom"),
+    (lambda c: _changed(c, Z={"a"}), "(c1) unknown concept name 'Z' in core"),
+    (lambda c: _changed(c, z={("a", "b")}), "(c1) unknown role name 'z' in core"),
+    (lambda c: _changed(c, A3=c.concept_ext["A3"] | {"d"}),
+     "(c1) element d of A3 not in core domain"),
+    (lambda c: _changed(c, r2=c.role_ext["r2"] | {("a", "d")}),
+     "(c1) role pair a,d of r2 not in core domain"),
+    (lambda c: _changed(c, A3=c.concept_ext["A3"] - {"b"}),
+     "(c2) assertion A3(b) not satisfied"),
+    (lambda c: _changed(c, A1=c.concept_ext["A1"] | {"c"}),
+     "(c2) closed concept A1 contains unasserted element c"),
+    (lambda c: _changed(c, A3=c.concept_ext["A3"] - {FA1}),
+     "(c3.1) A2 <= A3 or A4 violated at a__e0"),
+    (lambda c: _changed(c, r2=c.role_ext["r2"] - {(FA1, "a")}),
+     "(c3.3) inv(r1) <= r2 violated at a__e0,a"),
+])
+def test_validate_names_each_violation(example1, example1_ctx, core1, change, message):
+    kb, _ = example1
+    report = validate_core(change(core1), example1_ctx, kb.abox)
+    assert message in map(str, report.violations)
+
+
+def test_validate_names_closed_role_violations():
+    kb = parse_kb("tbox { A <= exists p . B; } abox { A(a); B(b); p(a, b); } closed { p; }")
+    o = omq.build_omq(kb, omq.parse_query("q(x) :- A(x)."))
+    ctx = TypeContext(o.tbox, o.sigma)
+    core = Core(("a", "b"), frozenset(), {"A": frozenset({"a"}), "B": frozenset({"b"})},
+                {"p": frozenset({("a", "b")})})
+    assert validate_core(core, ctx, kb.abox).ok
+    unasserted = validate_core(_changed(core, p={("a", "b"), ("b", "b")}), ctx, kb.abox)
+    assert "(c2) closed role p contains unasserted pair b,b" in map(str, unasserted.violations)
+    # a fringe element in A has no p-successor: closed roles reach no fringe
+    trigger = validate_core(_changed(core, fringe={FA1}, A={"a", FA1}), ctx, kb.abox)
+    assert "(c3.4) A <= exists p . B unsatisfied at a__e0" in map(str, trigger.violations)
+    missing = validate_core(core, ctx, kb.abox + (RoleAssert("p", "b", "a"),))
+    assert "(c2) assertion p(b, a) not satisfied" in map(str, missing.violations)
+
+
+def test_type_of_rejects_foreign_element(example1_ctx, core1):
+    with pytest.raises(omq.OmqError, match="not in core domain"):
+        type_of("d", core1, example1_ctx)
 
 
 def test_mark_running_example(example1_ctx, core1):
