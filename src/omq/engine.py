@@ -4,14 +4,14 @@ The rewriting declares a layer per predicate: a guess layer over the
 named individuals (at most two variables per rule), the realized-type
 layer, the marking layer and the fringe filter.  Lower layers never
 depend on higher ones, and negation in a layer only mentions predicates
-settled below it.  The guess layer is ground once, straight to numbered
-atoms: the grounder gives each fact an id as it first meets it, and
-records each rule instance as atom-id tuples.  The instances are
-compiled into clauses by the role of their rule, which the rewriting's
-``Evaluation`` settles once: one group per choice family (its guess rules
-are absorbed there), the constraints and the clauses that force a choice
-atom, and the completion of its derived atoms (the answer atoms ``q``
-among them).
+settled below it.  The guess layer is ground once, straight into clauses
+over numbered atoms: the grounder numbers each fact as it first meets it
+and records each instance as its clause (body implies head).  The role of
+each rule, settled once by the rewriting's ``Evaluation``, says how: the
+guess rules are left out, as their choice families stand in for them;
+constraints and the rules that force a choice atom are taken as they are;
+and a derived atom (the answer atoms ``q`` among them) gets its supports
+and its completion: it holds only if one of them does (Clark, 1978).
 Evaluation backtracks over the choice atoms with unit propagation over
 those clauses, from a root propagated once, and reads each leaf's model
 off the value array.  The upper layers are compiled into ``evaluate.Layer``
@@ -86,7 +86,8 @@ LAYER_MEMO_LIMIT = 256
 
 # Roles of the guess layer's rules in ``_Searcher``'s clauses: a guess rule,
 # absorbed into its choice family; a plain clause; a clause that forces a
-# choice atom; a support of a derived atom.
+# choice atom; a support of a derived atom.  Only GUESS is false, so the roles
+# tell ``ground`` which rules' instances the search records.
 GUESS, CLAUSE, FORCE, SUPPORT = range(4)
 
 
@@ -243,10 +244,10 @@ class _Searcher:
     The grounding's atom table is the searcher's: ``aid`` maps a fact to
     its atom id, and gives a fact it lacks the next id, as it does for the
     choice atoms that no instance has; ``facts[i]`` is the fact of atom
-    ``i``.  The ground guess layer is compiled once into clauses over int
-    literals ``2 * atom + negated``; the value array ``val`` holds one of
-    UNKNOWN, TRUE and FALSE per atom (and per auxiliary atom past
-    ``facts``), so literal ``l`` is true when
+    ``i``.  The clauses are over int literals ``2 * atom + negated``, the
+    grounding's own instances among them, taken in one pass; the value
+    array ``val`` holds one of UNKNOWN, TRUE and FALSE per atom (and per
+    auxiliary atom past ``facts``), so literal ``l`` is true when
     ``val[l >> 1] == TRUE + (l & 1)``."""
 
     def __init__(self, out: RewriteOutput, abox: Sequence[Assertion],
@@ -260,7 +261,7 @@ class _Searcher:
         self.learned = 0
         self.runs = 0  # Layer.model runs
 
-        grounding = ground(form.layered.p1, _input_facts(out, abox))
+        grounding = ground(form.layered.p1, _input_facts(out, abox), form.roles)
         aid = self.aid = grounding.ids
 
         # Choice families (pos, neg, guard) present in the grounding; a
@@ -276,7 +277,8 @@ class _Searcher:
         self.families = [(p, g) for (p, _, g) in families]
 
         # Clauses.  A family is exactly one of its pair when its guard holds
-        # and neither otherwise; guess rules are absorbed into the families.
+        # and neither otherwise.  Each instance is its own clause, and each
+        # support is also grouped under its head for the completion.
         clauses: list[tuple[int, ...]] = []
         for (p, n, g) in families:
             clauses.append((2 * p + 1, 2 * n + 1))
@@ -284,30 +286,23 @@ class _Searcher:
                 clauses.append((2 * p, 2 * n))
             else:
                 clauses += [(2 * g + 1, 2 * p, 2 * n), (2 * p + 1, 2 * g), (2 * n + 1, 2 * g)]
-        # Each other instance is a clause, a clause with its choice head, or
-        # a support of its derived head, by the role of its rule.
+        todo = [c for c, lits in enumerate(grounding.rules, len(clauses)) if len(lits) < 2]
+        clauses += grounding.rules
         supports: dict[int, list[tuple[int, ...]]] = {}
-        roles = form.roles
-        for (head, pos, neg), n in zip(grounding.rules, grounding.origins):
-            role = roles[n]
-            if role == SUPPORT:
-                supports.setdefault(head[0], []).append(pos)
-            elif role != GUESS:
-                body = tuple([2 * a + 1 for a in pos] + [2 * a for a in neg])
-                clauses.append(body if role == CLAUSE else body + (2 * head[0],))
-        # Completion of a derived atom d: each support implies d, and d
-        # implies some support, through an auxiliary atom per support of
-        # two or more atoms.  The derived predicates are not recursive, so
-        # once the choices are settled every derived atom is settled too.
+        for lits, n in zip(grounding.rules, grounding.origins):
+            if form.roles[n] == SUPPORT:
+                supports.setdefault(lits[0], []).append(lits)
+        # Completion of a derived atom d: d implies some support, through an
+        # auxiliary atom per support of two or more atoms.  The derived
+        # predicates are not recursive, so settled choices settle them.
         n_vars = len(self.facts)
         for d, bodies in supports.items():
-            some_support = [2 * d + 1]
+            some_support = [d + 1]
             for body in bodies:
-                clauses.append(tuple([2 * b + 1 for b in body] + [2 * d]))
-                if len(body) == 1:
-                    some_support.append(2 * body[0])
+                if len(body) == 2:
+                    some_support.append(body[1] - 1)
                 else:
-                    clauses += [(2 * n_vars + 1, 2 * b) for b in body]
+                    clauses += [(2 * n_vars + 1, b - 1) for b in body[1:]]
                     some_support.append(2 * n_vars)
                     n_vars += 1
             clauses.append(tuple(some_support))
@@ -320,17 +315,22 @@ class _Searcher:
         # At the root the input facts hold, and atoms with no fact, no family
         # and no support never do (for instance closed predicates beyond
         # their ABox facts).  The root is propagated once, over the
-        # ``compiled`` clauses; the search starts from a copy.  A root in
-        # conflict has no branch.
-        self.root = bytearray(n_vars)
-        self.root[:len(self.facts)] = bytes([FALSE]) * len(self.facts)
-        for a in supports:
-            self.root[a] = UNKNOWN
+        # ``compiled`` clauses, from those that a root value falsifies a
+        # literal of and those too short to have two open literals: no other
+        # clause can be unit there.  The search starts from a copy.  A root
+        # in conflict has no branch.
+        root = self.root = bytearray(n_vars)
+        root[:len(self.facts)] = bytes([FALSE]) * len(self.facts)
+        for d in supports:
+            root[d >> 1] = UNKNOWN
         for (p, n, _) in families:
-            self.root[p] = self.root[n] = UNKNOWN
-        self.root[:grounding.inputs] = bytes([TRUE]) * grounding.inputs
+            root[p] = root[n] = UNKNOWN
+        root[:grounding.inputs] = bytes([TRUE]) * grounding.inputs
+        for a, v in enumerate(root):
+            if v:
+                todo += occurs[2 * a + (v == TRUE)]
         self.compiled = len(clauses)
-        self.conflict = not self._propagate(self.root, list(range(len(clauses))))
+        self.conflict = not self._propagate(root, todo)
 
         self.form = form
         self.learning = form.monotone

@@ -14,8 +14,10 @@ rules of one shape share one function.  Two evaluators run on it:
   positive body atoms over the atoms derivable when negation is ignored,
   which keeps the ground program proportional to the derivable atoms
   instead of the full substitution space; each fact is numbered in an id
-  table when first met, the instances are triples of atom-id tuples, and
-  ``DRule``s are built only on request; a rule runs again only after a
+  table when first met, each instance is the tuple of literals of the
+  clause it states (heads positive, body negated), which a searcher takes
+  as it is, and ``DRule``s are built only on request; a caller may leave
+  some rules' instances unrecorded; a rule runs again only after a
   rule it reads from derived a new row, and a program keeps its plans and
   the rules that read each head (``DProgram.plans``, ``DProgram.readers``)
   for the next grounding;
@@ -158,9 +160,9 @@ class _Plan:
     share one function.  At each match:
 
     * for ``ground`` (``layer`` false) ``out`` is ``(instances, ids, n)``:
-      the instance, a triple of atom-id tuples looked up in the id table
-      ``ids`` (heads, then positive body, then negated body), is put in the
-      dict ``instances`` with value ``n``, and its heads are added to
+      the instance, its tuple of literals over the atom ids of the id table
+      ``ids`` (as in ``Grounding``) paired with its head count, is put in
+      the dict ``instances`` with value ``n``, and its heads are added to
       ``db``; the call returns a mask with bit ``i`` set when head ``i``
       was new at some match;
     * for a ``Layer`` rule the negated atoms are tested against ``db``,
@@ -253,11 +255,12 @@ class _Plan:
             heads = [key(a.pred) for a in rule.head]
             ids = hoist("out[1]")
             sink = [f"f{i} = {row(a)}" for i, a in enumerate(rule.head)]
-            parts = ([f"{ids}[{k}, f{i}]" for i, k in enumerate(heads)],
-                     [f"{ids}[{source[j]}, {row(a)}]" for j, a in enumerate(rule.body_pos)],
-                     [f"{ids}[{key(a.pred)}, {row(a)}]" for a in rule.body_neg])
+            lits = ([f"2 * {ids}[{k}, f{i}]" for i, k in enumerate(heads)]
+                    + [f"2 * {ids}[{source[j]}, {row(a)}] + 1"
+                       for j, a in enumerate(rule.body_pos)]
+                    + [f"2 * {ids}[{key(a.pred)}, {row(a)}]" for a in rule.body_neg])
             sink.append(f"{hoist('out[0].setdefault')}"
-                        f"(({', '.join(_tuple(part) for part in parts)}), {hoist('out[2]')})")
+                        f"(({_tuple(lits)}, {len(rule.head)}), {hoist('out[2]')})")
             for i, k in enumerate(heads):
                 sink += [f"if {hoist(f'db[{k}].add')}(f{i}):", f"    ch |= {1 << i}"]
         elif rule.head:
@@ -316,9 +319,6 @@ def _load(arities: Mapping[str, int], facts: Iterable[Fact]) -> dict[str, _Relat
 # Grounding
 
 
-GroundRule = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
 class _Ids(dict):
     """Atom ids by fact: looking up a new fact gives it the next id."""
 
@@ -331,34 +331,45 @@ class _Ids(dict):
 class Grounding:
     """A ground program over numbered atoms: ``ids`` maps each fact to its
     atom id, in order of the ids (so ``list(ids)`` is the fact of each id),
-    and the first ``inputs`` atoms are the input facts.  Each rule instance is a triple of atom-id tuples (heads,
-    positive body, negated body), and ``origins[n]`` is the index in the
-    program of the rule that instance ``n`` instantiates."""
-    rules: tuple[GroundRule, ...]
+    and the first ``inputs`` atoms are the input facts.  Each rule instance
+    is one tuple of literals ``2 * atom + negated``, read as the clause it
+    states: its heads positive, then its positive body negated, then its
+    negated body positive.  ``origins[n]`` is the index in ``source`` of the
+    rule that instance ``n`` instantiates, whose head and body lengths split
+    the tuple back into a rule."""
+    rules: tuple[tuple[int, ...], ...]
     origins: tuple[int, ...]
     ids: dict[Fact, int]
     inputs: int
-    arities: Mapping[str, int]
+    source: DProgram
 
     def program(self) -> DProgram:
         """The same instances as a program of ``DRule``s."""
         atoms = [atom_of(f) for f in self.ids]
-        return DProgram(tuple(DRule(*(tuple(atoms[i] for i in part) for part in rule))
-                              for rule in self.rules), dict(self.arities))
+        out = []
+        for lits, n in zip(self.rules, self.origins):
+            r = self.source.rules[n]
+            h, b = len(r.head), len(r.head) + len(r.body_pos)
+            out.append(DRule(*(tuple(atoms[lit >> 1] for lit in part)
+                               for part in (lits[:h], lits[h:b], lits[b:]))))
+        return DProgram(tuple(out), dict(self.source.arities))
 
 
-def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
+def ground(p: DProgram, facts: Iterable[DAtom], record: Sequence | None = None) -> Grounding:
     """Relevance-driven grounding of ``p`` against ``facts``.
 
     Produces the rule instances whose positive bodies are satisfiable over
     the atoms derivable when negated literals are ignored; the result has
     the same stable models as the textbook full grounding (together with
     the facts).  Inequality literals are evaluated away.  Each instance is
-    recorded once, in the order first derived, as atom ids: the input facts
-    are numbered first, then each fact where it first occurs (heads, then
-    positive body, then negated body).  No rule or atom objects are built
-    (``Grounding.program`` builds them).  The rules are compiled once per
-    program, into ``p.plans``.
+    recorded once, in the order first derived, as a tuple of literals over
+    atom ids: the input facts are numbered first, then each fact where it
+    first occurs (heads, then positive body, then negated body).  With
+    ``record``, only the instances of the rules ``n`` where ``record[n]``
+    is true are recorded; the others still add their heads and number
+    their atoms, so the ids are those of the full grounding.  No rule or
+    atom objects are built (``Grounding.program`` builds them).  The rules
+    are compiled once per program, into ``p.plans``.
 
     Every rule runs once, in program order, and again only after a rule
     it reads from derived a new row of a predicate its positive body
@@ -374,8 +385,13 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
     ids = _Ids((f, i) for i, f in enumerate(dict.fromkeys(inputs)))
     given = len(ids)
     db = _load(p.arities, inputs)
-    instances: dict[GroundRule, int] = {}
+    # (literals, head count) -> rule index: the head count tells the heads
+    # from the negated body where there is no positive body between them
+    instances: dict[tuple[tuple[int, ...], int], int] = {}
+    unrecorded: dict = {}
     plans, readers = p.plans, p.readers
+    outs = [(instances if record is None or record[n] else unrecorded, ids, n)
+            for n in range(len(plans))]
     due = bytearray([1]) * len(plans)
     changed = True
     while changed:
@@ -384,7 +400,7 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
             if not due[n]:
                 continue
             due[n] = 0
-            grew = plan.join(db, plan.keys, (instances, ids, n))
+            grew = plan.join(db, plan.keys, outs[n])
             if grew:
                 changed = True
                 for rules in readers[n]:
@@ -392,8 +408,8 @@ def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
                         for m in rules:
                             due[m] = 1
                     grew >>= 1
-    return Grounding(tuple(instances), tuple(instances.values()), ids, given,
-                     dict(p.arities))
+    return Grounding(tuple([lits for (lits, _) in instances]), tuple(instances.values()),
+                     ids, given, p)
 
 
 # ---------------------------------------------------------------------------

@@ -336,11 +336,12 @@ class _CoreSpace:
                         if (x, y) == (d, e) or (y, x) == (d, e)}
             choices.append(self._edge_sets(types[d], types[e], d == e, asserted))
 
+        # d's last pair (d, inds[-1]) settles d's edges: check d's named-only
+        # existentials there, before the later pairs are walked.
         def rec(j: int, edges: _Edges) -> Iterator[tuple[_Types, _Edges]]:
             self._tick()
             if j == len(pairs):
-                if self._witnessed(types, edges, {}, self.named_only, self.inds):
-                    yield types, edges
+                yield types, edges
                 return
             d, e = pairs[j]
             for chosen in choices[j]:
@@ -349,7 +350,9 @@ class _CoreSpace:
                     pair = (d, e) if fwd else (e, d)
                     edges.setdefault(p, set()).add(pair)
                     added.append((p, pair))
-                yield from rec(j + 1, edges)
+                if e != self.inds[-1] or self._witnessed(types, edges, {}, self.named_only,
+                                                         (d,)):
+                    yield from rec(j + 1, edges)
                 for (p, pair) in added:
                     edges[p].discard(pair)
 

@@ -1,11 +1,13 @@
 """Independent references that only the tests read.
 
 ``ground_full`` grounds by every substitution, ``ground_scan`` decides
-which grounding rules to run again by rescanning row counts, and
-``stable_models_bruteforce`` enumerates every subset of the head atoms;
-the tests check ``omq.evaluate.ground`` and the engine against them at desk
-scale.  ``models_kb`` checks a finite interpretation against a normalized
-KB under the DL semantics, and ``core_extends`` searches a core's
+which grounding rules to run again by rescanning row counts,
+``search_clauses`` builds the search's clauses from the full grounding of
+the guess layer, and ``stable_models_bruteforce`` enumerates every subset
+of the head atoms; the tests check ``omq.evaluate.ground`` and the engine
+against them at desk scale.  ``models_kb`` checks a finite
+interpretation against a normalized KB under the DL semantics, and
+``core_extends`` searches a core's
 extensions directly; the tests check the oracles and the marking
 fixpoint against them.  ``emit_text`` renders a program with a call per
 term, and the tests check ``omq.datalog.emit_text`` against it.  ``is_normal`` and ``lc_check`` state the
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from omq.datalog import Const, DAtom, DProgram, DRule, DTerm, Var, fact_of
-from omq.evaluate import Grounding, _Ids, _load, _or_mask, _require_ground
+from omq.evaluate import Grounding, _Ids, _load, _or_mask, _require_ground, ground
 from omq.normalize import _flatten
 from omq.oracle import FiniteInterp, NormalKB, cq_matches, iter_cores
 from omq.query import OMQ
@@ -90,8 +92,8 @@ def ground_scan(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
             seen[n] = sizes
             if plan.join(db, plan.keys, (instances, ids, n)):
                 changed = True
-    return Grounding(tuple(instances), tuple(instances.values()), ids, given,
-                     dict(p.arities))
+    return Grounding(tuple([lits for (lits, _) in instances]), tuple(instances.values()),
+                     ids, given, p)
 
 
 def grounding_trace(grounder, p: DProgram, facts: Iterable[DAtom]) -> tuple:
@@ -111,6 +113,81 @@ def grounding_trace(grounder, p: DProgram, facts: Iterable[DAtom]) -> tuple:
     copy.__dict__["plans"] = [logged(n, plan) for n, plan in enumerate(p.plans)]
     g = grounder(copy, facts)
     return g.rules, g.origins, list(g.ids), g.inputs, log
+
+
+def search_clauses(out, abox: Sequence[Assertion]) -> SimpleNamespace:
+    """The clauses, choice families and propagated root that
+    ``omq.engine._Searcher`` builds for ``out`` over ``abox``, built from
+    the full grounding of the guess layer, each instance read back as a
+    triple (heads, positive body, negated body) of atom ids.  Each family
+    is exactly one of its pair when its guard holds and neither otherwise,
+    and its guess rules' instances are left to it; each other instance is
+    a clause by its rule's role, and each derived atom gets its supports
+    and its completion, through an auxiliary atom per support of two or
+    more atoms.  The root holds the input facts, leaves the family atoms
+    and supported atoms open, makes every other atom false, and is closed
+    under unit propagation by rescanning every clause until none fires."""
+    from omq.engine import CLAUSE, FALSE, GUESS, SUPPORT, TRUE, UNKNOWN, _input_facts
+    form = out.evaluation
+    grounding = ground(form.layered.p1, _input_facts(out, abox))
+    aid = grounding.ids
+    families = []
+    for (pred, row) in list(aid):
+        if pred in form.choices:
+            neg, guard = form.choices[pred]
+            families.append((aid[pred, row], aid[neg, row],
+                             None if guard is None else aid[guard, row]))
+    facts = list(aid)
+    families.sort(key=lambda f: facts[f[0]])
+    clauses: list[tuple[int, ...]] = []
+    for (p, n, g) in families:
+        clauses.append((2 * p + 1, 2 * n + 1))
+        if g is None:
+            clauses.append((2 * p, 2 * n))
+        else:
+            clauses += [(2 * g + 1, 2 * p, 2 * n), (2 * p + 1, 2 * g), (2 * n + 1, 2 * g)]
+    supports: dict[int, list[tuple[int, ...]]] = {}
+    for lits, n in zip(grounding.rules, grounding.origins):
+        rule, role = form.layered.p1.rules[n], form.roles[n]
+        h, b = len(rule.head), len(rule.head) + len(rule.body_pos)
+        head, pos, neg = ([lit >> 1 for lit in part] for part in (lits[:h], lits[h:b], lits[b:]))
+        if role == SUPPORT:
+            supports.setdefault(head[0], []).append(pos)
+        elif role != GUESS:
+            body = tuple([2 * a + 1 for a in pos] + [2 * a for a in neg])
+            clauses.append(body if role == CLAUSE else body + (2 * head[0],))
+    atoms = len(facts)
+    for d, bodies in supports.items():
+        some_support = [2 * d + 1]
+        for body in bodies:
+            clauses.append(tuple([2 * a + 1 for a in body] + [2 * d]))
+            if len(body) == 1:
+                some_support.append(2 * body[0])
+            else:
+                clauses += [(2 * atoms + 1, 2 * a) for a in body]
+                some_support.append(2 * atoms)
+                atoms += 1
+        clauses.append(tuple(some_support))
+    root = bytearray([FALSE]) * len(facts) + bytearray(atoms - len(facts))
+    for a in [*supports, *(x for (p, n, _) in families for x in (p, n))]:
+        root[a] = UNKNOWN
+    root[:grounding.inputs] = bytes([TRUE]) * grounding.inputs
+    conflict, fired = False, True
+    while fired and not conflict:
+        fired = False
+        for clause in clauses:
+            values = [root[lit >> 1] for lit in clause]
+            if any(v == TRUE + (lit & 1) for v, lit in zip(values, clause)):
+                continue
+            open_lits = [lit for v, lit in zip(values, clause) if v == UNKNOWN]
+            if not open_lits:
+                conflict = True
+                break
+            if len(open_lits) == 1:
+                root[open_lits[0] >> 1] = TRUE + (open_lits[0] & 1)
+                fired = True
+    return SimpleNamespace(clauses=clauses, families=[(p, g) for (p, _, g) in families],
+                           root=root, conflict=conflict)
 
 
 def stable_models_bruteforce(p: DProgram) -> list[frozenset[DAtom]]:

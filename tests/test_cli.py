@@ -42,13 +42,9 @@ def test_oracle_output_is_pinned(capsys):
     """``omq oracle --dump-countermodel`` prints, byte for byte, what it
     printed when the digests in ``fixtures/oracle.sha256`` were recorded:
     one line per fixture KB x query pair, with the SHA-256 of stdout (of
-    stderr when the run fails) and the exit status.  ``intro.kb`` with
-    ``q_r1.cq`` is left out: it takes about 5 s (4.6-5.2 s in three fresh
-    processes on a shared 2-core machine), and cProfile puts that time in
-    core enumeration's walk over the edges between individuals (3.46
-    million steps over the nine tuples), not in the fringe."""
+    stderr when the run fails) and the exit status."""
     lines = (FIXTURES / "oracle.sha256").read_text().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     for line in lines:
         digest, code, kb, query = line.split()
         got, out, err = run(capsys, "oracle", "--dump-countermodel",

@@ -88,7 +88,7 @@ def test_ground_loops_see_the_rows_they_add():
                                             for c in "nm" for i in range(3)]
     g = ground(p, facts)
     atoms = list(g.ids)
-    heads = [atoms[heads[0]][1] for (heads, _, _) in g.rules]
+    heads = [atoms[lits[0] >> 1][1] for lits in g.rules]
     assert heads == [("n0", "n0"), ("m0", "m0"), ("n0", "n1"), ("n0", "n2"),
                      ("n0", "n3"), ("m0", "m1"), ("m0", "m2"), ("m0", "m3")]
 
@@ -97,8 +97,9 @@ def test_ground_numbers_atoms_inputs_first_then_by_first_occurrence():
     """The input facts take the first ids, in their order and once each,
     whatever their predicate; every other atom is numbered where it first
     occurs, heads before the positive body before the negated body.  Each
-    instance names the rule it instantiates, and ``program`` maps the ids
-    back to atoms."""
+    instance is its clause's literals ``2 * atom + negated`` (heads, then
+    positive body negated, then negated body), names the rule it
+    instantiates, and ``program`` maps the ids back to atoms."""
     p = DProgram.of([rule([A("p", "X")], [A("e", "X", "Y")], [A("r", "Y")]),
                      rule([A("s", "Y")], [A("p", "X"), A("e", "X", "Y")], [A("t", "X")])])
     facts = [A("e", "a", "b"), A("z", "c"), A("e", "a", "b"), A("e", "b", "c")]
@@ -108,11 +109,24 @@ def test_ground_numbers_atoms_inputs_first_then_by_first_occurrence():
                        ("p", ("a",)), ("r", ("b",)), ("p", ("b",)), ("r", ("c",)),
                        ("s", ("b",)), ("t", ("a",)), ("s", ("c",)), ("t", ("b",))]
     assert list(g.ids.values()) == list(range(11))
-    assert g.rules == (((3,), (0,), (4,)), ((5,), (2,), (6,)),
-                       ((7,), (3, 0), (8,)), ((9,), (5, 2), (10,)))
+    assert g.rules == ((6, 1, 8), (10, 5, 12), (14, 7, 1, 16), (18, 11, 5, 20))
     assert g.origins == (0, 0, 1, 1)
     assert g.program().rules[2] == rule([A("s", "b")], [A("p", "a"), A("e", "a", "b")],
                                         [A("t", "a")])
+
+
+def test_ground_program_gives_back_each_instance_by_its_rule():
+    """``Grounding.program`` splits each instance's literals by the head and
+    body lengths of its rule.  With no positive body, heads and negated body
+    atoms are both positive literals: ``p(a) v q(a).`` and ``p(a) :- not
+    q(a).`` have the same literals, and so does ``:- not p(a), not q(a).``,
+    yet each is its own instance."""
+    rules = [rule([A("p", "a"), A("q", "a")]), rule([A("p", "a")], [], [A("q", "a")]),
+             rule([], [], [A("p", "a")]), rule([], [], [A("p", "a"), A("q", "a")]),
+             rule([A("q", "a")], [A("p", "a")], [A("r", "a")])]
+    g = ground(DProgram.of(rules), [])
+    assert g.rules == ((0, 2), (0, 2), (0,), (0, 2), (2, 1, 4))
+    assert g.program().rules == tuple(rules)
 
 
 def test_closure_fires_a_rule_whose_support_comes_later():

@@ -1,8 +1,11 @@
 import gc
 import pathlib
+import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +21,7 @@ from omq.rewrite import abox_facts
 from omq.typespace import mark_types
 import references
 from references import stable_models_bruteforce
+from test_acceptance import _closed_role_instance, _random_instance
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 MICRO_KB = "tbox { top <= A or B; } abox { }"
@@ -567,9 +571,9 @@ def test_only_the_guess_layer_is_ground(monkeypatch):
     calls = []
     real = omq.engine.ground
 
-    def counted(p, facts):
+    def counted(p, facts, *record):
         calls.append(p)
-        return real(p, facts)
+        return real(p, facts, *record)
     monkeypatch.setattr(omq.engine, "ground", counted)
     # a third open course gives the searches more than one leaf
     report = certain_answers(out, kb.abox + (omq.ConceptAssert("Course", "c3"),))
@@ -843,7 +847,6 @@ def test_certain_answers_match_the_per_tuple_rule_on_fixtures(monkeypatch):
 
 def test_certain_answers_match_the_per_tuple_rule_on_random_instances(monkeypatch):
     from test_acceptance import _random_instance
-    import random
     rng = random.Random(0xCA07)
     inconsistent = answered = 0
     for _ in range(60):
@@ -995,6 +998,121 @@ def test_ground_runs_the_scan_joins_on_every_fixture_rewriting():
                 (kb_name, query_name, flags)
         runs += 1
     assert runs == 24
+
+
+def _search_clauses_agree(out, abox, label) -> bool:
+    """Assert that the searcher's clauses, families and root over ``abox``
+    are those of ``references.search_clauses``; return whether the root
+    conflicts."""
+    s = _Searcher(out, abox)
+    ref = references.search_clauses(out, abox)
+    assert Counter(tuple(sorted(c)) for c in s.clauses[:s.compiled]) == \
+        Counter(tuple(sorted(c)) for c in ref.clauses), label
+    assert s.families == ref.families, label
+    assert s.conflict == ref.conflict, label
+    if not ref.conflict:  # a conflict stops propagation part way
+        assert s.root == ref.root, label
+    return ref.conflict
+
+
+def test_the_search_clauses_are_those_of_the_full_grounding():
+    """The searcher takes the clauses of the guess layer straight from a
+    grounding that records no guess rule instance, and propagates its root
+    from the clauses that the root's first values can make unit.  On every
+    fixture run, and on random instances in both modes, its clauses (as a
+    multiset of sorted literal tuples), its families in order, its
+    propagated root and whether that root conflicts are those that the
+    full grounding gives when each instance is read back as a rule and the
+    root is propagated over every clause."""
+    runs = conflicts = 0
+    for kb_name, query_name, flags, code in _fixture_runs():
+        kb, o = _omq((FIXTURES / kb_name).read_text(), (FIXTURES / query_name).read_text())
+        rw = rewrite_positive if "--positive" in flags else rewrite
+        try:
+            out = rw(o, db_constants="--db-constants" in flags)
+        except omq.OmqError:
+            continue
+        conflicts += _search_clauses_agree(out, kb.abox, (kb_name, query_name, flags))
+        runs += 1
+    assert runs == 24
+    rng = random.Random(28)
+    for n in range(60):
+        kb, o = (_random_instance if n % 2 else _closed_role_instance)(rng)
+        two = len(omq.individuals_of(o, kb.abox)) > 1   # as --db-constants needs
+        for rw in (rewrite, rewrite_positive):
+            try:
+                out = rw(o, db_constants=two and rng.random() < 0.5)
+            except omq.OmqError:
+                continue
+            conflicts += _search_clauses_agree(out, kb.abox, (n, rw.__name__))
+            runs += 1
+    assert runs > 100 and conflicts
+
+
+def _guess_layer_program(rng):
+    """A random guess layer with the shapes the searcher reads: a choice
+    family ``p``/``np`` on ``d``, a family ``s``/``ns`` guarded by ``g``,
+    supports of ``d``, ``g`` and ``q``, rules forcing a choice atom, and
+    constraints, some ground and without a positive body.  ``f`` is read
+    under negation and derived by no rule, so it is false at the root: a
+    ground rule such as ``p(a) :- not f(a).`` is unit there through it
+    alone.  The input facts are of ``e`` and ``r``."""
+    def atom(pred, x="X"):
+        return DAtom(pred, (Var(x) if x.isupper() else Const(x),))
+
+    def body():
+        out = [atom(rng.choice("edpgs"))]
+        if rng.random() < 0.4:
+            out += [DAtom("r", (Var("X"), Var("Y"))), atom(rng.choice("eps"), "Y")]
+        return out
+    families = [("p", "np", "d"), ("s", "ns", "g")]
+    rules = []
+    for pos, neg, guard in families:
+        if rng.random() < 0.5:
+            rules.append(DRule((atom(pos), atom(neg)), (atom(guard),)))
+        else:
+            rules += [DRule((atom(a),), (atom(guard),), (atom(b),))
+                      for a, b in ((pos, neg), (neg, pos))]
+    for _ in range(rng.randint(2, 7)):
+        kind = rng.choice(["support", "support", "force", "force", "clause", "ground"])
+        neg = tuple(atom(rng.choice("fe")) for _ in range(rng.randint(0, 1)))
+        if kind == "support":
+            rules.append(DRule((atom(rng.choice("dgq")),), tuple(body())))
+        elif kind == "force":
+            rules.append(DRule((atom(rng.choice(["p", "np", "s"])),), tuple(body()), neg))
+        elif kind == "clause":
+            rules.append(DRule((), tuple(body()), neg))
+        else:
+            x = rng.choice("ab")
+            head = (atom(rng.choice(["p", "np"]), x),) if rng.random() < 0.9 else ()
+            rules.append(DRule(head, (), (atom(rng.choice("fe"), x),)))
+    rules.append(DRule((atom("d"),), (atom("e"),)))
+    p1 = DProgram.of(rules)
+    facts = [atom("e", x) for x in "abc" if rng.random() < 0.5]
+    facts += [DAtom("r", (Const(x), Const(y))) for x in "abc" for y in "abc"
+              if rng.random() < 0.3]
+    return p1, {pos: (neg, guard if guard == "g" else None) for pos, neg, guard in families}, \
+        facts
+
+
+def test_the_search_clauses_of_random_guess_layers(monkeypatch):
+    """The relation of ``test_the_search_clauses_are_those_of_the_full_grounding``
+    on random guess layers (``_guess_layer_program``), which also have
+    rules that only an atom no rule derives makes unit at the root."""
+    facts: list[DAtom] = []
+    monkeypatch.setattr(omq.engine, "_input_facts", lambda out, abox: facts)
+    rng = random.Random(7)
+    conflicts = forced = 0
+    for n in range(300):
+        p1, choices, facts[:] = _guess_layer_program(rng)
+        form = omq.engine.Evaluation.__new__(omq.engine.Evaluation)
+        form.layered, form.choices = SimpleNamespace(p1=p1), choices
+        form.roles = omq.engine._roles(p1, {"p", "np", "s", "ns"})
+        form.layers, form.reads, form.monotone = [], frozenset(), False
+        out = SimpleNamespace(evaluation=form)
+        conflicts += _search_clauses_agree(out, (), n)
+        forced += any(not r.body_pos and r.head for r in p1.rules)
+    assert conflicts and forced
 
 
 def _with_negated_support(out):
