@@ -86,8 +86,7 @@ LAYER_MEMO_LIMIT = 256
 
 # Roles of the guess layer's rules in ``_Searcher``'s clauses: a guess rule,
 # absorbed into its choice family; a plain clause; a clause that forces a
-# choice atom; a support of a derived atom.  Only GUESS is false, so the roles
-# tell ``ground`` which rules' instances the search records.
+# choice atom; a support of a derived atom.
 GUESS, CLAUSE, FORCE, SUPPORT = range(4)
 
 
@@ -245,9 +244,9 @@ class _Searcher:
     its atom id, and gives a fact it lacks the next id, as it does for the
     choice atoms that no instance has; ``facts[i]`` is the fact of atom
     ``i``.  The clauses are over int literals ``2 * atom + negated``, the
-    grounding's own instances among them, taken in one pass; the value
-    array ``val`` holds one of UNKNOWN, TRUE and FALSE per atom (and per
-    auxiliary atom past ``facts``), so literal ``l`` is true when
+    grounding's instances but the guess rules' among them, in one pass;
+    the value array ``val`` holds one of UNKNOWN, TRUE and FALSE per atom
+    (and per auxiliary atom past ``facts``), so literal ``l`` is true when
     ``val[l >> 1] == TRUE + (l & 1)``."""
 
     def __init__(self, out: RewriteOutput, abox: Sequence[Assertion],
@@ -261,7 +260,7 @@ class _Searcher:
         self.learned = 0
         self.runs = 0  # Layer.model runs
 
-        grounding = ground(form.layered.p1, _input_facts(out, abox), form.roles)
+        grounding = ground(form.layered.p1, _input_facts(out, abox))
         aid = self.aid = grounding.ids
 
         # Choice families (pos, neg, guard) present in the grounding; a
@@ -277,8 +276,8 @@ class _Searcher:
         self.families = [(p, g) for (p, _, g) in families]
 
         # Clauses.  A family is exactly one of its pair when its guard holds
-        # and neither otherwise.  Each instance is its own clause, and each
-        # support is also grouped under its head for the completion.
+        # and neither otherwise.  Each instance but a guess rule's is its own
+        # clause; a support is also grouped under its head for the completion.
         clauses: list[tuple[int, ...]] = []
         for (p, n, g) in families:
             clauses.append((2 * p + 1, 2 * n + 1))
@@ -286,12 +285,12 @@ class _Searcher:
                 clauses.append((2 * p, 2 * n))
             else:
                 clauses += [(2 * g + 1, 2 * p, 2 * n), (2 * p + 1, 2 * g), (2 * n + 1, 2 * g)]
-        todo = [c for c, lits in enumerate(grounding.rules, len(clauses)) if len(lits) < 2]
-        clauses += grounding.rules
         supports: dict[int, list[tuple[int, ...]]] = {}
         for lits, n in zip(grounding.rules, grounding.origins):
-            if form.roles[n] == SUPPORT:
-                supports.setdefault(lits[0], []).append(lits)
+            if form.roles[n] != GUESS:
+                clauses.append(lits)
+                if form.roles[n] == SUPPORT:
+                    supports.setdefault(lits[0], []).append(lits)
         # Completion of a derived atom d: d implies some support, through an
         # auxiliary atom per support of two or more atoms.  The derived
         # predicates are not recursive, so settled choices settle them.
@@ -326,6 +325,7 @@ class _Searcher:
         for (p, n, _) in families:
             root[p] = root[n] = UNKNOWN
         root[:grounding.inputs] = bytes([TRUE]) * grounding.inputs
+        todo = [c for c, clause in enumerate(clauses) if len(clause) < 2]
         for a, v in enumerate(root):
             if v:
                 todo += occurs[2 * a + (v == TRUE)]

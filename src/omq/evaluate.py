@@ -16,11 +16,10 @@ rules of one shape share one function.  Two evaluators run on it:
   instead of the full substitution space; each fact is numbered in an id
   table when first met, each instance is the tuple of literals of the
   clause it states (heads positive, body negated), which a searcher takes
-  as it is, and ``DRule``s are built only on request; a caller may leave
-  some rules' instances unrecorded; a rule runs again only after a
-  rule it reads from derived a new row, and a program keeps its plans and
-  the rules that read each head (``DProgram.plans``, ``DProgram.readers``)
-  for the next grounding;
+  as it is, and ``DRule``s are built only on request; a rule runs again
+  only after a rule it reads from derived a new row, and a program keeps
+  its plans and the rules that read each head (``DProgram.plans``,
+  ``DProgram.readers``) for the next grounding;
 * ``Layer`` evaluates a layer of definite rules whose negation reads only
   the base below it, by semi-naive rounds that join each rule once per
   body position against the previous round's new rows, building and
@@ -355,7 +354,7 @@ class Grounding:
         return DProgram(tuple(out), dict(self.source.arities))
 
 
-def ground(p: DProgram, facts: Iterable[DAtom], record: Sequence | None = None) -> Grounding:
+def ground(p: DProgram, facts: Iterable[DAtom]) -> Grounding:
     """Relevance-driven grounding of ``p`` against ``facts``.
 
     Produces the rule instances whose positive bodies are satisfiable over
@@ -364,12 +363,9 @@ def ground(p: DProgram, facts: Iterable[DAtom], record: Sequence | None = None) 
     the facts).  Inequality literals are evaluated away.  Each instance is
     recorded once, in the order first derived, as a tuple of literals over
     atom ids: the input facts are numbered first, then each fact where it
-    first occurs (heads, then positive body, then negated body).  With
-    ``record``, only the instances of the rules ``n`` where ``record[n]``
-    is true are recorded; the others still add their heads and number
-    their atoms, so the ids are those of the full grounding.  No rule or
-    atom objects are built (``Grounding.program`` builds them).  The rules
-    are compiled once per program, into ``p.plans``.
+    first occurs (heads, then positive body, then negated body).  No rule
+    or atom objects are built (``Grounding.program`` builds them).  The
+    rules are compiled once per program, into ``p.plans``.
 
     Every rule runs once, in program order, and again only after a rule
     it reads from derived a new row of a predicate its positive body
@@ -388,10 +384,7 @@ def ground(p: DProgram, facts: Iterable[DAtom], record: Sequence | None = None) 
     # (literals, head count) -> rule index: the head count tells the heads
     # from the negated body where there is no positive body between them
     instances: dict[tuple[tuple[int, ...], int], int] = {}
-    unrecorded: dict = {}
     plans, readers = p.plans, p.readers
-    outs = [(instances if record is None or record[n] else unrecorded, ids, n)
-            for n in range(len(plans))]
     due = bytearray([1]) * len(plans)
     changed = True
     while changed:
@@ -400,7 +393,7 @@ def ground(p: DProgram, facts: Iterable[DAtom], record: Sequence | None = None) 
             if not due[n]:
                 continue
             due[n] = 0
-            grew = plan.join(db, plan.keys, outs[n])
+            grew = plan.join(db, plan.keys, (instances, ids, n))
             if grew:
                 changed = True
                 for rules in readers[n]:

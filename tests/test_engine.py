@@ -571,9 +571,9 @@ def test_only_the_guess_layer_is_ground(monkeypatch):
     calls = []
     real = omq.engine.ground
 
-    def counted(p, facts, *record):
+    def counted(p, facts):
         calls.append(p)
-        return real(p, facts, *record)
+        return real(p, facts)
     monkeypatch.setattr(omq.engine, "ground", counted)
     # a third open course gives the searches more than one leaf
     report = certain_answers(out, kb.abox + (omq.ConceptAssert("Course", "c3"),))
@@ -846,7 +846,6 @@ def test_certain_answers_match_the_per_tuple_rule_on_fixtures(monkeypatch):
 
 
 def test_certain_answers_match_the_per_tuple_rule_on_random_instances(monkeypatch):
-    from test_acceptance import _random_instance
     rng = random.Random(0xCA07)
     inconsistent = answered = 0
     for _ in range(60):
@@ -1016,8 +1015,8 @@ def _search_clauses_agree(out, abox, label) -> bool:
 
 
 def test_the_search_clauses_are_those_of_the_full_grounding():
-    """The searcher takes the clauses of the guess layer straight from a
-    grounding that records no guess rule instance, and propagates its root
+    """The searcher takes the clauses of the guess layer straight from its
+    grounding, skipping the guess rules' instances, and propagates its root
     from the clauses that the root's first values can make unit.  On every
     fixture run, and on random instances in both modes, its clauses (as a
     multiset of sorted literal tuples), its families in order, its
